@@ -1,13 +1,14 @@
-"""Time the jit kernels against their pure-numpy twins.
+"""Time the three numpy kernels on synthetic shapes.
 
 Run from the repository root:
 
-    python3 benchmarks/bench_kernels.py
-    python3 benchmarks/bench_kernels.py --grid 128 --points 2000000 --repeat 5
+    PYTHONPATH=src python3 benchmarks/bench_kernels.py
+    PYTHONPATH=src python3 benchmarks/bench_kernels.py --grid 128 --points 2000000 --repeat 5
 
-The deposit benchmarks mirror the transport verifier's workload (cell
-masses pushed into a 4x oversampled histogram); the scan benchmark uses
-the maximizer's full correlation tables.
+The deposit benchmarks mirror the transport verifier's workload: cell
+masses pushed into a 4x oversampled histogram, as one large 1-D call
+(rs1d) and as one batched call of many short columns (rs2d).  The scan
+benchmark uses the maximizer's full correlation tables.
 """
 
 import argparse
@@ -27,86 +28,58 @@ def _best_of(fn, repeat):
     return best
 
 
-def bench_chsh_scan(grid, repeat, rng, with_numba):
+def bench_chsh_scan(grid, rng):
     tables = [rng.uniform(-1.0, 1.0, (grid, grid)) for _ in range(4)]
-
-    pairs = [("numpy", lambda: _kernels.chsh_scan_numpy(*tables))]
-    if with_numba:
-        pairs.append(("numba", lambda: _kernels.chsh_scan_numba(*tables)))
-    return {name: _best_of(fn, repeat) for name, fn in pairs}
+    return lambda: _kernels.chsh_scan(*tables)
 
 
-def bench_deposit_points(count, repeat, rng, with_numba):
+def bench_deposit_points(count, rng):
     x = rng.normal(size=count)
     w = np.full(count, 1.0 / count)
     nbins = 4096
-
-    pairs = [("numpy", lambda: _kernels.deposit_points_numpy(x, w, -6.0, 12.0 / nbins, nbins))]
-    if with_numba:
-        pairs.append(("numba", lambda: _kernels.deposit_points_numba(x, w, -6.0, 12.0 / nbins, nbins)))
-    return {name: _best_of(fn, repeat) for name, fn in pairs}
+    return lambda: _kernels.deposit_points(x, w, -6.0, 12.0 / nbins, nbins)
 
 
-def bench_deposit_intervals(count, repeat, rng, with_numba):
-    centers = np.sort(rng.normal(size=count))
-    half = np.abs(rng.normal(scale=0.01, size=count))
-    lo, hi = centers - half, centers + half
-    w = np.full(count, 1.0 / count)
+def _intervals(shape, rng):
+    centers = np.sort(rng.normal(size=shape), axis=0)
+    half = np.abs(rng.normal(scale=0.01, size=shape))
+    return centers - half, centers + half, np.full(shape, 1.0 / shape[0])
+
+
+def bench_deposit_intervals(count, rng):
+    lo, hi, w = _intervals((count,), rng)
     nbins = 16384
+    return lambda: _kernels.deposit_intervals(lo, hi, w, -8.0, 16.0 / nbins, nbins)
 
-    pairs = [
-        ("numpy", lambda: _kernels.deposit_intervals_numpy(lo, hi, w, -8.0, 16.0 / nbins, nbins))
-    ]
-    if with_numba:
-        pairs.append(
-            ("numba", lambda: _kernels.deposit_intervals_numba(lo, hi, w, -8.0, 16.0 / nbins, nbins))
-        )
-    return {name: _best_of(fn, repeat) for name, fn in pairs}
+
+def bench_deposit_intervals_2d(columns, rng, rows=257, nbins=1024):
+    lo, hi, w = _intervals((rows, columns), rng)
+    return lambda: _kernels.deposit_intervals(lo, hi, w, -8.0, 16.0 / nbins, nbins)
 
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--grid", type=int, default=64, help="angle grid side for the scan")
     parser.add_argument("--points", type=int, default=1_000_000, help="point deposit sample count")
-    parser.add_argument(
-        "--intervals",
-        type=int,
-        default=50_000,
-        # the numpy twin sweeps a (chunk, nbins) ramp per chunk, so its cost
-        # grows fast with the interval count; 5e4 keeps the default run short
-        help="interval deposit sample count",
-    )
+    parser.add_argument("--intervals", type=int, default=50_000, help="1-D interval deposit count")
+    parser.add_argument("--columns", type=int, default=256,
+                        help="columns of 257 intervals each in the batched 2-D deposit")
     parser.add_argument("--repeat", type=int, default=3, help="repeats, best time kept")
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args(argv)
 
     rng = np.random.default_rng(args.seed)
-    # time both raw paths whenever numba imports, even if the package-level
-    # dispatch is switched off through BELLFORGE_DISABLE_NUMBA
-    with_numba = _kernels.chsh_scan_numba is not None
-    if not with_numba:
-        print("numba unavailable; timing the numpy path only")
-    else:
-        c = np.eye(3)
-        _kernels.chsh_scan_numba(c, c, c, c)
-        _kernels.deposit_points_numba(np.array([0.5]), np.array([1.0]), 0.0, 0.25, 8)
-        _kernels.deposit_intervals_numba(
-            np.array([0.1]), np.array([0.6]), np.array([1.0]), 0.0, 0.25, 8
-        )
-
     rows = [
-        ("chsh_scan (%d^4 settings)" % args.grid, bench_chsh_scan(args.grid, args.repeat, rng, with_numba)),
-        ("deposit_points (%.1e pts)" % args.points, bench_deposit_points(args.points, args.repeat, rng, with_numba)),
-        ("deposit_intervals (%.1e)" % args.intervals, bench_deposit_intervals(args.intervals, args.repeat, rng, with_numba)),
+        ("chsh_scan (%d^4 settings)" % args.grid, bench_chsh_scan(args.grid, rng)),
+        ("deposit_points (%.1e pts)" % args.points, bench_deposit_points(args.points, rng)),
+        ("deposit_intervals (%.1e x 16384)" % args.intervals,
+         bench_deposit_intervals(args.intervals, rng)),
+        ("deposit_intervals (%d cols x 257, 1024)" % args.columns,
+         bench_deposit_intervals_2d(args.columns, rng)),
     ]
-    print("%-32s %12s %12s %8s" % ("kernel", "numpy [ms]", "numba [ms]", "speedup"))
-    for label, times in rows:
-        t_np = times["numpy"] * 1e3
-        if "numba" in times:
-            t_nb = times["numba"] * 1e3
-            print("%-32s %12.2f %12.2f %7.1fx" % (label, t_np, t_nb, t_np / t_nb))
-        else:
-            print("%-32s %12.2f %12s %8s" % (label, t_np, "-", "-"))
+    print("%-40s %10s" % ("kernel", "best [ms]"))
+    for label, fn in rows:
+        print("%-40s %10.2f" % (label, _best_of(fn, args.repeat) * 1e3))
     return 0
 
 

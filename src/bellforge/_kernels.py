@@ -1,72 +1,26 @@
-"""Hot loops, each with a numba-jitted version and a pure-numpy twin.
+"""The three inner-loop kernels, one vectorized numpy implementation each.
 
-Three kernels carry essentially all of the package's inner-loop time:
-
-* ``chsh_scan``       exhaustive scan of the CHSH functional over a settings grid
-* ``deposit_points``  cloud-in-cell deposit of weighted sample points into bins
+* ``chsh_scan``         exhaustive scan of the CHSH functional over a settings
+  grid, O(na * nap * nb * nbp)
+* ``deposit_points``    cloud-in-cell deposit of weighted sample points into
+  bins, O(points + bins)
 * ``deposit_intervals`` deposit of weighted intervals into bins (uniform within
-  the interval), the workhorse behind every transport-map pushforward
+  the interval), the workhorse behind every transport-map pushforward,
+  O(intervals + bins) and batched over columns
 
-Selection: the jitted path is used when numba imports cleanly and the
-environment variable ``BELLFORGE_DISABLE_NUMBA`` is unset/empty/"0".
-The numpy twins are kept semantically identical: ``chsh_scan`` is
-bit-identical between the two paths (same float ops, same lexicographic
-tie-breaking); the deposit kernels agree to ~1e-12 relative (summation
-order differs).
+Scatters are ``np.bincount`` calls, which add in input order, so a batched
+``(m, ncols)`` deposit equals a loop of one-column deposits bit for bit.
 
-benchmarks/bench_kernels.py times the two paths against each other.
+benchmarks/bench_kernels.py times each kernel.
 """
-
-import os
 
 import numpy as np
 
-try:
-    from numba import njit
-except ImportError:  # pragma: no cover - exercised only without numba installed
-    njit = None
+# No compiled path exists; kept so run provenance can name the backend.
+USE_NUMBA = False
 
 
-def _env_disabled():
-    return os.environ.get("BELLFORGE_DISABLE_NUMBA", "") not in ("", "0")
-
-
-USE_NUMBA = njit is not None and not _env_disabled()
-
-
-# ---------------------------------------------------------------------------
-# chsh_scan
-
-
-def _chsh_scan_loops(c_ab, c_abp, c_apb, c_apbp):
-    # Scan order (ia, iap, ib, ibp) with strict ">" update: ties resolve to the
-    # lexicographically smallest index tuple, matching the numpy twin's argmax.
-    na = c_ab.shape[0]
-    nap = c_apb.shape[0]
-    nb = c_ab.shape[1]
-    nbp = c_abp.shape[1]
-    best = -np.inf
-    bia = 0
-    biap = 0
-    bib = 0
-    bibp = 0
-    for ia in range(na):
-        for iap in range(nap):
-            for ib in range(nb):
-                for ibp in range(nbp):
-                    s = abs(c_ab[ia, ib] - c_abp[ia, ibp]) + abs(
-                        c_apb[iap, ib] + c_apbp[iap, ibp]
-                    )
-                    if s > best:
-                        best = s
-                        bia = ia
-                        biap = iap
-                        bib = ib
-                        bibp = ibp
-    return best, bia, biap, bib, bibp
-
-
-def chsh_scan_numpy(c_ab, c_abp, c_apb, c_apbp):
+def chsh_scan(c_ab, c_abp, c_apb, c_apbp):
     """Best CHSH value |C1(a,b)-C2(a,b')| + |C3(a',b)+C4(a',b')| over the grid.
 
     Returns (value, ia, iap, ib, ibp). First occurrence in C order wins ties,
@@ -80,169 +34,76 @@ def chsh_scan_numpy(c_ab, c_abp, c_apb, c_apbp):
     return float(s[ia, iap, ib, ibp]), int(ia), int(iap), int(ib), int(ibp)
 
 
-# ---------------------------------------------------------------------------
-# deposit_points (cloud-in-cell)
-
-
-def _deposit_points_loops(x, w, x0, dx, nbins, out):
-    # Linear (CIC) deposit onto bin centers x0 + (k + 1/2) dx.  Points whose
-    # support falls entirely outside [x0, x0 + nbins*dx] are dropped.
-    for i in range(x.shape[0]):
-        pos = (x[i] - x0) / dx - 0.5
-        i0 = int(np.floor(pos))
-        f = pos - i0
-        if 0 <= i0 < nbins:
-            out[i0] += w[i] * (1.0 - f)
-        if 0 <= i0 + 1 < nbins:
-            out[i0 + 1] += w[i] * f
-    return out
-
-
-def deposit_points_numpy(x, w, x0, dx, nbins, out=None):
-    """Cloud-in-cell deposit of weighted points into ``nbins`` bins."""
-    if out is None:
-        out = np.zeros(nbins)
+def deposit_points(x, w, x0, dx, nbins):
+    """Cloud-in-cell deposit of weighted points onto bin centers
+    x0 + (k + 1/2) dx.  Shares falling outside the ``nbins`` bins are dropped."""
     pos = (np.asarray(x, dtype=float) - x0) / dx - 0.5
-    i0 = np.floor(pos).astype(np.int64)
-    f = pos - i0
+    kf = np.floor(pos)
+    f = pos - kf
     w = np.asarray(w, dtype=float)
-    lo_ok = (i0 >= 0) & (i0 < nbins)
-    hi_ok = (i0 + 1 >= 0) & (i0 + 1 < nbins)
-    np.add.at(out, i0[lo_ok], (w * (1.0 - f))[lo_ok])
-    np.add.at(out, (i0 + 1)[hi_ok], (w * f)[hi_ok])
-    return out
+    # compare as float before the int cast: huge coordinates overflow int64
+    lo_ok = (kf >= 0.0) & (kf < nbins)
+    hi_ok = (kf >= -1.0) & (kf < nbins - 1)
+    idx = np.concatenate([kf[lo_ok], kf[hi_ok] + 1.0]).astype(np.int64)
+    mass = np.concatenate([(w * (1.0 - f))[lo_ok], (w * f)[hi_ok]])
+    return np.bincount(idx, mass, minlength=nbins)
 
 
-# ---------------------------------------------------------------------------
-# deposit_intervals
-
-
-def _deposit_intervals_loops(lo, hi, w, x0, dx, nbins, out):
-    # Each interval [lo_i, hi_i] deposits w_i spread uniformly over its length.
-    # Degenerate intervals collapse to a point deposit in the containing bin.
-    for i in range(lo.shape[0]):
-        a = lo[i]
-        b = hi[i]
-        if b < a:
-            a, b = b, a
-        width = b - a
-        if width < 1e-300:
-            kf = np.floor((a - x0) / dx)  # compare as float: huge values overflow int
-            if 0.0 <= kf < nbins:
-                out[int(kf)] += w[i]
-            continue
-        ka_f = np.floor((a - x0) / dx)
-        kb_f = np.floor((b - x0) / dx)
-        if kb_f < 0.0 or ka_f >= nbins:
-            continue
-        ka = 0 if ka_f < 0.0 else int(ka_f)
-        kb = nbins - 1 if kb_f >= nbins else int(kb_f)
-        for k in range(ka, kb + 1):
-            e_lo = x0 + k * dx
-            e_hi = e_lo + dx
-            seg_lo = a if a > e_lo else e_lo
-            seg_hi = b if b < e_hi else e_hi
-            if seg_hi > seg_lo:
-                out[k] += w[i] * (seg_hi - seg_lo) / width
-    return out
-
-
-def deposit_intervals_numpy(lo, hi, w, x0, dx, nbins, out=None, chunk=256):
+def deposit_intervals(lo, hi, w, x0, dx, nbins):
     """Deposit weighted intervals into bins, uniform within each interval.
 
-    Vectorized as a ramp difference: the mass of interval i left of edge e is
-    w_i * clip((e - lo_i)/(hi_i - lo_i), 0, 1); per-bin mass is the difference
-    of consecutive edges.  Chunked so the (chunk, nbins+1) ramp stays small.
+    ``lo``, ``hi`` and ``w`` have shape (m,) or (m, ncols); each column
+    deposits into its own ``nbins`` bins [x0 + k dx, x0 + (k+1) dx) and the
+    result has shape (nbins,) or (nbins, ncols).  Endpoints may come in
+    either order.  An interval adds its exact shares to its first and last
+    bins directly and the constant full-bin share w dx / (hi - lo) to the
+    bins between them through a difference array summed by ``cumsum``:
+    O(m + nbins) per column.  Shares are measured against the bin edges in
+    x itself, so an interval narrower than the float resolution of
+    (x - x0)/dx still deposits all of its mass.  A zero-width interval is a
+    point mass in its containing bin.  Mass outside the bins is dropped.
     """
-    if out is None:
-        out = np.zeros(nbins)
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
     w = np.asarray(w, dtype=float)
+    ncols = 1 if lo.ndim == 1 else lo.shape[1]
     a = np.minimum(lo, hi)
     b = np.maximum(lo, hi)
-    width = b - a
-    degen = width < 1e-300
-    if np.any(degen):
-        kf = np.floor((a[degen] - x0) / dx)
-        ok = (kf >= 0.0) & (kf < nbins)  # filter before the int cast can overflow
-        np.add.at(out, kf[ok].astype(np.int64), w[degen][ok])
-    keep = ~degen
-    a, b, wk, width = a[keep], b[keep], w[keep], width[keep]
-    edges = x0 + dx * np.arange(nbins + 1)
-    for s in range(0, a.shape[0], chunk):
-        aa = a[s : s + chunk, None]
-        bb = b[s : s + chunk, None]
-        ww = wk[s : s + chunk, None]
-        ramp = np.clip((edges[None, :] - aa) / (bb - aa), 0.0, 1.0)
-        out += np.sum(ww * (ramp[:, 1:] - ramp[:, :-1]), axis=0)
-    return out
+    point = ~(b > a)  # zero width, or a NaN endpoint
+    width = np.where(point, 1.0, b - a)
+    edges = x0 + dx * np.arange(nbins + 2)  # edge nbins + 1 closes a spill bin
 
+    def bin_of(x):
+        # k with edges[k] <= x < edges[k+1]: -1 left of the grid, nbins right
+        # of it or NaN; clipping before the int cast keeps huge values in range
+        k = np.floor(np.clip((x - x0) / dx, 0.0, nbins))
+        k = np.where(np.isnan(k), nbins, k).astype(np.int64)
+        # (x - x0)/dx rounds, so settle the bin against the edges themselves
+        return np.minimum(k - (edges[k] > x) + (edges[k + 1] <= x), nbins)
 
-# ---------------------------------------------------------------------------
-# jit compilation and dispatch
+    def share(k):  # mass of each interval inside bin k
+        return w * ((np.clip(edges[k + 1], a, b) - np.clip(edges[k], a, b)) / width)
 
-if njit is not None:
-    chsh_scan_numba = njit(cache=True)(_chsh_scan_loops)
-    _deposit_points_numba = njit(cache=True)(_deposit_points_loops)
-    _deposit_intervals_numba = njit(cache=True)(_deposit_intervals_loops)
-else:  # pragma: no cover
-    chsh_scan_numba = None
-    _deposit_points_numba = None
-    _deposit_intervals_numba = None
+    ka = bin_of(a)
+    ka = np.where(point, np.where(ka < 0, nbins, ka), np.maximum(ka, 0))
+    kb = np.where(point, ka, np.maximum(bin_of(b), 0))
+    head = np.where(point, w, share(ka))
+    tail = np.where(kb > ka, share(kb), 0.0)
+    middle = np.where(kb > ka + 1, w * (dx / width), 0.0)
 
-
-def deposit_points_numba(x, w, x0, dx, nbins, out=None):
-    if out is None:
-        out = np.zeros(nbins)
-    return _deposit_points_numba(
-        np.ascontiguousarray(x, dtype=np.float64),
-        np.ascontiguousarray(w, dtype=np.float64),
-        float(x0),
-        float(dx),
-        int(nbins),
-        out,
+    # flat index k * ncols + column; bin nbins is the spill bin
+    col = np.arange(ncols)
+    ka = (ka * ncols + col).ravel()
+    kb = (kb * ncols + col).ravel()
+    size = (nbins + 1) * ncols
+    direct = np.bincount(
+        np.concatenate([ka, kb]), np.concatenate([head.ravel(), tail.ravel()]), size
     )
-
-
-def deposit_intervals_numba(lo, hi, w, x0, dx, nbins, out=None):
-    if out is None:
-        out = np.zeros(nbins)
-    return _deposit_intervals_numba(
-        np.ascontiguousarray(lo, dtype=np.float64),
-        np.ascontiguousarray(hi, dtype=np.float64),
-        np.ascontiguousarray(w, dtype=np.float64),
-        float(x0),
-        float(dx),
-        int(nbins),
-        out,
+    # middle bins ka+1 .. kb-1: +rate at ka+1, -rate at kb, then cumsum
+    middle = middle.ravel()
+    diff = np.bincount(
+        np.concatenate([ka + ncols, kb]), np.concatenate([middle, -middle]), size + ncols
     )
-
-
-def chsh_scan(c_ab, c_abp, c_apb, c_apbp):
-    if USE_NUMBA:
-        best, ia, iap, ib, ibp = chsh_scan_numba(c_ab, c_abp, c_apb, c_apbp)
-        return float(best), int(ia), int(iap), int(ib), int(ibp)
-    return chsh_scan_numpy(c_ab, c_abp, c_apb, c_apbp)
-
-
-def deposit_points(x, w, x0, dx, nbins, out=None):
-    if USE_NUMBA:
-        return deposit_points_numba(x, w, x0, dx, nbins, out)
-    return deposit_points_numpy(x, w, x0, dx, nbins, out)
-
-
-def deposit_intervals(lo, hi, w, x0, dx, nbins, out=None):
-    if USE_NUMBA:
-        return deposit_intervals_numba(lo, hi, w, x0, dx, nbins, out)
-    return deposit_intervals_numpy(lo, hi, w, x0, dx, nbins, out)
-
-
-def warmup():
-    """Trigger JIT compilation so later timings exclude compile cost."""
-    if not USE_NUMBA:
-        return
-    c = np.eye(3)
-    chsh_scan(c, c, c, c)
-    deposit_points(np.array([0.5]), np.array([1.0]), 0.0, 0.25, 8)
-    deposit_intervals(np.array([0.1]), np.array([0.6]), np.array([1.0]), 0.0, 0.25, 8)
+    out = direct.reshape(nbins + 1, ncols) + np.cumsum(diff.reshape(nbins + 2, ncols), axis=0)[:-1]
+    out = out[:nbins]  # drop the spill bin
+    return out[:, 0] if lo.ndim == 1 else out

@@ -43,35 +43,64 @@ def _cell_edges(axis):
     return np.concatenate([pts - axis.spacing / 2.0, [pts[-1] + axis.spacing / 2.0]])
 
 
+def _column_totals(masses):
+    """Sum along axis 0, per column in the same pairwise order as a 1-D sum.
+
+    A reduction over axis 0 of a 2-D array adds row after row instead, which
+    rounds differently; slice norms and CDFs must not depend on batching.
+    """
+    return np.ascontiguousarray(masses.T).sum(axis=-1)
+
+
 def _cdf_edges(masses):
-    """Cumulative mass at cell edges, normalized to end at exactly 1."""
-    total = masses.sum()
-    if total <= 0.0:
+    """Cumulative mass at cell edges along axis 0, each column normalized to
+    end at exactly 1."""
+    total = _column_totals(masses)
+    if np.any(total <= 0.0):
         raise ValidationError("cannot build a CDF from zero total mass")
-    f = np.concatenate([[0.0], np.cumsum(masses)]) / total
+    f = np.concatenate([np.zeros((1,) + masses.shape[1:]), np.cumsum(masses, axis=0)]) / total
     np.clip(f, 0.0, 1.0, out=f)  # cumsum rounding can poke past 1 by an ulp
     f[-1] = 1.0
     return f
 
 
+def _search_columns(f, u):
+    """``np.searchsorted(f[:, k], u[:, k])`` for every column k at once, for
+    side "left" and side "right".
+
+    The key k + 1j*value orders lexicographically (complex order compares
+    real parts first), so the columns of f concatenate into one sorted array
+    without rounding a single value.  Queries go column by column, where
+    they are monotone, which keeps the search local.
+    """
+    n, ncols = f.shape
+    col = np.arange(ncols)
+    keys = (col + 1j * f).T.ravel()
+    queries = (col + 1j * u).T.ravel()
+    return tuple(
+        np.searchsorted(keys, queries, side=side).reshape(ncols, len(u)).T - col * n
+        for side in ("left", "right")
+    )
+
+
 def _cdf_inverse(edges, f, u):
-    """Invert a piecewise-linear CDF; exact plateau hits return the midpoint."""
+    """Invert piecewise-linear CDFs on shared edges; exact plateau hits return
+    the midpoint.  f holds one CDF per column and u the queries for each
+    column; a 1-D f and u are a single column."""
     u = np.clip(np.asarray(u, dtype=float), 0.0, 1.0)
-    lo = np.searchsorted(f, u, side="left")
-    hi = np.searchsorted(f, u, side="right")
-    out = np.empty(u.shape)
-    exact = hi > lo
-    if np.any(exact):
-        left = np.clip(lo[exact], 0, len(edges) - 1)
-        right = np.clip(hi[exact] - 1, 0, len(edges) - 1)
-        out[exact] = 0.5 * (edges[left] + edges[right])
-    rest = ~exact
-    if np.any(rest):
-        j = np.clip(lo[rest] - 1, 0, len(f) - 2)
-        df = f[j + 1] - f[j]
-        frac = np.where(df > 0, (u[rest] - f[j]) / np.where(df > 0, df, 1.0), 0.5)
-        out[rest] = edges[j] + np.clip(frac, 0.0, 1.0) * (edges[j + 1] - edges[j])
-    return out
+    f2 = f if f.ndim == 2 else f[:, None]
+    u2 = u if u.ndim == 2 else u[:, None]
+    cols = np.arange(f2.shape[1])
+    lo, hi = _search_columns(f2, u2)
+    left = np.clip(lo, 0, len(edges) - 1)
+    right = np.clip(hi - 1, 0, len(edges) - 1)
+    plateau = 0.5 * (edges[left] + edges[right])
+    j = np.clip(lo - 1, 0, len(f2) - 2)
+    f_lo = f2[j, cols]
+    df = f2[j + 1, cols] - f_lo
+    frac = np.where(df > 0, (u2 - f_lo) / np.where(df > 0, df, 1.0), 0.5)
+    interp = edges[j] + np.clip(frac, 0.0, 1.0) * (edges[j + 1] - edges[j])
+    return np.where(hi > lo, plateau, interp).reshape(u.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -235,10 +264,12 @@ def rs_map_1d(psi, epsilon=+1, p_refine=4):
     )
 
 
-def _deposit_edge_intervals(map_edges, masses, bin_edge0, bin_width, nbins, out=None):
-    lo = np.minimum(map_edges[:-1], map_edges[1:])
-    hi = np.maximum(map_edges[:-1], map_edges[1:])
-    return _kernels.deposit_intervals(lo, hi, masses, bin_edge0, bin_width, nbins, out=out)
+def _deposit_edge_intervals(map_edges, masses, bin_edge0, bin_width, nbins):
+    """Deposit each cell's mass over the interval between its edge map values;
+    2-D map_edges and masses deposit column by column."""
+    return _kernels.deposit_intervals(
+        map_edges[:-1], map_edges[1:], masses, bin_edge0, bin_width, nbins
+    )
 
 
 def _sample_from_cells(masses, edges, count, rng):
@@ -348,26 +379,29 @@ class ChainedMap2D:
 
 
 def _conditional_maps(pos_masses, mom_masses, mom_axis, epsilon):
-    """Per-slice CDF matching; slice index is the second array axis."""
+    """CDF matching for all slices at once; slice index is the second array
+    axis.  Slices lighter than _SLICE_FLOOR keep an all-zero map."""
     n_map, n_sl = pos_masses.shape
     nodes = np.zeros((n_map, n_sl))
     edges = np.zeros((n_map + 1, n_sl))
+    tot_x = _column_totals(pos_masses)
+    tot_p = _column_totals(mom_masses)
+    live = (tot_x >= _SLICE_FLOOR) & (tot_p >= _SLICE_FLOOR)
+    gap = np.abs(tot_x - tot_p)
+    scale = np.maximum(tot_x, tot_p)
+    bad = np.flatnonzero(live & (gap > 1e-5 * scale))
+    if bad.size:
+        k = bad[0]
+        raise GridResolutionError(
+            "conditional slice norms disagree by %.3g of %.3g; refine the grid"
+            % (gap[k], scale[k])
+        )
+    fx = _cdf_edges(pos_masses[:, live])
+    fp = _cdf_edges(mom_masses[:, live])
+    u = fx if epsilon == +1 else 1.0 - fx
     p_edges = _cell_edges(mom_axis)
-    for k in range(n_sl):
-        tot_x = pos_masses[:, k].sum()
-        tot_p = mom_masses[:, k].sum()
-        if tot_x < _SLICE_FLOOR or tot_p < _SLICE_FLOOR:
-            continue
-        if abs(tot_x - tot_p) > 1e-5 * max(tot_x, tot_p):
-            raise GridResolutionError(
-                "conditional slice norms disagree by %.3g of %.3g; refine the grid"
-                % (abs(tot_x - tot_p), max(tot_x, tot_p))
-            )
-        fx = _cdf_edges(pos_masses[:, k])
-        fp = _cdf_edges(mom_masses[:, k])
-        u = fx if epsilon == +1 else 1.0 - fx
-        edges[:, k] = _cdf_inverse(p_edges, fp, u)
-        nodes[:, k] = _cdf_inverse(p_edges, fp, 0.5 * (u[:-1] + u[1:]))
+    edges[:, live] = _cdf_inverse(p_edges, fp, u)
+    nodes[:, live] = _cdf_inverse(p_edges, fp, 0.5 * (u[:-1] + u[1:]))
     return nodes, edges
 
 
@@ -437,16 +471,10 @@ def _base_masses(chain, psi):
 def _stage1_cell_masses(chain, psi):
     """Push base cell masses through stage 1 onto the coarse momentum cells
     that condition stage 2; returns (n_pfirst, n_other)."""
-    masses = _base_masses(chain, psi)
     pax = chain.momentum_axes[chain.first_axis]
-    p_edges = _cell_edges(pax)
-    out = np.zeros((pax.n, masses.shape[1]))
-    for k in range(masses.shape[1]):
-        _deposit_edge_intervals(
-            chain.map1_edges[:, k], masses[:, k], p_edges[0], pax.spacing, pax.n,
-            out=out[:, k],
-        )
-    return out
+    return _deposit_edge_intervals(
+        chain.map1_edges, _base_masses(chain, psi), _cell_edges(pax)[0], pax.spacing, pax.n
+    )
 
 
 def _double_fine_masses(psi, first, factor):
@@ -491,13 +519,9 @@ def verify_marginals_2d(chain, psi, fine_factor=4, mc_samples=0, seed=0):
     # middle density (p_first, x_other): per-column interval pushforward
     fine_dens, fine_ax = _oversampled_momentum_density(psi, axis=first, factor=fine_factor)
     tgt_mid = _oriented(fine_dens, first) * fine_ax.spacing * psi.axes[other].spacing
-    rep_mid = np.zeros_like(tgt_mid)
-    fine_edges = _cell_edges(fine_ax)
-    for k in range(base.shape[1]):
-        _deposit_edge_intervals(
-            chain.map1_edges[:, k], base[:, k], fine_edges[0], fine_ax.spacing, fine_ax.n,
-            out=rep_mid[:, k],
-        )
+    rep_mid = _deposit_edge_intervals(
+        chain.map1_edges, base, _cell_edges(fine_ax)[0], fine_ax.spacing, fine_ax.n
+    )
     # cell-mass comparison, as in the 1-D verifier
     distances[labels[1]] = float(
         np.sum(
@@ -517,12 +541,9 @@ def verify_marginals_2d(chain, psi, fine_factor=4, mc_samples=0, seed=0):
     fine2_spacing = pax_other.spacing / fine_factor
     # bins must sit on the padded-transform fine grid (point-anchored)
     fine2_edge0 = pax_other.points()[0] - fine2_spacing / 2.0
-    rep_pp = np.zeros((m1.shape[0], fine2_n))
-    for kp in range(m1.shape[0]):
-        _deposit_edge_intervals(
-            chain.map2_edges[:, kp], m1[kp, :], fine2_edge0, fine2_spacing, fine2_n,
-            out=rep_pp[kp, :],
-        )
+    rep_pp = _deposit_edge_intervals(
+        chain.map2_edges, m1.T, fine2_edge0, fine2_spacing, fine2_n
+    ).T
     distances[labels[2]] = float(
         np.sum(
             np.abs(
@@ -614,7 +635,7 @@ def ccs_distance(chain, psi, ccs, fine_factor=4):
         raise DomainError("ccs must be one of qq, pq, qp, pp")
 
     # off-chain pair (x_first, p_other): stage-2 intervals selected by each
-    # cell's stage-1 conditioning index, deposited per x_first row
+    # cell's stage-1 conditioning index, one deposit column per x_first row
     first = chain.first_axis
     other = 1 - first
     base = _base_masses(chain, psi)
@@ -623,17 +644,11 @@ def ccs_distance(chain, psi, ccs, fine_factor=4):
     fine_n = fine_factor * pax_other.n
     fine_spacing = pax_other.spacing / fine_factor
     fine_edge0 = pax_other.points()[0] - fine_spacing / 2.0
-    n_other = base.shape[1]
-    rows = np.arange(n_other)
-    rep = np.zeros((base.shape[0], fine_n))
-    for kf in range(base.shape[0]):
-        cells = idx[kf, :]
-        a = chain.map2_edges[rows, cells]
-        b = chain.map2_edges[rows + 1, cells]
-        _kernels.deposit_intervals(
-            np.minimum(a, b), np.maximum(a, b), base[kf, :],
-            fine_edge0, fine_spacing, fine_n, out=rep[kf, :],
-        )
+    rows = np.arange(base.shape[1])
+    rep = _kernels.deposit_intervals(
+        chain.map2_edges[rows, idx].T, chain.map2_edges[rows + 1, idx].T, base.T,
+        fine_edge0, fine_spacing, fine_n,
+    ).T
     fine_dens, fine_ax = _oversampled_momentum_density(psi, axis=other, factor=fine_factor)
     tgt = _oriented(fine_dens, first) * psi.axes[first].spacing * fine_ax.spacing
     return float(

@@ -6,13 +6,11 @@ Output is deterministic byte for byte for fixed arguments and seeds.
 
 Exit codes: 0 success, 2 invalid input (including argparse errors),
 3 tolerance failure (grid resolution or truncation), 1 anything else.
-The BELLFORGE_THREADS environment variable caps compiled-kernel threads.
 """
 
 import argparse
 import csv
 import json
-import os
 import sys
 
 import numpy as np
@@ -28,22 +26,6 @@ _SPINOR_STATES = {
     "singlet": spinor.singlet_state,
     "product": spinor.product_xx,
 }
-
-
-def _configure_threads():
-    raw = os.environ.get("BELLFORGE_THREADS", "")
-    if not raw:
-        return
-    try:
-        requested = max(1, int(raw))
-    except ValueError:
-        return
-    try:
-        import numba
-
-        numba.set_num_threads(min(requested, numba.config.NUMBA_NUM_THREADS))
-    except Exception:
-        pass
 
 
 def _json_default(obj):
@@ -577,7 +559,6 @@ def build_parser():
 
 
 def main(argv=None):
-    _configure_threads()
     args = build_parser().parse_args(argv)
     try:
         payload, csv_spec = args.handler(args)

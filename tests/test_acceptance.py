@@ -1,8 +1,7 @@
 """End-to-end checks of every shipped guarantee, one test per guarantee.
 
 Each test prints a single [C##] PASS/FAIL line with the measured numbers
-and then asserts.  Timed blocks run after kernel warmup so one-time
-compilation is not billed against the budgets.
+and then asserts.
 """
 
 import csv
@@ -13,18 +12,12 @@ import time
 from contextlib import redirect_stdout
 
 import numpy as np
-import pytest
 
-from bellforge import _kernels, akmeas, causal, cli, lhv, psbell, spinor, waves, wigner
+from bellforge import akmeas, causal, cli, lhv, psbell, spinor, waves, wigner
 from bellforge.spinor import TSIRELSON, AnalyzerSetting, ChshSettings
 
 
 QUARTER = tuple(np.deg2rad([0.0, 22.5, 45.0, 67.5]))
-
-
-@pytest.fixture(scope="module", autouse=True)
-def _warm_kernels():
-    _kernels.warmup()
 
 
 def _check(tag, ok, desc):
