@@ -2,8 +2,8 @@
 
 Run from the repository root:
 
-    PYTHONPATH=src python3 benchmarks/bench_kernels.py
-    PYTHONPATH=src python3 benchmarks/bench_kernels.py --grid 128 --points 2000000 --repeat 5
+    python3 benchmarks/bench_kernels.py
+    python3 benchmarks/bench_kernels.py --grid 128 --points 2000000 --repeat 5
 
 The deposit benchmarks mirror the transport verifier's workload: cell
 masses pushed into a 4x oversampled histogram, as one large 1-D call
@@ -52,7 +52,7 @@ def bench_deposit_intervals(count, rng):
     return lambda: _kernels.deposit_intervals(lo, hi, w, -8.0, 16.0 / nbins, nbins)
 
 
-def bench_deposit_intervals_2d(columns, rng, rows=257, nbins=1024):
+def bench_deposit_intervals_2d(rng, columns=256, rows=257, nbins=1024):
     lo, hi, w = _intervals((rows, columns), rng)
     return lambda: _kernels.deposit_intervals(lo, hi, w, -8.0, 16.0 / nbins, nbins)
 
@@ -62,8 +62,6 @@ def main(argv=None):
     parser.add_argument("--grid", type=int, default=64, help="angle grid side for the scan")
     parser.add_argument("--points", type=int, default=1_000_000, help="point deposit sample count")
     parser.add_argument("--intervals", type=int, default=50_000, help="1-D interval deposit count")
-    parser.add_argument("--columns", type=int, default=256,
-                        help="columns of 257 intervals each in the batched 2-D deposit")
     parser.add_argument("--repeat", type=int, default=3, help="repeats, best time kept")
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args(argv)
@@ -74,8 +72,7 @@ def main(argv=None):
         ("deposit_points (%.1e pts)" % args.points, bench_deposit_points(args.points, rng)),
         ("deposit_intervals (%.1e x 16384)" % args.intervals,
          bench_deposit_intervals(args.intervals, rng)),
-        ("deposit_intervals (%d cols x 257, 1024)" % args.columns,
-         bench_deposit_intervals_2d(args.columns, rng)),
+        ("deposit_intervals (256 cols x 257, 1024)", bench_deposit_intervals_2d(rng)),
     ]
     print("%-40s %10s" % ("kernel", "best [ms]"))
     for label, fn in rows:

@@ -75,7 +75,9 @@ def deposit_intervals(lo, hi, w, x0, dx, nbins):
 
     def bin_of(x):
         # k with edges[k] <= x < edges[k+1]: -1 left of the grid, nbins right
-        # of it or NaN; clipping before the int cast keeps huge values in range
+        # of it or NaN; clipping before the int cast keeps huge values in range.
+        # np.searchsorted(edges, x, "right") - 1 gives the same bins, but its
+        # O(log nbins) search made the whole deposit about twice as slow.
         k = np.floor(np.clip((x - x0) / dx, 0.0, nbins))
         k = np.where(np.isnan(k), nbins, k).astype(np.int64)
         # (x - x0)/dx rounds, so settle the bin against the edges themselves
