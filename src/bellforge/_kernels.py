@@ -1,7 +1,7 @@
 """The three inner-loop kernels, one vectorized numpy implementation each.
 
-* ``chsh_scan``         exhaustive scan of the CHSH functional over a settings
-  grid, O(na * nap * nb * nbp)
+* ``chsh_scan``         exact maximum of the CHSH functional over a settings
+  grid, O(n^3) for n points per angle: the a and a' terms decouple
 * ``deposit_points``    cloud-in-cell deposit of weighted sample points into
   bins, O(points + bins)
 * ``deposit_intervals`` deposit of weighted intervals into bins (uniform within
@@ -25,13 +25,18 @@ def chsh_scan(c_ab, c_abp, c_apb, c_apbp):
 
     Returns (value, ia, iap, ib, ibp). First occurrence in C order wins ties,
     i.e. the lexicographically smallest (ia, iap, ib, ibp).
+
+    Rounded addition is monotone, so d1 + max_a' d2 is exactly the best sum
+    at each (a, b, b'); its first maximum gives ia, and the first maximum of
+    d1[ia] + d2 gives iap and then (ib, ibp) under the same tie rule.
     """
     d1 = np.abs(c_ab[:, :, None] - c_abp[:, None, :])  # (ia, ib, ibp)
     d2 = np.abs(c_apb[:, :, None] + c_apbp[:, None, :])  # (iap, ib, ibp)
-    s = d1[:, None, :, :] + d2[None, :, :, :]  # (ia, iap, ib, ibp)
+    ia = int(np.argmax(d1 + d2.max(axis=0))) // (d1.shape[1] * d1.shape[2])
+    s = d1[ia] + d2  # (iap, ib, ibp)
     flat = int(np.argmax(s))
-    ia, iap, ib, ibp = np.unravel_index(flat, s.shape)
-    return float(s[ia, iap, ib, ibp]), int(ia), int(iap), int(ib), int(ibp)
+    iap, ib, ibp = np.unravel_index(flat, s.shape)
+    return float(s.flat[flat]), int(ia), int(iap), int(ib), int(ibp)
 
 
 def deposit_points(x, w, x0, dx, nbins):

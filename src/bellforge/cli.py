@@ -11,6 +11,7 @@ Exit codes: 0 success, 2 invalid input (including argparse errors),
 import argparse
 import csv
 import json
+import math
 import sys
 
 import numpy as np
@@ -48,6 +49,8 @@ def _parse_floats(text, count=None, name="values"):
         vals = [float(tok) for tok in text.split(",")]
     except ValueError as exc:
         raise ValidationError("%s must be comma-separated numbers" % name) from exc
+    if not all(math.isfinite(v) for v in vals):
+        raise ValidationError("%s must be finite numbers" % name)
     if count is not None and len(vals) != count:
         raise ValidationError("%s must hold exactly %d numbers" % (name, count))
     return vals
@@ -71,13 +74,10 @@ def _settings(angles, kinds):
     )
 
 
-def _correlations(state, settings):
-    return {
-        "ab": spinor.correlation(state, settings.a, settings.b),
-        "ab'": spinor.correlation(state, settings.a, settings.b_prime),
-        "a'b": spinor.correlation(state, settings.a_prime, settings.b),
-        "a'b'": spinor.correlation(state, settings.a_prime, settings.b_prime),
-    }
+def _pairs(s):
+    """The four (name, a-side, b-side) setting pairs of a CHSH experiment."""
+    return (("ab", s.a, s.b), ("ab'", s.a, s.b_prime),
+            ("a'b", s.a_prime, s.b), ("a'b'", s.a_prime, s.b_prime))
 
 
 # ---------------------------------------------------------------------------
@@ -104,7 +104,9 @@ def _cmd_chsh(args):
             settings.a_prime.theta,
             settings.b_prime.theta,
         ]
-        payload["correlations"] = _correlations(state, settings)
+        payload["correlations"] = {
+            name: spinor.correlation(state, x, y) for name, x, y in _pairs(settings)
+        }
         payload["s"] = spinor.chsh_value(state, settings)
         csv_settings = settings
     if args.maximize:
@@ -115,16 +117,9 @@ def _cmd_chsh(args):
         }
         if csv_settings is None:
             csv_settings = best
-    corr = _correlations(state, csv_settings)
     rows = [
-        ("ab", csv_settings.a.theta, csv_settings.b.theta,
-         csv_settings.a.kind, csv_settings.b.kind, corr["ab"]),
-        ("ab'", csv_settings.a.theta, csv_settings.b_prime.theta,
-         csv_settings.a.kind, csv_settings.b_prime.kind, corr["ab'"]),
-        ("a'b", csv_settings.a_prime.theta, csv_settings.b.theta,
-         csv_settings.a_prime.kind, csv_settings.b.kind, corr["a'b"]),
-        ("a'b'", csv_settings.a_prime.theta, csv_settings.b_prime.theta,
-         csv_settings.a_prime.kind, csv_settings.b_prime.kind, corr["a'b'"]),
+        (name, x.theta, y.theta, x.kind, y.kind, spinor.correlation(state, x, y))
+        for name, x, y in _pairs(csv_settings)
     ]
     return payload, (("pair", "angle_a_rad", "angle_b_rad", "kind_a", "kind_b", "correlation"), rows)
 

@@ -21,7 +21,7 @@ import numpy as np
 from scipy.optimize import nnls
 
 from .errors import BellforgeError, ValidationError
-from .spinor import analyzer_ket, check_state
+from .spinor import _axes, _correlation_tensor, check_state
 
 _SIGNS = (1, -1)
 _FEAS_TOL = 1e-7
@@ -222,26 +222,18 @@ def brute_force_feasible(behavior):
 
 
 def quantum_behavior(state, settings):
-    """Projective outcome probabilities of a 4-dim two-photon state."""
-    state = check_state(state)
-    sides = (
-        (settings.a, settings.a_prime),
-        (settings.b, settings.b_prime),
-    )
-    projectors = [[], []]
-    for side, pair in enumerate(sides):
-        for s in pair:
-            k = analyzer_ket(s)
-            pi_plus = np.outer(k, k.conj())
-            projectors[side].append((pi_plus, np.eye(2) - pi_plus))
-    p = np.empty((2, 2, 2, 2))
-    for i in range(2):
-        for j in range(2):
-            for ri in range(2):
-                for si in range(2):
-                    op = np.kron(projectors[0][i][ri], projectors[1][j][si])
-                    p[i, j, ri, si] = np.vdot(state, op @ state).real
-    return Behavior(p)
+    """Projective outcome probabilities of a 4-dim two-photon state.
+
+    Outcome r projects onto (I + r A)/2, so with the Pauli tensor T
+    p(r, s | i, j) = (T[I, I] + r T[A_i, I] + s T[I, B_j] + r s T[A_i, B_j]) / 4.
+    """
+    t = _correlation_tensor(check_state(state))
+    identity = np.array([1.0, 0.0, 0.0, 0.0])
+    sign = np.array(_SIGNS, dtype=float)[:, None]
+    # Pauli coefficients of the projectors, indexed (setting, outcome, mu)
+    proj_a = 0.5 * (identity + sign * _axes(settings.a, settings.a_prime)[:, None, :])
+    proj_b = 0.5 * (identity + sign * _axes(settings.b, settings.b_prime)[:, None, :])
+    return Behavior(np.einsum("irm,mn,jsn->ijrs", proj_a, t, proj_b))
 
 
 def behavior_from_correlators(e):
@@ -263,13 +255,6 @@ def behavior_from_correlators(e):
 
 
 def pr_box():
-    """The no-signalling extremal behavior with all four correlators +/-1, S=4."""
-    p = np.zeros((2, 2, 2, 2))
-    for i in range(2):
-        for j in range(2):
-            # perfectly correlated except on the (2,2) pair
-            target = 1.0 if (i, j) != (1, 1) else -1.0
-            for ri, r in enumerate(_SIGNS):
-                for si, s in enumerate(_SIGNS):
-                    p[i, j, ri, si] = 0.25 * (1.0 + target * r * s)
-    return Behavior(p)
+    """The no-signalling extremal behavior with all four correlators +/-1, S=4:
+    perfectly correlated except on the (2,2) pair."""
+    return behavior_from_correlators([[1.0, 1.0], [1.0, -1.0]])

@@ -9,10 +9,14 @@ cos(theta)|x> + i sin(theta)|y>.  The associated +/-1 observable is
     A_L(theta) = cos(2 theta) Z + sin(2 theta) X
     A_E(theta) = cos(2 theta) Z + sin(2 theta) Y
 
-in the Pauli basis.  Everything downstream (correlations, CHSH scans)
-reduces to sandwiches of these observables.
+in the Pauli basis, i.e. A = u . (I, Z, X, Y) with u = (0, cos 2theta,
+sin 2theta, 0) or (0, cos 2theta, 0, sin 2theta).  Everything downstream
+reads one real tensor per state, T[mu, nu] = <state| sigma_mu (x) sigma_nu
+|state> over (I, Z, X, Y): P(a, b) = u_a^T T u_b, and the CHSH scan
+tables take their four coefficients from T.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +30,10 @@ ELLIPTIC = "E"
 PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
+# sigma_mu for mu = I, Z, X, Y: the index order of every correlation tensor
+_PAULI = np.array([np.eye(2), PAULI_Z, PAULI_X, PAULI_Y])
+# index of the sin(2 theta) Pauli of each analyzer kind
+_SINE_SLOT = {LINEAR: 2, ELLIPTIC: 3}
 
 TSIRELSON = 2.0 * np.sqrt(2.0)
 
@@ -74,7 +82,10 @@ class AnalyzerSetting:
     def __post_init__(self):
         if self.kind not in (LINEAR, ELLIPTIC):
             raise ValidationError("analyzer kind must be 'L' or 'E'")
-        object.__setattr__(self, "theta", float(self.theta) % np.pi)
+        theta = float(self.theta)
+        if not math.isfinite(theta):
+            raise DomainError("analyzer angle must be finite, got %r" % theta)
+        object.__setattr__(self, "theta", theta % np.pi)
 
 
 @dataclass(frozen=True)
@@ -100,15 +111,26 @@ def observable_from_setting(s):
     return np.outer(k, k.conj()) - np.outer(k_perp, k_perp.conj())
 
 
-def _pauli_for_kind(kind):
-    return PAULI_X if kind == LINEAR else PAULI_Y
+def _correlation_tensor(state):
+    """T[mu, nu] = <state| sigma_mu (x) sigma_nu |state> of a checked state."""
+    psi = state.reshape(2, 2)
+    return np.einsum("ij,mik,njl,kl->mn", psi.conj(), _PAULI, _PAULI, psi).real
+
+
+def _axes(*settings):
+    """Rows u with A(s) = u . sigma, one per setting: A = 2|k><k| - I for the
+    transmitted ket k, so u is <k|sigma_mu|k> with its I component dropped."""
+    k = np.array([analyzer_ket(s) for s in settings])
+    u = np.einsum("ri,mij,rj->rm", k.conj(), _PAULI, k).real
+    u[:, 0] = 0.0
+    return u
 
 
 def correlation(state, sa, sb):
     """<state| A(sa) (x) B(sb) |state>, a real number in [-1, 1]."""
-    state = check_state(state)
-    op = np.kron(observable_from_setting(sa), observable_from_setting(sb))
-    return float(np.vdot(state, op @ state).real)
+    t = _correlation_tensor(check_state(state))
+    ua, ub = _axes(sa, sb)
+    return float(ua @ t @ ub)
 
 
 def singlet_correlation(a_vec, b_vec):
@@ -118,61 +140,52 @@ def singlet_correlation(a_vec, b_vec):
     for v in (a_vec, b_vec):
         if v.shape != (3,) or abs(np.dot(v, v) - 1.0) > 1e-9:
             raise DomainError("direction must be a unit 3-vector (within 1e-9)")
-    sig_a = a_vec[0] * PAULI_X + a_vec[1] * PAULI_Y + a_vec[2] * PAULI_Z
-    sig_b = b_vec[0] * PAULI_X + b_vec[1] * PAULI_Y + b_vec[2] * PAULI_Z
-    psi = singlet_state()
-    return float(np.vdot(psi, np.kron(sig_a, sig_b) @ psi).real)
+    u = np.zeros((2, 4))
+    u[:, [2, 3, 1]] = a_vec, b_vec  # x, y, z go to the X, Y, Z slots
+    return float(u[0] @ _correlation_tensor(singlet_state()) @ u[1])
 
 
 def chsh_value(state, settings):
     """|P(a,b) - P(a,b')| + |P(a',b) + P(a',b')|."""
-    p_ab = correlation(state, settings.a, settings.b)
-    p_abp = correlation(state, settings.a, settings.b_prime)
-    p_apb = correlation(state, settings.a_prime, settings.b)
-    p_apbp = correlation(state, settings.a_prime, settings.b_prime)
-    return abs(p_ab - p_abp) + abs(p_apb + p_apbp)
+    t = _correlation_tensor(check_state(state))
+    u = _axes(settings.a, settings.a_prime, settings.b, settings.b_prime)
+    (p_ab, p_abp), (p_apb, p_apbp) = u[:2] @ t @ u[2:].T
+    return float(abs(p_ab - p_abp) + abs(p_apb + p_apbp))
 
 
-def _sandwiches(state, kind_a, kind_b):
-    """The four Pauli sandwiches that generate P(theta_a, theta_b).
+def _sandwiches(t, kind_a, kind_b):
+    """The four entries of T, in this order, that generate P(theta_a, theta_b).
 
     P = cz_a cz_b <ZZ> + cz_a sz_b <ZQ> + sz_a cz_b <PZ> + sz_a sz_b <PQ>
     with P = X or Y per side kind and cz = cos 2theta, sz = sin 2theta.
     """
-    pa = _pauli_for_kind(kind_a)
-    pb = _pauli_for_kind(kind_b)
-    t = {}
-    for name_a, op_a in (("Z", PAULI_Z), ("P", pa)):
-        for name_b, op_b in (("Z", PAULI_Z), ("Q", pb)):
-            t[name_a + name_b] = float(
-                np.vdot(state, np.kron(op_a, op_b) @ state).real
-            )
-    return t
+    p, q = _SINE_SLOT[kind_a], _SINE_SLOT[kind_b]
+    return t[1, 1], t[1, q], t[p, 1], t[p, q]
 
 
 def _corr_matrix(t, cz_a, sz_a, cz_b, sz_b):
+    zz, zq, pz, pq = t
     return (
-        t["ZZ"] * np.outer(cz_a, cz_b)
-        + t["ZQ"] * np.outer(cz_a, sz_b)
-        + t["PZ"] * np.outer(sz_a, cz_b)
-        + t["PQ"] * np.outer(sz_a, sz_b)
+        zz * np.outer(cz_a, cz_b)
+        + zq * np.outer(cz_a, sz_b)
+        + pz * np.outer(sz_a, cz_b)
+        + pq * np.outer(sz_a, sz_b)
     )
 
 
 def _corr_scalar(t, theta_a, theta_b):
+    zz, zq, pz, pq = t
     cz_a, sz_a = np.cos(2 * theta_a), np.sin(2 * theta_a)
     cz_b, sz_b = np.cos(2 * theta_b), np.sin(2 * theta_b)
     return (
-        t["ZZ"] * cz_a * cz_b
-        + t["ZQ"] * cz_a * sz_b
-        + t["PZ"] * sz_a * cz_b
-        + t["PQ"] * sz_a * sz_b
+        zz * cz_a * cz_b
+        + zq * cz_a * sz_b
+        + pz * sz_a * cz_b
+        + pq * sz_a * sz_b
     )
 
 
 def _parse_kinds(kinds):
-    if isinstance(kinds, str):
-        kinds = tuple(kinds)
     kinds = tuple(kinds)
     if len(kinds) != 4 or any(k not in (LINEAR, ELLIPTIC) for k in kinds):
         raise ValidationError("kinds must be four letters from {L, E}, ordered a,b,a',b'")
@@ -192,10 +205,11 @@ def maximize_chsh(state, kinds, seed=0):
     state = check_state(state)
     ka, kb, kap, kbp = _parse_kinds(kinds)
 
-    t_ab = _sandwiches(state, ka, kb)
-    t_abp = _sandwiches(state, ka, kbp)
-    t_apb = _sandwiches(state, kap, kb)
-    t_apbp = _sandwiches(state, kap, kbp)
+    t = _correlation_tensor(state)
+    t_ab = _sandwiches(t, ka, kb)
+    t_abp = _sandwiches(t, ka, kbp)
+    t_apb = _sandwiches(t, kap, kb)
+    t_apbp = _sandwiches(t, kap, kbp)
 
     theta = np.arange(_GRID_N) * (np.pi / _GRID_N)
     cz, sz = np.cos(2 * theta), np.sin(2 * theta)

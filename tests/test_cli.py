@@ -75,6 +75,29 @@ def test_chsh_pipes_into_lhv(capsys, monkeypatch):
     assert doc["certificate"]["value"] == pytest.approx(2.0 * math.sqrt(2.0), abs=1e-6)
 
 
+NON_FINITE_PROBES = [
+    ("chsh", "--angles", "nan,0,0,0"),
+    ("chsh", "--angles", "0,inf,0,0", "--degrees", "--maximize"),
+    ("lhv", "--correlators", "nan,0,0,0"),
+    ("lhv", "--angles", "0,0,-inf,0"),
+]
+
+
+@pytest.mark.parametrize("argv", NON_FINITE_PROBES)
+def test_non_finite_input_exits_2_without_output(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "finite" in err and "Traceback" not in err
+
+
+def test_non_finite_piped_angle_exits_2(capsys, monkeypatch):
+    doc = {"state": "psi-plus", "kinds": "LLLL", "angles_rad": [0.0, float("nan"), 0.0, 0.0]}
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
+    code, out, err = run(capsys, "lhv", "--from-state")
+    assert code == 2 and out == "" and "finite" in err
+
+
 def test_lhv_input_modes_exclusive(capsys):
     code, _, err = run(capsys, "lhv", "--correlators", "0,0,0,0", "--angles", "0,1,2,3")
     assert code == 2

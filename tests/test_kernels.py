@@ -191,11 +191,56 @@ def test_deposit_points_conserves_interior_mass():
     assert out.sum() == pytest.approx(6.0, abs=1e-12)
 
 
+def _scan_tables(rng, na, nap, nb, nbp, draw):
+    return draw(rng, (na, nb)), draw(rng, (na, nbp)), draw(rng, (nap, nb)), draw(rng, (nap, nbp))
+
+
+SCAN_SHAPES = [(5, 5, 4, 4), (5, 3, 4, 2), (2, 6, 3, 5), (1, 4, 1, 3), (4, 1, 5, 1), (1, 1, 1, 1)]
+
+
 def test_chsh_scan_matches_reference():
     rng = np.random.default_rng(0)
-    for _ in range(3):
-        mats = [rng.uniform(-1.0, 1.0, (5, 4)) for _ in range(4)]
+    for shape in SCAN_SHAPES:
+        mats = _scan_tables(rng, *shape, lambda r, sh: r.uniform(-1.0, 1.0, sh))
         assert _kernels.chsh_scan(*mats) == _ref_chsh_scan(*mats)
+
+
+def _quantized(rng, shape):
+    return rng.integers(-10, 11, shape) / 10.0
+
+
+def _ulp_perturbed(rng, shape):
+    # quantized values moved by up to two ulps: d1 and d2 ties break, but
+    # many rounded sums d1 + d2 tie again, and not where d1 alone ties
+    out = _quantized(rng, shape)
+    for _ in range(2):
+        move = rng.integers(-1, 2, shape)
+        out = np.where(move == 0, out, np.nextafter(out, 2.0 * move))
+    return out
+
+
+@pytest.mark.parametrize("draw", [_quantized, _ulp_perturbed])
+def test_chsh_scan_matches_reference_on_tied_tables(draw):
+    rng = np.random.default_rng(1)
+    for k in range(60):
+        shape = SCAN_SHAPES[k % len(SCAN_SHAPES)] if k < 12 else tuple(rng.integers(1, 7, 4))
+        mats = _scan_tables(rng, *shape, draw)
+        assert _kernels.chsh_scan(*mats) == _ref_chsh_scan(*mats), shape
+
+
+def test_chsh_scan_ties_made_by_rounding():
+    # d1 = (0.5, 0.5 + ulp) alone prefers a = 1, but 0.5 + ulp + 1.5 rounds to 2.0
+    half_up = np.nextafter(0.5, 1.0)
+    zero = np.zeros((2, 1))
+    assert _kernels.chsh_scan(np.array([[0.5], [half_up]]), zero, np.array([[1.5]]), zero[:1]) == (
+        2.0, 0, 0, 0, 0)
+    # the same on the a' side: d2 = (1.5, 1.5 + ulp) ties after adding d1 = 0.5
+    c_apb = np.array([[1.5], [np.nextafter(1.5, 2.0)]])
+    assert _kernels.chsh_scan(np.array([[0.5]]), zero[:1], c_apb, zero) == (2.0, 0, 0, 0, 0)
+    # a' = 0 reaches the maximum only next to a = 1, so with a = 0 chosen
+    # the answer is a' = 1: a' must be picked for the chosen a
+    c_ab = np.array([[1.0, 0.0], [0.0, 1.0]])
+    assert _kernels.chsh_scan(c_ab, zero, c_ab[::-1], zero) == (2.0, 0, 1, 0, 0)
 
 
 def test_chsh_scan_ties_resolve_lexicographically():

@@ -129,3 +129,34 @@ def test_quantum_behavior_matches_correlations():
     ]
     for i, j, sa, sb in pairs:
         assert e[i, j] == pytest.approx(spinor.correlation(state, sa, sb), abs=1e-12)
+
+
+def _kron_behavior(state, settings):
+    """p[i, j, ri, si] = <state| Pi_ri(a_i) (x) Pi_si(b_j) |state>, by np.kron."""
+    def projectors(s):
+        k = spinor.analyzer_ket(s)
+        plus = np.outer(k, k.conj())
+        return plus, np.eye(2) - plus
+
+    sides = ((settings.a, settings.a_prime), (settings.b, settings.b_prime))
+    p = np.empty((2, 2, 2, 2))
+    for i, sa in enumerate(sides[0]):
+        for j, sb in enumerate(sides[1]):
+            for ri, pa in enumerate(projectors(sa)):
+                for si, pb in enumerate(projectors(sb)):
+                    p[i, j, ri, si] = np.vdot(state, np.kron(pa, pb) @ state).real
+    return p
+
+
+def test_quantum_behavior_matches_kron_reference():
+    rng = np.random.default_rng(21)
+    states = [spinor.psi_plus(), spinor.psi_minus(), spinor.product_xx()]
+    for _ in range(60):
+        raw = rng.normal(size=4) + 1j * rng.normal(size=4)
+        states.append(raw / np.linalg.norm(raw))
+    for k, state in enumerate(states):
+        kinds = rng.choice(list("LE"), 4)
+        angles = rng.uniform(-np.pi, np.pi, 4)
+        settings = ChshSettings(*(AnalyzerSetting(t, kd) for t, kd in zip(angles, kinds)))
+        got = lhv.quantum_behavior(state, settings).p
+        assert np.max(np.abs(got - _kron_behavior(state, settings))) < 1e-12, k

@@ -1,7 +1,12 @@
+import contextlib
+import hashlib
+import io
+import itertools
+
 import numpy as np
 import pytest
 
-from bellforge import spinor
+from bellforge import cli, spinor
 from bellforge.errors import DomainError, NormalizationError, ValidationError
 from bellforge.spinor import AnalyzerSetting, ChshSettings
 
@@ -36,6 +41,9 @@ def test_analyzer_setting_wraps_angle_and_validates_kind():
     assert s.theta == pytest.approx(0.25)
     with pytest.raises(ValidationError):
         AnalyzerSetting(0.1, "Q")
+    for bad in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(DomainError):
+            AnalyzerSetting(bad, "L")
 
 
 def test_analyzer_observable_is_involutive():
@@ -131,3 +139,85 @@ def test_parse_kinds_validation():
         spinor._parse_kinds("LL")
     with pytest.raises(ValidationError):
         spinor._parse_kinds("LLLQ")
+
+
+# ---------------------------------------------------------------------------
+# the Pauli-tensor closed forms against a slow kron reference
+
+
+KINDS = ["".join(k) for k in itertools.product("LE", repeat=4)]
+
+
+def _kron_correlation(state, sa, sb):
+    op = np.kron(spinor.observable_from_setting(sa), spinor.observable_from_setting(sb))
+    return np.vdot(state, op @ state).real
+
+
+def _kron_chsh(state, s):
+    p = [_kron_correlation(state, x, y)
+         for x, y in ((s.a, s.b), (s.a, s.b_prime), (s.a_prime, s.b), (s.a_prime, s.b_prime))]
+    return abs(p[0] - p[1]) + abs(p[2] + p[3])
+
+
+def _kron_singlet(a, b):
+    def sigma(v):
+        return v[0] * spinor.PAULI_X + v[1] * spinor.PAULI_Y + v[2] * spinor.PAULI_Z
+
+    psi = spinor.singlet_state()
+    return np.vdot(psi, np.kron(sigma(a), sigma(b)) @ psi).real
+
+
+def test_tensor_closed_forms_match_kron_reference():
+    rng = np.random.default_rng(13)
+    for kinds in KINDS:
+        for _ in range(25):
+            raw = rng.normal(size=4) + 1j * rng.normal(size=4)
+            state = raw / np.linalg.norm(raw)
+            s = _settings(*rng.uniform(-2 * np.pi, 2 * np.pi, 4), kinds=kinds)
+            for x, y in ((s.a, s.b), (s.a_prime, s.b_prime), (s.b, s.a)):
+                assert abs(spinor.correlation(state, x, y) - _kron_correlation(state, x, y)) < 1e-12
+            assert abs(spinor.chsh_value(state, s) - _kron_chsh(state, s)) < 1e-12
+    for _ in range(100):
+        a, b = (v / np.linalg.norm(v) for v in rng.normal(size=(2, 3)))
+        assert abs(spinor.singlet_correlation(a, b) - _kron_singlet(a, b)) < 1e-12
+
+
+# sha256 prefixes of ``chsh --state S --kinds K --maximize`` stdout, K in
+# KINDS order, recorded with the exhaustive 64^4 scan and the kron-built
+# correlation tables (numpy 2.4, x86-64); the separable scan and the tensor
+# must not move a byte
+MAXIMIZE_DIGESTS = {
+    "psi-plus": [
+        "8dcc1b992ea44010", "0d96377c9d16109c", "d862dbc1aecc4b11", "e94f256029f809d3",  # LL..
+        "9fcb1d375b736c75", "97331f400aeb6606", "c2b6793a68db9160", "8d26008fd62fd5b6",  # LE..
+        "8603342f483397a8", "0c68e5084297670b", "56d5dcb36ff95462", "04ac7feee5780826",  # EL..
+        "31ee5b84f652f519", "efaa40320217ffe5", "97625743ea37b063", "ec0f0f93b58c4a0a",  # EE..
+    ],
+    "psi-minus": [
+        "e924a97a1bd4d301", "4c44d05310156ace", "2c32bb1ae57cbcda", "186caf1b26b4c193",  # LL..
+        "ab9a101d511d40b3", "e5fa1830c36f90e7", "2cbf420d54dec761", "476459f0e72b14d0",  # LE..
+        "89fa0a3d289d50bc", "e9b99064c2e3d881", "0ab9d5a6dd40483f", "5ed6522261ae11cb",  # EL..
+        "61a011d4d61cac6f", "98038448f24f84e5", "86ae4063afe81505", "b0e3b1f20202d776",  # EE..
+    ],
+    "singlet": [
+        "0bec3fdf7b0c44f0", "70885d7934a55ccd", "d096a812c44078de", "8715de03f150c91a",  # LL..
+        "c35baec674f33dbc", "818addc30631a9cd", "730fa33ce28177e3", "dce163e067344740",  # LE..
+        "7196b000bccb4c58", "cdc37a2ea06c61e4", "995a8563888f9ae6", "c74f2ae2cab08ee9",  # EL..
+        "cf5f06ffd786e55f", "e25b3d21980f3f58", "9bbcaebc4c665171", "10d44c3fe79715a8",  # EE..
+    ],
+    "product": [
+        "993158b9b8c1f114", "39ef7b77cb4c7d07", "c89ec1961c2f0c81", "e7e8a8e7e472bcd9",  # LL..
+        "7dee92dffe801486", "0434500cc970a9c3", "f56e7e8f7310b9ac", "4a0248dfada58e8b",  # LE..
+        "f3478c02ea5cab11", "0a7952b4bef2ff23", "222fc261f52fb741", "ff8d00cbfc312861",  # EL..
+        "66eabf092b84877f", "7d45ac75967c94ca", "c545ef9e5d280cd8", "9b02df1c4bef3c49",  # EE..
+    ],
+}
+
+
+def test_maximize_output_is_byte_identical_to_kron_and_full_scan():
+    for state, digests in MAXIMIZE_DIGESTS.items():
+        for kinds, want in zip(KINDS, digests):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                assert cli.main(["chsh", "--state", state, "--kinds", kinds, "--maximize"]) == 0
+            assert hashlib.sha256(out.getvalue().encode()).hexdigest()[:16] == want, (state, kinds)
