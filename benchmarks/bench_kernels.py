@@ -1,4 +1,4 @@
-"""Time the three numpy kernels on synthetic shapes.
+"""Time the numpy kernels and the Wigner transform on synthetic shapes.
 
 Run from the repository root:
 
@@ -8,15 +8,19 @@ Run from the repository root:
 The deposit benchmarks mirror the transport verifier's workload: cell
 masses pushed into a 4x oversampled histogram, as one large 1-D call
 (rs1d) and as one batched call of many short columns (rs2d).  The scan
-benchmark uses the maximizer's full correlation tables.
+benchmark uses the maximizer's full correlation tables.  The Wigner rows
+time the half-spectrum transform on the `wigner` command's states: the
+two-mode psi-plus grid state at n=64 (64 x1 slabs) and a 1-D two-packet
+state at n=1024.
 """
 
 import argparse
+import functools
 import time
 
 import numpy as np
 
-from bellforge import _kernels
+from bellforge import _kernels, waves, wigner
 
 
 def _best_of(fn, repeat):
@@ -73,6 +77,10 @@ def main(argv=None):
         ("deposit_intervals (%.1e x 16384)" % args.intervals,
          bench_deposit_intervals(args.intervals, rng)),
         ("deposit_intervals (256 cols x 257, 1024)", bench_deposit_intervals_2d(rng)),
+        ("wigner_transform (psi-plus grid, 64^2)", functools.partial(
+            wigner.wigner_transform, waves.psi_marginal_state(+1, 10.0, n=64))),
+        ("wigner_transform (1-D, 1024)", functools.partial(
+            wigner.wigner_transform, waves.two_gaussian_packet(n=1024, xmax=24.0))),
     ]
     print("%-40s %10s" % ("kernel", "best [ms]"))
     for label, fn in rows:

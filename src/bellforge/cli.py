@@ -44,6 +44,28 @@ def _write_csv(path, header, rows):
         writer.writerows(rows)
 
 
+def _finite_float(text):
+    """argparse type: a float that is neither nan nor infinite."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError("must be a finite number, got %r" % text)
+    return value
+
+
+def _count(text):
+    """argparse type: a nonnegative integer."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError("must be a nonnegative integer, got %r" % text)
+    return value
+
+
 def _parse_floats(text, count=None, name="values"):
     try:
         vals = [float(tok) for tok in text.split(",")]
@@ -117,10 +139,10 @@ def _cmd_chsh(args):
         }
         if csv_settings is None:
             csv_settings = best
-    rows = [
+    rows = (
         (name, x.theta, y.theta, x.kind, y.kind, spinor.correlation(state, x, y))
         for name, x, y in _pairs(csv_settings)
-    ]
+    )
     return payload, (("pair", "angle_a_rad", "angle_b_rad", "kind_a", "kind_b", "correlation"), rows)
 
 
@@ -179,11 +201,11 @@ def _cmd_lhv(args):
     if result.joint is not None:
         payload["joint"] = result.joint.q.tolist()
     coeffs = result.certificate.coeffs if result.certificate is not None else None
-    rows = [
+    rows = (
         (i + 1, j + 1, float(corr[i, j]), "" if coeffs is None else coeffs[i, j])
         for i in range(2)
         for j in range(2)
-    ]
+    )
     return payload, (("i", "j", "correlator", "certificate_coeff"), rows)
 
 
@@ -214,12 +236,15 @@ def _cmd_rs1d(args):
         "verification": report,
         "takabayasi": causal.takabayasi_gap_detailed(psi),
     }
-    rows = list(zip(m.x.tolist(), m.p_hat.tolist()))
+    rows = zip(m.x, m.p_hat)
     return payload, (("x", "p_hat"), rows)
 
 
 def _cmd_rs2d(args):
-    epsilons = [int(v) for v in _parse_floats(args.epsilons, 2, "--epsilons")]
+    epsilons = _parse_floats(args.epsilons, 2, "--epsilons")
+    if any(v not in (1.0, -1.0) for v in epsilons):
+        raise ValidationError("--epsilons must each be 1 or -1")
+    epsilons = [int(v) for v in epsilons]
     psi = waves.correlated_gaussian_2d(
         rho=args.rho, sigma=args.sigma, n=args.n, xmax=args.xmax
     )
@@ -250,9 +275,9 @@ def _cmd_rs2d(args):
     }
     mid = args.n // 2
     x1 = psi.axes[0].points()
-    rows = [
+    rows = (
         (x1[k], float(pm["p1"][k, mid]), float(pm["p2"][k, mid])) for k in range(args.n)
-    ]
+    )
     return payload, (("x1", "p1", "p2"), rows)
 
 
@@ -277,9 +302,7 @@ def _cmd_marginal_theorem(args):
     }
     if "grid_check" in report:
         payload["grid_check"] = report["grid_check"]
-    rows = list(
-        zip(report["cutoffs"], report["overlap"], report["s_plus"], report["s_minus"])
-    )
+    rows = zip(report["cutoffs"], report["overlap"], report["s_plus"], report["s_minus"])
     return payload, (("cutoff", "overlap", "s_plus", "s_minus"), rows)
 
 
@@ -303,11 +326,11 @@ def _cmd_wigner(args):
         )
         x1 = summary.x_axes[0].points()
         p1 = summary.p_axes[0].points()
-        rows = [
+        rows = (
             (x1[k], p1[j], float(summary.central_slice[k, j]))
             for k in range(args.n)
             for j in range(args.n)
-        ]
+        )
         return payload, (("q1", "p1", "w"), rows)
 
     psi = _state_1d(args)
@@ -324,11 +347,11 @@ def _cmd_wigner(args):
     )
     x = grid.x_axis.points()
     p = grid.p_axis.points()
-    rows = [
+    rows = (
         (x[k], p[j], float(grid.values[k, j]))
         for k in range(x.shape[0])
         for j in range(p.shape[0])
-    ]
+    )
     return payload, (("x", "p", "w"), rows)
 
 
@@ -347,14 +370,10 @@ def _cmd_parity_chsh(args):
         payload["search"] = best["search"]
         payload["s_max"] = best["s_max"]
         payload["displacements"] = [float(np.real(v)) for v in best["displacements"]]
-    d = payload["displacements"]
-    rows = [
-        ("a", d[0]),
-        ("b", d[1]),
-        ("a_prime", d[2]),
-        ("b_prime", d[3]),
-        ("s", payload.get("s", payload.get("s_max"))),
-    ]
+    rows = zip(
+        ("a", "b", "a_prime", "b_prime", "s"),
+        (*payload["displacements"], payload.get("s", payload.get("s_max"))),
+    )
     return payload, (("quantity", "value"), rows)
 
 
@@ -403,10 +422,10 @@ def _cmd_ak_compare(args):
         },
         "warnings": list(record.warnings),
     }
-    rows = [
+    rows = (
         (float(q), float(pa), float(pr))
         for q, pa, pr in zip(peaks["x1"], peaks["p_peak"], p_rs)
-    ]
+    )
     return payload, (("q", "p_ak", "p_rs"), rows)
 
 
@@ -429,10 +448,10 @@ def _cmd_waves_dump(args):
         "spacing": ax.spacing,
         "norm2": psi.norm2(),
     }
-    rows = [
+    rows = (
         (pts[k], float(psi.values[k].real), float(psi.values[k].imag), float(dens[k]))
         for k in range(ax.n)
-    ]
+    )
     header = ("x" if rep == "x" else "p", "real", "imag", "density")
     return payload, (header, rows)
 
@@ -441,17 +460,19 @@ def _cmd_waves_dump(args):
 # parser
 
 
-def _add_state_1d_arguments(p, default_state="gaussian", default_n=2048):
-    p.add_argument("--state", default=default_state,
-                   choices=["gaussian", "two-gaussian", "excited"])
-    p.add_argument("--sigma", type=float, default=1.0)
-    p.add_argument("--t", type=float, default=0.0)
-    p.add_argument("--mass", type=float, default=1.0)
-    p.add_argument("--x0", type=float, default=0.0)
-    p.add_argument("--p0", type=float, default=0.0)
+_STATES_1D = ("gaussian", "two-gaussian", "excited")
+
+
+def _add_state_1d_arguments(p, default_state="gaussian", default_n=2048, states=_STATES_1D):
+    p.add_argument("--state", default=default_state, choices=states)
+    p.add_argument("--sigma", type=_finite_float, default=1.0)
+    p.add_argument("--t", type=_finite_float, default=0.0)
+    p.add_argument("--mass", type=_finite_float, default=1.0)
+    p.add_argument("--x0", type=_finite_float, default=0.0)
+    p.add_argument("--p0", type=_finite_float, default=0.0)
     p.add_argument("--level", type=int, default=1)
     p.add_argument("--n", type=int, default=default_n)
-    p.add_argument("--xmax", type=float, default=None)
+    p.add_argument("--xmax", type=_finite_float, default=None)
 
 
 def build_parser():
@@ -488,19 +509,19 @@ def build_parser():
     p = sub.add_parser("rs1d", help="1-D CDF-matching transport map and verification")
     _add_state_1d_arguments(p)
     p.add_argument("--epsilon", type=int, default=1, choices=[1, -1])
-    p.add_argument("--mc", type=int, default=0, help="verify with this many Monte Carlo samples")
+    p.add_argument("--mc", type=_count, default=0, help="verify with this many Monte Carlo samples")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default="")
     p.set_defaults(handler=_cmd_rs1d)
 
     p = sub.add_parser("rs2d", help="2-D chained transport and verification")
-    p.add_argument("--rho", type=float, default=0.5)
-    p.add_argument("--sigma", type=float, default=1.0)
+    p.add_argument("--rho", type=_finite_float, default=0.5)
+    p.add_argument("--sigma", type=_finite_float, default=1.0)
     p.add_argument("--n", type=int, default=512)
-    p.add_argument("--xmax", type=float, default=20.0)
+    p.add_argument("--xmax", type=_finite_float, default=20.0)
     p.add_argument("--ordering", default="px", choices=["px", "xp"])
     p.add_argument("--epsilons", default="1,1")
-    p.add_argument("--mc", type=int, default=0)
+    p.add_argument("--mc", type=_count, default=0)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default="")
     p.set_defaults(handler=_cmd_rs2d)
@@ -509,22 +530,20 @@ def build_parser():
     p.add_argument("--cutoffs", default="10,100,1000,10000")
     p.add_argument("--grid", type=int, default=0,
                    help="cross-check the smallest cutoff on an n x n grid")
-    p.add_argument("--grid-xmax", type=float, default=None)
+    p.add_argument("--grid-xmax", type=_finite_float, default=None)
     p.add_argument("--out", default="")
     p.set_defaults(handler=_cmd_marginal_theorem)
 
     p = sub.add_parser("wigner", help="discrete Wigner transform diagnostics")
-    _add_state_1d_arguments(p, default_n=256)
-    p.add_argument("--cutoff", type=float, default=10.0)
-    pm_choices = ["gaussian", "two-gaussian", "excited", "psi-plus-grid", "psi-minus-grid"]
-    for action in p._actions:
-        if action.dest == "state":
-            action.choices = pm_choices
+    _add_state_1d_arguments(
+        p, default_n=256, states=_STATES_1D + ("psi-plus-grid", "psi-minus-grid")
+    )
+    p.add_argument("--cutoff", type=_finite_float, default=10.0)
     p.add_argument("--out", default="")
     p.set_defaults(handler=_cmd_wigner)
 
     p = sub.add_parser("parity-chsh", help="displaced-parity CHSH for the squeezed vacuum")
-    p.add_argument("--r", type=float, default=2.0)
+    p.add_argument("--r", type=_finite_float, default=2.0)
     p.add_argument("--search", default="protocol", choices=["protocol", "full"])
     p.add_argument("--displacements", default="",
                    help="evaluate four real displacements a,b,a',b' instead of searching")
@@ -532,13 +551,13 @@ def build_parser():
     p.set_defaults(handler=_cmd_parity_chsh)
 
     p = sub.add_parser("ak-compare", help="joint-record ridge versus transport map")
-    p.add_argument("--sigma", type=float, default=1.0)
-    p.add_argument("--t", type=float, default=1.0)
-    p.add_argument("--mass", type=float, default=1.0)
-    p.add_argument("--b", type=float, default=0.5)
+    p.add_argument("--sigma", type=_finite_float, default=1.0)
+    p.add_argument("--t", type=_finite_float, default=1.0)
+    p.add_argument("--mass", type=_finite_float, default=1.0)
+    p.add_argument("--b", type=_finite_float, default=0.5)
     p.add_argument("--n", type=int, default=1024)
-    p.add_argument("--xmax", type=float, default=None)
-    p.add_argument("--window-std", type=float, default=3.0)
+    p.add_argument("--xmax", type=_finite_float, default=None)
+    p.add_argument("--window-std", type=_finite_float, default=3.0)
     p.add_argument("--out", default="")
     p.set_defaults(handler=_cmd_ak_compare)
 
@@ -562,10 +581,17 @@ def main(argv=None):
         return exc.exit_code
     out = getattr(args, "out", "")
     if out:
-        header, rows = csv_spec
-        _write_csv(out, header, rows)
         payload["csv"] = out
-    sys.stdout.write(json.dumps(payload, default=_json_default, indent=2, sort_keys=True) + "\n")
+    try:
+        text = json.dumps(
+            payload, default=_json_default, indent=2, sort_keys=True, allow_nan=False
+        )
+    except ValueError as exc:
+        print("error: result is not finite JSON (%s)" % exc, file=sys.stderr)
+        return 1
+    if out:
+        _write_csv(out, *csv_spec)
+    sys.stdout.write(text + "\n")
     return 0
 
 

@@ -4,9 +4,10 @@ The 1-D transform evaluates
 
     W(x_k, p_j) = (spacing/pi) * sum_m psi(x_k + y_m) psi*(x_k - y_m) e^{-2 i p_j y_m}
 
-with y_m on the position grid and p_j on a momentum grid of spacing
-pi / (n * spacing), half the FFT-conjugate spacing.  With that choice the
-sum is a single FFT per row and the q marginal of W collapses to
+with y_m = m * spacing (m = -n/2..n/2-1, off-grid terms zero) and p_j on
+a momentum grid of spacing pi / (n * spacing), half the FFT-conjugate
+spacing.  The summand is Hermitian in m, so one half-spectrum FFT per row
+over lags m = 0..n/2 gives the real sum, and the q marginal of W collapses to
 |psi(x_k)|^2 exactly (finite-sum identity, not an approximation).  The p
 marginal approximates |psi_tilde(p_j)|^2 at the half-grid points with
 spectral accuracy.
@@ -57,32 +58,27 @@ class WignerGrid:
         return self.values.sum(axis=0) * self.x_axis.spacing
 
 
-def _wigner_rows(values, n):
-    """Correlation rows C[k, m] = psi[k + m - n/2] conj(psi[k - m + n/2])."""
+def _lag_pairs(n):
+    """Index pairs (k + m, k - m) for k < n and lags m = 0..n/2; a pair with
+    an end off the grid points both ends at n, where callers keep a zero."""
     k = np.arange(n)[:, None]
-    mm = np.arange(n)[None, :] - n // 2
-    ia = k + mm
-    ib = k - mm
-    mask = (ia >= 0) & (ia < n) & (ib >= 0) & (ib < n)
-    c = values[np.clip(ia, 0, n - 1)] * np.conj(values[np.clip(ib, 0, n - 1)])
-    return np.where(mask, c, 0.0)
+    m = np.arange(n // 2 + 1)[None, :]
+    ia, ib = k + m, k - m
+    off = (ia >= n) | (ib < 0)
+    return np.where(off, n, ia), np.where(off, n, ib)
 
 
-def _phase_space_fft(c, axis, n):
-    """FFT a correlation axis into the half-spacing momentum axis."""
-    alt_shape = [1] * c.ndim
-    alt_shape[axis] = n
-    alt = (-1.0) ** np.arange(n)
-    front = (-1.0) ** (n // 2)
-    return front * alt.reshape(alt_shape) * np.fft.fft(
-        c * alt.reshape(alt_shape), axis=axis
-    )
+def _half_spectrum(c):
+    """Real sum_m C[m] exp(-2 pi i j m / n), j = -n/2..n/2-1 in centered order,
+    from lags m = 0..n/2 of a last axis with C[-m] = conj C[m], C[-n/2] = 0."""
+    return np.fft.fftshift(np.fft.hfft(c, axis=-1), axes=-1)
 
 
 def _wigner_1d(psi):
     ax = psi.axes[0]
-    c = _wigner_rows(psi.values, ax.n)
-    w = _phase_space_fft(c, 1, ax.n).real * (ax.spacing / math.pi)
+    ia, ib = _lag_pairs(ax.n)
+    v = np.append(psi.values, 0.0)
+    w = _half_spectrum(v[ia] * np.conj(v[ib])) * (ax.spacing / math.pi)
     return WignerGrid(ax, _half_momentum_axis(ax), w)
 
 
@@ -106,36 +102,36 @@ def _wigner_2d(psi, store_full=None):
     if store_full is None:
         store_full = n <= _FULL_GRID_LIMIT
 
-    mm = np.arange(n) - n // 2
-    idx_a = np.arange(n)[:, None] + mm[None, :]
-    idx_b = np.arange(n)[:, None] - mm[None, :]
-    mask2 = (idx_a >= 0) & (idx_a < n) & (idx_b >= 0) & (idx_b < n)
-    idx_a = np.clip(idx_a, 0, n - 1)
-    idx_b = np.clip(idx_b, 0, n - 1)
+    ia, ib = _lag_pairs(n)
+    pad = np.zeros((n, n + 1), dtype=complex)  # column n is the off-grid zero
+    pad[:, :n] = psi.values
+    m1 = np.fft.ifftshift(np.arange(n) - n // 2)  # x1 lags in FFT order
 
     scale = dx0 * dx1 / math.pi**2
     min_w = np.inf
     qq = np.empty((n, n))
-    qp = np.zeros((n, n))
+    qp = np.empty((n, n))
     pq = np.zeros((n, n))
     pp = np.zeros((n, n))
     central = np.empty((n, n))
     full = np.empty((n, n, n, n)) if store_full else None
+    slab = np.zeros((n, n, n // 2 + 1), dtype=complex)
 
     for k1 in range(n):
-        a1 = k1 + mm
-        b1 = k1 - mm
+        a1 = k1 + m1
+        b1 = k1 - m1
         ok1 = (a1 >= 0) & (a1 < n) & (b1 >= 0) & (b1 < n)
-        rows_a = psi.values[np.clip(a1, 0, n - 1)]  # (m1, x2)
-        rows_b = np.conj(psi.values[np.clip(b1, 0, n - 1)])
-        # slab[m1, k2, m2] = psi[k1+m1', k2+m2'] psi*[k1-m1', k2-m2']
-        slab = rows_a[:, idx_a] * rows_b[:, idx_b]
-        slab *= ok1[:, None, None] & mask2[None, :, :]
-        w = _phase_space_fft(_phase_space_fft(slab, 0, n), 2, n).real * scale
+        # slab[m1, k2, m2] = psi[k1+m1, k2+m2] psi*[k1-m1, k2-m2], m2 = 0..n/2;
+        # C[-m1, k2, -m2] = conj C[m1, k2, m2], so after the full transform
+        # over m1 every row is Hermitian in m2
+        slab[~ok1] = 0.0
+        slab[ok1] = pad[a1[ok1]][:, ia] * np.conj(pad[b1[ok1]])[:, ib]
+        w = np.fft.fftshift(_half_spectrum(np.fft.fft(slab, axis=0)), axes=0) * scale
         # w indexed (j1, k2, j2)
         min_w = min(min_w, float(w.min()))
-        qq[k1] = w.sum(axis=(0, 2)) * dp0 * dp1
-        qp[k1] = w.sum(axis=0).sum(axis=0) * dp0 * dx1
+        q2p2 = w.sum(axis=0)  # p1 integrated out
+        qq[k1] = q2p2.sum(axis=1) * dp0 * dp1
+        qp[k1] = q2p2.sum(axis=0) * dp0 * dx1
         pq += w.sum(axis=2) * dx0 * dp1
         pp += w.sum(axis=1) * dx0 * dx1
         central[k1] = w[:, n // 2, n // 2]

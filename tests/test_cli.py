@@ -10,7 +10,11 @@ from bellforge import cli
 
 
 def run(capsys, *argv):
-    code = cli.main(list(argv))
+    """Exit code, stdout and stderr; argparse errors exit through SystemExit."""
+    try:
+        code = cli.main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -80,6 +84,13 @@ NON_FINITE_PROBES = [
     ("chsh", "--angles", "0,inf,0,0", "--degrees", "--maximize"),
     ("lhv", "--correlators", "nan,0,0,0"),
     ("lhv", "--angles", "0,0,-inf,0"),
+    ("rs1d", "--sigma", "nan"),
+    ("parity-chsh", "--r", "inf"),
+    ("rs2d", "--rho", "nan", "--n", "64"),
+    ("wigner", "--state", "psi-plus-grid", "--cutoff", "inf"),
+    ("ak-compare", "--window-std=-inf"),
+    ("marginal-theorem", "--grid", "32", "--grid-xmax", "nan"),
+    ("wigner", "--state", "gaussian", "--xmax", "nan"),
 ]
 
 
@@ -89,6 +100,30 @@ def test_non_finite_input_exits_2_without_output(capsys, argv):
     assert code == 2
     assert out == ""
     assert "finite" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("rs1d", "--mc", "-5"),
+    ("rs2d", "--mc", "-1", "--n", "64"),
+    ("rs2d", "--epsilons", "1.5,1", "--n", "64"),
+    ("rs2d", "--epsilons", "0,1", "--n", "64"),
+])
+def test_out_of_domain_counts_and_signs_exit_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.count("error:") == 1 and "Traceback" not in err
+
+
+def test_non_finite_result_is_refused(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(
+        cli, "_cmd_chsh", lambda args: ({"s": float("nan")}, (("s",), iter([(1.0,)])))
+    )
+    table = tmp_path / "t.csv"
+    code, out, err = run(capsys, "chsh", "--angles", "0,0,0,0", "--out", str(table))
+    assert code == 1
+    assert out == "" and not table.exists()
+    assert err.startswith("error:") and err.count("\n") == 1
 
 
 def test_non_finite_piped_angle_exits_2(capsys, monkeypatch):

@@ -1,9 +1,10 @@
+import csv
 import math
 
 import numpy as np
 import pytest
 
-from bellforge import waves, wigner
+from bellforge import cli, waves, wigner
 from bellforge.errors import DomainError, ValidationError
 from bellforge.spinor import TSIRELSON
 
@@ -16,6 +17,108 @@ PROTOCOL_MAXIMA = {
     2.0: 2.190428,
     3.0: 2.190549,
 }
+
+
+def _random_state(n, dim, seed):
+    rng = np.random.default_rng(seed)
+    values = rng.normal(size=(n,) * dim) + 1j * rng.normal(size=(n,) * dim)
+    return waves.GridWavefunction((waves.position_axis(n, 3.0),) * dim, values)
+
+
+def _correlation_1d(v):
+    """C[k, m] = v[k + m] conj v[k - m] for lags m = -n/2..n/2-1, zero off the grid."""
+    n = v.shape[0]
+    c = np.zeros((n, n), dtype=complex)
+    for k in range(n):
+        for i, m in enumerate(range(-n // 2, n // 2)):
+            if 0 <= k + m < n and 0 <= k - m < n:
+                c[k, i] = v[k + m] * np.conj(v[k - m])
+    return c
+
+
+def _lag_phases(ax):
+    """exp(-2 i p_j y_m) on the half-spacing momentum grid, as (j, m)."""
+    n = ax.n
+    p = (np.arange(n) - n // 2) * math.pi / (n * ax.spacing)
+    y = (np.arange(n) - n // 2) * ax.spacing
+    return np.exp(-2j * np.outer(p, y))
+
+
+@pytest.mark.parametrize("n", [8, 16])
+def test_1d_transform_matches_explicit_sum(n):
+    psi = _random_state(n, 1, seed=n)
+    ax = psi.axes[0]
+    ref = _correlation_1d(psi.values) @ _lag_phases(ax).T * (ax.spacing / math.pi)
+    grid = wigner.wigner_transform(psi)
+    assert np.max(np.abs(ref.imag)) < 1e-13
+    assert np.max(np.abs(grid.values - ref.real)) < 1e-13
+
+
+@pytest.mark.parametrize("n", [8, 16])
+def test_2d_transform_matches_explicit_sum(n):
+    psi = _random_state(n, 2, seed=n + 1)
+    v = psi.values
+    lags = range(-n // 2, n // 2)
+    # c[k1, k2, m1, m2] = psi[k1+m1, k2+m2] conj psi[k1-m1, k2-m2]
+    c = np.zeros((n, n, n, n), dtype=complex)
+    for k1 in range(n):
+        for i1, m1 in enumerate(lags):
+            if not (0 <= k1 + m1 < n and 0 <= k1 - m1 < n):
+                continue
+            for k2 in range(n):
+                for i2, m2 in enumerate(lags):
+                    if 0 <= k2 + m2 < n and 0 <= k2 - m2 < n:
+                        c[k1, k2, i1, i2] = v[k1 + m1, k2 + m2] * np.conj(v[k1 - m1, k2 - m2])
+    e1, e2 = (_lag_phases(ax) for ax in psi.axes)
+    scale = psi.axes[0].spacing * psi.axes[1].spacing / math.pi**2
+    ref = np.einsum("abcd,ic,jd->abij", c, e1, e2) * scale  # (k1, k2, j1, j2)
+    assert np.max(np.abs(ref.imag)) < 1e-13
+    ref = ref.real
+    summary = wigner.wigner_transform(psi)
+    assert np.max(np.abs(summary.values - ref)) < 1e-13
+    assert summary.min_w == pytest.approx(ref.min(), abs=1e-13)
+    assert np.max(np.abs(summary.central_slice - ref[:, n // 2, :, n // 2])) < 1e-13
+    x1, x2 = (ax.spacing for ax in psi.axes)
+    p1, p2 = (ax.spacing for ax in summary.p_axes)
+    want = {
+        "qq": ref.sum(axis=(2, 3)) * p1 * p2,
+        "qp": ref.sum(axis=(1, 2)) * x2 * p1,
+        "pq": ref.sum(axis=(0, 3)).T * x1 * p2,
+        "pp": ref.sum(axis=(0, 1)) * x1 * x2,
+    }
+    for key, marginal in want.items():
+        assert np.max(np.abs(summary.marginals[key] - marginal)) < 1e-13, key
+
+
+def _wigner_csv(tmp_path, capsys, *argv):
+    out = tmp_path / "w.csv"
+    assert cli.main(["wigner", *argv, "--out", str(out)]) == 0
+    capsys.readouterr()
+    with open(out, newline="") as fh:
+        rows = list(csv.reader(fh))
+    return rows[0], np.array(rows[1:], dtype=float)
+
+
+def test_wigner_csv_1d_rows_match_grid(tmp_path, capsys):
+    header, body = _wigner_csv(tmp_path, capsys, "--state", "excited", "--n", "64", "--xmax", "8")
+    grid = wigner.wigner_transform(waves.excited_state(1, n=64, xmax=8.0))
+    assert header == ["x", "p", "w"]
+    assert body.shape == (64 * 64, 3)
+    x, p = np.meshgrid(grid.x_axis.points(), grid.p_axis.points(), indexing="ij")
+    assert np.array_equal(body[:, 0], x.ravel())
+    assert np.array_equal(body[:, 1], p.ravel())
+    assert np.array_equal(body[:, 2], grid.values.ravel())
+
+
+def test_wigner_csv_grid_rows_match_central_slice(tmp_path, capsys):
+    header, body = _wigner_csv(tmp_path, capsys, "--state", "psi-minus-grid", "--n", "16")
+    summary = wigner.wigner_transform(waves.psi_marginal_state(-1, 10.0, n=16))
+    assert header == ["q1", "p1", "w"]
+    assert body.shape == (16 * 16, 3)
+    q, p = np.meshgrid(summary.x_axes[0].points(), summary.p_axes[0].points(), indexing="ij")
+    assert np.array_equal(body[:, 0], q.ravel())
+    assert np.array_equal(body[:, 1], p.ravel())
+    assert np.array_equal(body[:, 2], summary.central_slice.ravel())
 
 
 def test_1d_marginals_exact():
