@@ -11,7 +11,10 @@ masses pushed into a 4x oversampled histogram, as one large 1-D call
 benchmark uses the maximizer's full correlation tables.  The Wigner rows
 time the half-spectrum transform on the `wigner` command's states: the
 two-mode psi-plus grid state at n=64 (64 x1 slabs) and a 1-D two-packet
-state at n=1024.
+state at n=1024.  The 2-D transport rows time the three stages of one
+deterministic `rs2d` op at the benchmark's transport shape (n=256, rho=0,
+sigma=0.7, xmax=20): the chain, its verification and the off-pair
+distance.
 """
 
 import argparse
@@ -20,7 +23,7 @@ import time
 
 import numpy as np
 
-from bellforge import _kernels, waves, wigner
+from bellforge import _kernels, causal, waves, wigner
 
 
 def _best_of(fn, repeat):
@@ -61,6 +64,16 @@ def bench_deposit_intervals_2d(rng, columns=256, rows=257, nbins=1024):
     return lambda: _kernels.deposit_intervals(lo, hi, w, -8.0, 16.0 / nbins, nbins)
 
 
+def bench_transport_2d():
+    psi = waves.correlated_gaussian_2d(rho=0.0, sigma=0.7, n=256, xmax=20.0)
+    chain = causal.rs_map_2d(psi)
+    return [
+        ("rs_map_2d (256^2)", functools.partial(causal.rs_map_2d, psi)),
+        ("verify_marginals_2d (256^2)", functools.partial(causal.verify_marginals_2d, chain, psi)),
+        ("ccs_distance qp (256^2)", functools.partial(causal.ccs_distance, chain, psi, "qp")),
+    ]
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--grid", type=int, default=64, help="angle grid side for the scan")
@@ -81,6 +94,7 @@ def main(argv=None):
             wigner.wigner_transform, waves.psi_marginal_state(+1, 10.0, n=64))),
         ("wigner_transform (1-D, 1024)", functools.partial(
             wigner.wigner_transform, waves.two_gaussian_packet(n=1024, xmax=24.0))),
+        *bench_transport_2d(),
     ]
     print("%-40s %10s" % ("kernel", "best [ms]"))
     for label, fn in rows:

@@ -68,19 +68,25 @@ def _search_columns(f, u):
     """``np.searchsorted(f[:, k], u[:, k])`` for every column k at once, for
     side "left" and side "right".
 
-    The key k + 1j*value orders lexicographically (complex order compares
-    real parts first), so the columns of f concatenate into one sorted array
-    without rounding a single value.  Queries go column by column, where
-    they are monotone, which keeps the search local.
+    Each column's queries and CDF values merge in one stable argsort of
+    their concatenation, so no value is rounded.  With the queries first,
+    ties leave a query ahead of equal CDF values (side "left"); with the CDF
+    first, behind them (side "right").  A query's index is the number of
+    CDF values merged ahead of it.  Any query order is correct; ascending
+    queries make the argsort (a timsort) one linear merge per column.
     """
-    n, ncols = f.shape
-    col = np.arange(ncols)
-    keys = (col + 1j * f).T.ravel()
-    queries = (col + 1j * u).T.ravel()
-    return tuple(
-        np.searchsorted(keys, queries, side=side).reshape(ncols, len(u)).T - col * n
-        for side in ("left", "right")
-    )
+    nf, (nq, ncols) = len(f), u.shape
+    rows = np.arange(ncols)[:, None]
+    found = []
+    for parts, q0 in (((u.T, f.T), 0), ((f.T, u.T), nf)):
+        order = np.argsort(np.concatenate(parts, axis=1), axis=1, kind="stable").ravel()
+        is_query = order < nq if q0 == 0 else order >= nf
+        at = np.flatnonzero(is_query).reshape(ncols, nq)  # flat merged slots, row by row
+        idx = np.empty((ncols, nq), dtype=np.intp)
+        # the i-th query merged in a row has i queries ahead of it
+        idx[rows, order[at] - q0] = at - rows * (nf + nq) - np.arange(nq)
+        found.append(idx.T)
+    return tuple(found)
 
 
 def _cdf_inverse(edges, f, u):
@@ -92,15 +98,33 @@ def _cdf_inverse(edges, f, u):
     u2 = u if u.ndim == 2 else u[:, None]
     cols = np.arange(f2.shape[1])
     lo, hi = _search_columns(f2, u2)
-    left = np.clip(lo, 0, len(edges) - 1)
-    right = np.clip(hi - 1, 0, len(edges) - 1)
-    plateau = 0.5 * (edges[left] + edges[right])
+    last = len(edges) - 1
+    plateau = 0.5 * (edges[np.clip(lo, 0, last)] + edges[np.clip(hi - 1, 0, last)])
     j = np.clip(lo - 1, 0, len(f2) - 2)
+    e_lo, e_hi = edges[j], edges[j + 1]
     f_lo = f2[j, cols]
     df = f2[j + 1, cols] - f_lo
-    frac = np.where(df > 0, (u2 - f_lo) / np.where(df > 0, df, 1.0), 0.5)
-    interp = edges[j] + np.clip(frac, 0.0, 1.0) * (edges[j + 1] - edges[j])
+    rising = df > 0
+    frac = np.where(rising, (u2 - f_lo) / np.where(rising, df, 1.0), 0.5)
+    interp = e_lo + np.clip(frac, 0.0, 1.0) * (e_hi - e_lo)
     return np.where(hi > lo, plateau, interp).reshape(u.shape)
+
+
+def _invert_edges_and_nodes(p_edges, fp, fx, epsilon):
+    """Map values (nodes, edges) at the source cell nodes and edges: the
+    inverse of fp at fx, or at 1 - fx for epsilon=-1, where a node's query
+    is the midpoint of its cell's edge queries.
+
+    One inversion serves both: edge and node queries interleave, and the
+    order is reversed for epsilon=-1, so each column's queries ascend.
+    """
+    u = fx if epsilon == +1 else 1.0 - fx
+    q = np.empty((2 * len(u) - 1,) + u.shape[1:])
+    q[0::2] = u
+    q[1::2] = 0.5 * (u[:-1] + u[1:])
+    ascending = slice(None, None, 1 if epsilon == +1 else -1)
+    p = _cdf_inverse(p_edges, fp, q[ascending])[ascending]
+    return p[1::2], p[0::2]
 
 
 # ---------------------------------------------------------------------------
@@ -126,8 +150,9 @@ def debb_momentum_field(psi):
     return field
 
 
-def _oversampled_momentum_density(psi, axis=0, factor=4):
-    """|psi_tilde|^2 on a factor-times-finer momentum grid via zero padding."""
+def _padded_transform(psi, axis, factor):
+    """Transform of one position axis onto a factor-times-finer momentum
+    grid, by zero padding that axis."""
     ax = psi.axes[axis]
     if ax.representation != waves.POSITION:
         raise ValidationError("can only oversample a position-representation axis")
@@ -141,8 +166,13 @@ def _oversampled_momentum_density(psi, axis=0, factor=4):
     padded[tuple(sl)] = psi.values
     axes = list(psi.axes)
     axes[axis] = waves.Axis(pad_n, ax.spacing, ax.representation)
-    fine = waves.fourier(waves.GridWavefunction(tuple(axes), padded, {}), axis=axis)
-    return np.abs(fine.values) ** 2, fine.axes[axis]
+    return waves.fourier(waves.GridWavefunction(tuple(axes), padded, {}), axis=axis)
+
+
+def _oversampled_momentum_density(psi, axis=0, factor=4):
+    """|psi_tilde|^2 on a factor-times-finer momentum grid via zero padding."""
+    fine = _padded_transform(psi, axis, factor)
+    return fine.density(), fine.axes[axis]
 
 
 def _group_fine_axis(fine_masses, factor, axis=0):
@@ -154,24 +184,35 @@ def _group_fine_axis(fine_masses, factor, axis=0):
     their mass to each side.  Fine cells hanging off the grid ends are
     beyond the covered momentum range and dropped (their mass is zero for
     any state that fits the grid).
+
+    Viewed as blocks of ``factor`` fine cells, block k holds the upper half
+    of coarse cell k (its first half cells, and half of its middle cell) and
+    the lower half of cell k + 1 (the rest); one weighted sum per block
+    gives both parts.
     """
     if factor % 2:
         raise ValidationError("fine factor must be even")
     half = factor // 2
-    arr = np.moveaxis(np.asarray(fine_masses), axis, 0)
-    n_coarse = arr.shape[0] // factor
-    padded = np.concatenate([np.zeros((half,) + arr.shape[1:]), arr], axis=0)
-    csum = np.concatenate(
-        [np.zeros((1,) + arr.shape[1:]), np.cumsum(padded, axis=0)], axis=0
-    )
-    starts = factor * np.arange(n_coarse)
-    coarse = (
-        csum[starts + factor + 1]
-        - csum[starts]
-        - 0.5 * padded[starts]
-        - 0.5 * padded[starts + factor]
-    )
-    return np.moveaxis(coarse, 0, axis)
+    weights = np.zeros((factor, 2))
+    weights[:half, 0] = 1.0
+    weights[half + 1 :, 1] = 1.0
+    weights[half] = 0.5
+    arr = np.asarray(fine_masses)
+    n_coarse = arr.shape[axis] // factor
+    blocks = arr.reshape(arr.shape[:axis] + (n_coarse, factor) + arr.shape[axis + 1 :])
+    parts = np.moveaxis(blocks, axis + 1, -1) @ weights  # (..., k, ..., own/next)
+    coarse = parts[..., 0]
+    lead = (slice(None),) * axis
+    coarse[lead + (slice(1, None),)] += parts[lead + (slice(None, -1),)][..., 1]
+    return coarse
+
+
+def _cell_l1(rep, tgt, factor, *axes):
+    """L1 distance of two fine-grid mass arrays compared on the coarse cells
+    of each of ``axes``."""
+    for axis in axes:
+        rep, tgt = _group_fine_axis(rep, factor, axis), _group_fine_axis(tgt, factor, axis)
+    return float(np.sum(np.abs(rep - tgt)))
 
 
 def takabayasi_gap_detailed(psi, fine_factor=4):
@@ -241,25 +282,16 @@ def rs_map_1d(psi, epsilon=+1, p_refine=4):
     if psi.dim != 1:
         raise ValidationError("rs_map_1d needs a 1-D state")
     ax = psi.axes[0]
-    if p_refine > 1:
-        fine_dens, pax = _oversampled_momentum_density(psi, factor=int(p_refine))
-        p_masses = fine_dens * pax.spacing
-    else:
-        tilde = waves.fourier(psi)
-        pax = tilde.axes[0]
-        p_masses = tilde.density() * pax.spacing
-
-    fx = _cdf_edges(psi.density() * ax.spacing)
-    fp = _cdf_edges(p_masses)
-    u_edges = fx if epsilon == +1 else 1.0 - fx
-    u_nodes = 0.5 * (u_edges[:-1] + u_edges[1:])
-
-    p_edges = _cell_edges(pax)
+    fine_dens, pax = _oversampled_momentum_density(psi, factor=int(p_refine))
+    p_hat, p_hat_edges = _invert_edges_and_nodes(
+        _cell_edges(pax), _cdf_edges(fine_dens * pax.spacing),
+        _cdf_edges(psi.density() * ax.spacing), epsilon,
+    )
     return MonotoneMap(
         x=ax.points(),
-        p_hat=_cdf_inverse(p_edges, fp, u_nodes),
+        p_hat=p_hat,
         x_edges=_cell_edges(ax),
-        p_hat_edges=_cdf_inverse(p_edges, fp, u_edges),
+        p_hat_edges=p_hat_edges,
         epsilon=epsilon,
     )
 
@@ -302,24 +334,18 @@ def verify_marginals_1d(m, psi, fine_factor=8, mc_samples=0, seed=0):
             fine_ax.spacing,
             fine_ax.n,
         )
-        # MC noise grows with bin count; compare on the coarse cells
-        dep = _group_fine_axis(dep, fine_factor)
-        tgt = _group_fine_axis(target, fine_factor)
-        l1_p = float(np.sum(np.abs(dep - tgt)))
         method = "mc"
     else:
         dep = _deposit_edge_intervals(
             m.p_hat_edges, masses, fine_edges[0], fine_ax.spacing, fine_ax.n
         )
-        # compare cell masses: a piecewise-uniform pushforward cannot match
-        # sub-cell density shape, and that residue scales like dp instead of
-        # the dp^2 quadrature error that measures actual map quality
-        dep = _group_fine_axis(dep, fine_factor)
-        tgt = _group_fine_axis(target, fine_factor)
-        l1_p = float(np.sum(np.abs(dep - tgt)))
         method = "deterministic"
 
-    distances = {"x": 0.0, "p": l1_p}
+    # compare cell masses: MC noise grows with bin count, and a
+    # piecewise-uniform pushforward cannot match sub-cell density shape
+    # (that residue scales like dp instead of the dp^2 quadrature error
+    # that measures actual map quality)
+    distances = {"x": 0.0, "p": _cell_l1(dep, target, fine_factor, 0)}
     threshold = 5e-2 if mc_samples else 5e-3
     return {
         "distances": distances,
@@ -396,12 +422,10 @@ def _conditional_maps(pos_masses, mom_masses, mom_axis, epsilon):
             "conditional slice norms disagree by %.3g of %.3g; refine the grid"
             % (gap[k], scale[k])
         )
-    fx = _cdf_edges(pos_masses[:, live])
-    fp = _cdf_edges(mom_masses[:, live])
-    u = fx if epsilon == +1 else 1.0 - fx
-    p_edges = _cell_edges(mom_axis)
-    edges[:, live] = _cdf_inverse(p_edges, fp, u)
-    nodes[:, live] = _cdf_inverse(p_edges, fp, 0.5 * (u[:-1] + u[1:]))
+    nodes[:, live], edges[:, live] = _invert_edges_and_nodes(
+        _cell_edges(mom_axis), _cdf_edges(mom_masses[:, live]),
+        _cdf_edges(pos_masses[:, live]), epsilon,
+    )
     return nodes, edges
 
 
@@ -427,21 +451,12 @@ def rs_map_2d(psi, epsilon1=+1, epsilon2=+1, ordering="px"):
 
     psi_m = waves.fourier(psi, axis=first)
     psi_mm = waves.fourier(psi_m, axis=other)
-    cell = psi.axes[0].spacing * psi.axes[1].spacing
-    cell_m = psi_m.axes[0].spacing * psi_m.axes[1].spacing
-    cell_mm = psi_mm.axes[0].spacing * psi_mm.axes[1].spacing
-
+    mass, mass_m, mass_mm = (w.density() * w.cell_volume() for w in (psi, psi_m, psi_mm))
     map1_nodes, map1_edges = _conditional_maps(
-        _oriented(psi.density(), first) * cell,
-        _oriented(psi_m.density(), first) * cell_m,
-        psi_m.axes[first],
-        epsilon1,
+        _oriented(mass, first), _oriented(mass_m, first), psi_m.axes[first], epsilon1
     )
     map2_nodes, map2_edges = _conditional_maps(
-        _oriented(psi_m.density(), other) * cell_m,
-        _oriented(psi_mm.density(), other) * cell_mm,
-        psi_mm.axes[other],
-        epsilon2,
+        _oriented(mass_m, other), _oriented(mass_mm, other), psi_mm.axes[other], epsilon2
     )
     return ChainedMap2D(
         ordering=ordering,
@@ -479,21 +494,12 @@ def _stage1_cell_masses(chain, psi):
 
 def _double_fine_masses(psi, first, factor):
     """Cell masses of the full momentum density, fine along both axes,
-    then cell-integrated back to coarse cells along the first axis."""
-    ax0, ax1 = psi.axes
-    padded = np.zeros((factor * ax0.n, factor * ax1.n), dtype=complex)
-    s0 = (factor - 1) * ax0.n // 2
-    s1 = (factor - 1) * ax1.n // 2
-    padded[s0 : s0 + ax0.n, s1 : s1 + ax1.n] = psi.values
-    big = waves.GridWavefunction(
-        (
-            waves.Axis(factor * ax0.n, ax0.spacing, ax0.representation),
-            waves.Axis(factor * ax1.n, ax1.spacing, ax1.representation),
-        ),
-        padded,
-        {},
-    )
-    big_mm = waves.fourier(waves.fourier(big, axis=0), axis=1)
+    then cell-integrated back to coarse cells along the first axis.
+
+    Axis 0 is padded and transformed before axis 1 is padded, so the first
+    transform runs over the n1 state columns only, not over the zero
+    columns of a fully padded array."""
+    big_mm = _padded_transform(_padded_transform(psi, 0, factor), 1, factor)
     fine_masses = big_mm.density() * big_mm.axes[0].spacing * big_mm.axes[1].spacing
     oriented = _oriented(fine_masses, first)  # (p_first fine, p_other fine)
     return _group_fine_axis(oriented, factor, axis=0)  # (p_first cells, p_other fine)
@@ -523,14 +529,7 @@ def verify_marginals_2d(chain, psi, fine_factor=4, mc_samples=0, seed=0):
         chain.map1_edges, base, _cell_edges(fine_ax)[0], fine_ax.spacing, fine_ax.n
     )
     # cell-mass comparison, as in the 1-D verifier
-    distances[labels[1]] = float(
-        np.sum(
-            np.abs(
-                _group_fine_axis(rep_mid, fine_factor, axis=0)
-                - _group_fine_axis(tgt_mid, fine_factor, axis=0)
-            )
-        )
-    )
+    distances[labels[1]] = _cell_l1(rep_mid, tgt_mid, fine_factor, 0)
 
     # final density (p_first cells, p_other fine): stage-2 pushforward of
     # the stage-1 masses against a p_first-cell-integrated target
@@ -544,14 +543,7 @@ def verify_marginals_2d(chain, psi, fine_factor=4, mc_samples=0, seed=0):
     rep_pp = _deposit_edge_intervals(
         chain.map2_edges, m1.T, fine2_edge0, fine2_spacing, fine2_n
     ).T
-    distances[labels[2]] = float(
-        np.sum(
-            np.abs(
-                _group_fine_axis(rep_pp, fine_factor, axis=1)
-                - _group_fine_axis(tgt_pp, fine_factor, axis=1)
-            )
-        )
-    )
+    distances[labels[2]] = _cell_l1(rep_pp, tgt_pp, fine_factor, 1)
 
     return {
         "distances": distances,
@@ -587,19 +579,12 @@ def _verify_2d_mc(chain, psi, mc_samples, seed, group=4):
         h = np.bincount(a * nb + b, minlength=na * nb) / mc_samples
         return h.reshape(na, nb)
 
-    def coarse(arr):
-        g = _group_fine_axis(arr, group, axis=0)
-        return _group_fine_axis(g, group, axis=1)
-
-    def l1(rep, tgt):
-        return float(np.sum(np.abs(coarse(rep) - coarse(tgt))))
-
-    distances = {labels[0]: l1(hist2(k1, k2, n1, n2), base)}
+    distances = {labels[0]: _cell_l1(hist2(k1, k2, n1, n2), base, group, 0, 1)}
     if first == 0:
-        distances[labels[1]] = l1(hist2(kp1, k2, pax1.n, n2), tgt_m)
+        distances[labels[1]] = _cell_l1(hist2(kp1, k2, pax1.n, n2), tgt_m, group, 0, 1)
     else:
-        distances[labels[1]] = l1(hist2(k1, kp2, n1, pax2.n), tgt_m)
-    distances[labels[2]] = l1(hist2(kp1, kp2, pax1.n, pax2.n), tgt_mm)
+        distances[labels[1]] = _cell_l1(hist2(k1, kp2, n1, pax2.n), tgt_m, group, 0, 1)
+    distances[labels[2]] = _cell_l1(hist2(kp1, kp2, pax1.n, pax2.n), tgt_mm, group, 0, 1)
     return {
         "distances": distances,
         "method": "mc",
@@ -651,14 +636,7 @@ def ccs_distance(chain, psi, ccs, fine_factor=4):
     ).T
     fine_dens, fine_ax = _oversampled_momentum_density(psi, axis=other, factor=fine_factor)
     tgt = _oriented(fine_dens, first) * psi.axes[first].spacing * fine_ax.spacing
-    return float(
-        np.sum(
-            np.abs(
-                _group_fine_axis(rep, fine_factor, axis=1)
-                - _group_fine_axis(tgt, fine_factor, axis=1)
-            )
-        )
-    )
+    return _cell_l1(rep, tgt, fine_factor, 1)
 
 
 # ---------------------------------------------------------------------------

@@ -85,20 +85,27 @@ def density(psi):
     return psi.density()
 
 
-def _finalize(values, axes, deficit_tol=1e-6, meta=None):
-    """Check the sampled norm, renormalize exactly, record the defect."""
-    vol = float(np.prod([ax.spacing for ax in axes]))
-    norm2 = float(np.sum(np.abs(values) ** 2) * vol)
-    if norm2 <= 0.0:
-        raise ValidationError("wavefunction has zero norm on the grid")
-    defect = abs(norm2 - 1.0)
+def _norm_defect(norm2, deficit_tol=1e-6, norm2_exact=1.0):
+    """Relative defect of a sampled norm against the continuum norm; raise
+    if it exceeds deficit_tol or the norm is not a positive double."""
+    if not 0.0 < norm2 < math.inf:
+        raise ValidationError("wavefunction norm on the grid is %r, not a positive double" % norm2)
+    defect = abs(norm2 / norm2_exact - 1.0)
     if defect > deficit_tol:
         raise TruncationError(
             "sampled norm deficit %.3g exceeds %.3g; enlarge or refine the grid"
             % (defect, deficit_tol)
         )
+    return defect
+
+
+def _finalize(values, axes, deficit_tol=1e-6, meta=None):
+    """Check the sampled norm, renormalize exactly, record the defect."""
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        vol = float(np.prod([ax.spacing for ax in axes]))
+        norm2 = float(np.sum(np.abs(values) ** 2) * vol)
     out_meta = dict(meta or {})
-    out_meta["norm_defect"] = defect
+    out_meta["norm_defect"] = _norm_defect(norm2, deficit_tol)
     return GridWavefunction(tuple(axes), values / np.sqrt(norm2), out_meta)
 
 
@@ -167,7 +174,10 @@ def _gaussian_values(x, x0, p0, sigma, t, mass):
 
 def gaussian_spread(sigma, t, mass):
     """Position standard deviation of the freely evolved Gaussian."""
-    return float(np.sqrt(sigma**2 + t**2 / (4.0 * sigma**2 * mass**2)))
+    try:
+        return float(np.sqrt(sigma**2 + t**2 / (4.0 * sigma**2 * mass**2)))
+    except (OverflowError, ZeroDivisionError):  # a square left double range
+        raise DomainError("sigma, t and mass put the packet width outside double range") from None
 
 
 def gaussian_packet(x0=0.0, p0=0.0, sigma=1.0, t=0.0, mass=1.0, n=2048, xmax=None):
@@ -246,7 +256,10 @@ def correlated_gaussian_2d(rho=0.5, sigma=1.0, n=256, xmax=8.0):
     q = (x1**2 + x2**2 - 2.0 * rho * x1 * x2) / (1.0 - rho**2)
     values = np.exp(-q / (4.0 * sigma**2)).astype(complex)
     norm2 = np.sum(np.abs(values) ** 2) * ax.spacing**2
-    return GridWavefunction((ax, ax), values / np.sqrt(norm2), {"rho": rho, "sigma": sigma})
+    # the continuum integral of |values|^2 is 2 pi sigma^2 sqrt(1 - rho^2)
+    defect = _norm_defect(norm2, norm2_exact=2.0 * np.pi * sigma**2 * np.sqrt(1.0 - rho**2))
+    meta = {"rho": rho, "sigma": sigma, "norm_defect": defect}
+    return GridWavefunction((ax, ax), values / np.sqrt(norm2), meta)
 
 
 def tensor(psi1, psi2):

@@ -238,10 +238,17 @@ def hudson_check(psi, residual_tol=1e-6):
 # two-mode squeezed vacuum, displaced parity, CHSH
 
 
+def _cosh_sinh_2r(r):
+    """cosh(2r) and sinh(2r), which leave double range for |r| above about 355."""
+    try:
+        return math.cosh(2.0 * r), math.sinh(2.0 * r)
+    except OverflowError:
+        raise DomainError("squeezing r = %g overflows cosh(2r); keep |r| below 355" % r) from None
+
+
 def tmsv_wigner(r, q1, q2, p1, p2):
     """Wigner function of the two-mode squeezed vacuum (hbar = 1 quadratures)."""
-    c = math.cosh(2.0 * r)
-    s = math.sinh(2.0 * r)
+    c, s = _cosh_sinh_2r(r)
     q1, q2, p1, p2 = np.broadcast_arrays(q1, q2, p1, p2)
     quad = c * (q1**2 + q2**2 + p1**2 + p2**2) - 2.0 * s * (q1 * q2 - p1 * p2)
     return np.exp(-quad) / math.pi**2
@@ -255,8 +262,7 @@ def parity_correlation(r, alpha, beta):
     """
     alpha = complex(alpha)
     beta = complex(beta)
-    c = math.cosh(2.0 * r)
-    s = math.sinh(2.0 * r)
+    c, s = _cosh_sinh_2r(r)
     val = -2.0 * c * (abs(alpha) ** 2 + abs(beta) ** 2) + 4.0 * s * (alpha * beta).real
     return math.exp(val)
 

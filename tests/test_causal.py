@@ -1,3 +1,6 @@
+import hashlib
+import itertools
+
 import numpy as np
 import pytest
 
@@ -31,6 +34,96 @@ def test_group_fine_axis():
     b[:2] = b[-2:] = 0.0
     g = causal._group_fine_axis(b, 4)
     assert g.sum() == pytest.approx(b.sum(), rel=1e-12)
+
+
+def _ref_group_fine_axis(fine, factor):
+    """Coarse cell k, one fine cell at a time: fine cells factor*k - factor/2
+    .. factor*k + factor/2, the two straddling its edges at half weight."""
+    half = factor // 2
+    out = []
+    for k in range(len(fine) // factor):
+        total = 0.0
+        for j in range(factor * k - half, factor * k + half + 1):
+            if 0 <= j < len(fine):
+                total += (0.5 if abs(j - factor * k) == half else 1.0) * fine[j]
+        out.append(total)
+    return np.array(out)
+
+
+@pytest.mark.parametrize("factor", [2, 4, 8])
+def test_group_fine_axis_matches_per_cell_sum(factor):
+    rng = np.random.default_rng(factor)
+    fine = rng.random((6 * factor, 5))
+    want = np.stack([_ref_group_fine_axis(fine[:, c], factor) for c in range(5)], axis=1)
+    tol = (factor + 1) * np.finfo(float).eps  # a sum of at most factor + 1 masses
+    np.testing.assert_allclose(causal._group_fine_axis(fine, factor, axis=0), want, rtol=tol)
+    for rows in (fine.T, np.ascontiguousarray(fine.T)):  # strided and contiguous
+        np.testing.assert_allclose(causal._group_fine_axis(rows, factor, axis=1), want.T, rtol=tol)
+    np.testing.assert_allclose(causal._group_fine_axis(fine[:, 0], factor), want[:, 0], rtol=tol)
+
+
+def _skewed_state(n, xmax):
+    """A complex 2-D state that is not symmetric under x1 <-> x2, so the two
+    orderings build different chains."""
+    ax = waves.position_axis(n, xmax)
+    x1, x2 = ax.points()[:, None], ax.points()[None, :]
+    values = np.exp(
+        -(x1**2 + 2.0 * x2**2 - 1.2 * x1 * x2) / 4.0
+        + 1j * (0.8 * x1 - 0.3 * x1 * x2 + 0.2 * x2**2)
+    )
+    norm2 = np.sum(np.abs(values) ** 2) * ax.spacing**2
+    return waves.GridWavefunction((ax, ax), values / np.sqrt(norm2), {})
+
+
+def _ref_double_fine_masses(psi, first, factor):
+    """Both axes padded at once and the (factor*n0, factor*n1) array
+    transformed along axis 0, then axis 1."""
+    ax0, ax1 = psi.axes
+    padded = np.zeros((factor * ax0.n, factor * ax1.n), dtype=complex)
+    s0 = (factor - 1) * ax0.n // 2
+    s1 = (factor - 1) * ax1.n // 2
+    padded[s0 : s0 + ax0.n, s1 : s1 + ax1.n] = psi.values
+    big = waves.GridWavefunction(
+        (waves.Axis(factor * ax0.n, ax0.spacing), waves.Axis(factor * ax1.n, ax1.spacing)),
+        padded,
+        {},
+    )
+    big_mm = waves.fourier(waves.fourier(big, axis=0), axis=1)
+    masses = big_mm.density() * big_mm.axes[0].spacing * big_mm.axes[1].spacing
+    return causal._group_fine_axis(masses if first == 0 else masses.T, factor, axis=0)
+
+
+@pytest.mark.parametrize("n", [32, 64])
+def test_double_fine_masses_equal_fully_padded_transform(n):
+    for psi in (_skewed_state(n, 8.0), waves.correlated_gaussian_2d(rho=0.5, n=n, xmax=8.0)):
+        for first in (0, 1):
+            np.testing.assert_array_equal(
+                causal._double_fine_masses(psi, first, 4), _ref_double_fine_masses(psi, first, 4)
+            )
+
+
+# sha256 prefixes of the map tables of rs_map_2d on _skewed_state (map1_nodes,
+# map1_edges, map2_nodes and map2_edges, in that order), epsilon pairs in the
+# order (1, 1), (1, -1), (-1, 1), (-1, -1); recorded with the complex-key
+# table search (numpy 2.4, x86-64), which the merged search must match bit
+# for bit
+MAP_2D_DIGESTS = {
+    (64, "px"): ["f29a83a133e86666", "766696fa88ab8d47", "1b366dbfa1f74040", "0d3c3b93fb9339a3"],
+    (64, "xp"): ["48adae32d5771577", "12055af8bae45c98", "bb163d0764df9ef0", "9c4bb188108f0187"],
+    (128, "px"): ["13cd551ba939f251", "cad1d9b7aaaf40fa", "931e6305a0b89199", "f2c6619c544d0f2f"],
+    (128, "xp"): ["f08ff6419e6dcf06", "b79e8cad72eea8d7", "8229797e6eaf925f", "9f6081b519305f69"],
+}
+
+
+@pytest.mark.parametrize("n, ordering", sorted(MAP_2D_DIGESTS))
+def test_rs_map_2d_tables_pinned(n, ordering):
+    psi = _skewed_state(n, 8.0 if n == 64 else 10.0)
+    for (e1, e2), want in zip(itertools.product((1, -1), repeat=2), MAP_2D_DIGESTS[n, ordering]):
+        chain = causal.rs_map_2d(psi, e1, e2, ordering)
+        digest = hashlib.sha256()
+        for name in ("map1_nodes", "map1_edges", "map2_nodes", "map2_edges"):
+            digest.update(getattr(chain, name).tobytes())
+        assert digest.hexdigest()[:16] == want, (n, ordering, e1, e2)
 
 
 def test_momentum_field_of_boosted_packet():

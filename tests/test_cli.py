@@ -115,6 +115,25 @@ def test_out_of_domain_counts_and_signs_exit_2(capsys, argv):
     assert err.count("error:") == 1 and "Traceback" not in err
 
 
+# finite inputs whose state or squeezing leaves double range (exit 2), and a
+# 2-D grid too small for its state (exit 3)
+OUT_OF_RANGE_PROBES = [
+    (("parity-chsh", "--r", "400"), 2),
+    (("parity-chsh", "--r", "1000", "--displacements", "0.1,0,0,-0.1"), 2),
+    (("rs1d", "--sigma", "1e-300"), 2),
+    (("wigner", "--state", "psi-plus-grid", "--cutoff", "1e-300", "--n", "16"), 2),
+    (("rs2d", "--xmax", "3", "--n", "64"), 3),
+]
+
+
+@pytest.mark.parametrize("argv, want", OUT_OF_RANGE_PROBES)
+def test_out_of_range_states_exit_without_output(capsys, argv, want):
+    code, out, err = run(capsys, *argv)
+    assert code == want
+    assert out == ""
+    assert err.count("error:") == 1 and "Traceback" not in err
+
+
 def test_non_finite_result_is_refused(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(
         cli, "_cmd_chsh", lambda args: ({"s": float("nan")}, (("s",), iter([(1.0,)])))

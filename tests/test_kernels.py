@@ -260,6 +260,30 @@ def _plateau_cdfs(rng, n, ncols):
     return causal._cdf_edges(masses)
 
 
+@pytest.mark.parametrize("descending", [False, True])
+def test_search_columns_matches_searchsorted_both_sides(descending):
+    # CDFs with interior plateaus, repeated values and flat tails at exactly
+    # 0 and 1; queries hit CDF values exactly (plateaus included), repeat,
+    # sit at 0 and 1 and fall between values, in one sorted order per column
+    rng = np.random.default_rng(11)
+    n, ncols = 48, 9
+    f = _plateau_cdfs(rng, n, ncols)
+    u = np.concatenate([
+        f[rng.integers(0, n + 1, 20), np.arange(ncols)[:, None]].T,
+        np.repeat(rng.random((5, ncols)), 2, axis=0),
+        np.zeros((2, ncols)),
+        np.ones((2, ncols)),
+        rng.random((25, ncols)),
+    ])
+    u = np.sort(u, axis=0)
+    if descending:
+        u = u[::-1]
+    lo, hi = causal._search_columns(f, u)
+    for k in range(ncols):
+        np.testing.assert_array_equal(lo[:, k], np.searchsorted(f[:, k], u[:, k], side="left"))
+        np.testing.assert_array_equal(hi[:, k], np.searchsorted(f[:, k], u[:, k], side="right"))
+
+
 def test_cdf_edges_batched_equals_column_loop():
     # slice norms must not depend on batching: a column sums pairwise, as
     # a 1-D array does, not row after row
