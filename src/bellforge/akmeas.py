@@ -22,6 +22,7 @@ assignments are distinct observables.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -123,6 +124,8 @@ def ak_distribution(psi, b):
         raise ValidationError("joint record needs a 1-D position-representation state")
     if b <= 0:
         raise DomainError("window width must be positive")
+    if not sys.float_info.min <= b * b <= sys.float_info.max:
+        raise DomainError("window width b = %g leaves double range: b^2 is not a normal double" % b)
     ax = psi.axes[0]
     x = ax.points()
     n = ax.n

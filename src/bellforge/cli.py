@@ -17,7 +17,7 @@ import sys
 import numpy as np
 
 from . import akmeas, causal, lhv, psbell, spinor, waves, wigner
-from .errors import BellforgeError, ValidationError
+from .errors import BellforgeError, GridResolutionError, ValidationError
 
 SCHEMA_VERSION = "1"
 
@@ -183,7 +183,7 @@ def _cmd_lhv(args):
     payload = {
         "schema_version": SCHEMA_VERSION,
         "command": "lhv",
-        "method": "brute-force" if args.brute_force else "nnls",
+        "method": "brute-force" if args.brute_force else "min-norm",
         "source": source,
         "correlators": {
             "%d%d" % (i + 1, j + 1): float(corr[i, j]) for i in range(2) for j in range(2)
@@ -394,6 +394,11 @@ def _cmd_ak_compare(args):
     m = causal.rs_map_1d(psi_map)
     p_rs = m.evaluate(peaks["x1"])
     usable = ~peaks["flat"]
+    if usable.sum() < 2:
+        raise GridResolutionError(
+            "only %d conditional ridge(s) could be located; the window b = %g"
+            " is too narrow or too wide for the grid" % (usable.sum(), args.b)
+        )
     slope_rs = float(np.polyfit(peaks["x1"][usable], p_rs[usable], 1)[0])
 
     mean1, var1 = record.mean_var_x1()

@@ -9,22 +9,31 @@ to at most 2.
 
 Two independent deciders are provided and must agree:
 
-* ``lhv_feasible``        nonnegative least squares against the 16 vertices
+* ``lhv_feasible``        the minimum-norm vertex mixture (a small exact
+  quadratic program); feasible when it reproduces the behavior
 * ``brute_force_feasible`` explicit facet check; the classical bound of
-  every sign variant is recomputed by enumerating the vertices
+  every sign variant is computed by enumerating the vertices
+
+The mixture is the unique q minimizing ||q||^2 subject to V q = p and
+q >= 0, with V the 16x16 vertex matrix.  Among the 7-parameter family of
+mixtures that fit a behavior it is the one closest to uniform, so it is a
+continuous function of p and does not depend on how a solver wanders.
 """
 
+import functools
 from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
-from scipy.optimize import nnls
 
 from .errors import BellforgeError, ValidationError
 from .spinor import _axes, _correlation_tensor, check_state
 
 _SIGNS = (1, -1)
 _FEAS_TOL = 1e-7
+_ENTER_TOL = 1e-14  # weights above -_ENTER_TOL count as nonnegative
+_DEPENDENT_TOL = 1e-10  # an entering bound this close to the active span is dependent
+_MAX_QP_STEPS = 64
 
 
 @dataclass(frozen=True)
@@ -128,64 +137,147 @@ def _vertices():
     return list(product(_SIGNS, _SIGNS, _SIGNS, _SIGNS))
 
 
-_VMAT = None
+def _read_only(a):
+    a.flags.writeable = False
+    return a
 
 
+@functools.cache
 def _vertex_matrix():
     """16x16 matrix: column v gives the behavior of deterministic strategy v.
 
     Row index flattens (i, j, ri, si); column index flattens (ir1, ir2, is1, is2).
     """
-    global _VMAT
-    if _VMAT is None:
-        m = np.zeros((16, 16))
-        for col, (r1, r2, s1, s2) in enumerate(_vertices()):
-            r_of = (r1, r2)
-            s_of = (s1, s2)
-            for i in range(2):
-                for j in range(2):
-                    ri = _SIGNS.index(r_of[i])
-                    si = _SIGNS.index(s_of[j])
-                    m[((i * 2 + j) * 2 + ri) * 2 + si, col] = 1.0
-        _VMAT = m
-    return _VMAT
+    m = np.zeros((16, 16))
+    for col, (r1, r2, s1, s2) in enumerate(_vertices()):
+        r_of = (r1, r2)
+        s_of = (s1, s2)
+        for i in range(2):
+            for j in range(2):
+                ri = _SIGNS.index(r_of[i])
+                si = _SIGNS.index(s_of[j])
+                m[((i * 2 + j) * 2 + ri) * 2 + si, col] = 1.0
+    return _read_only(m)
 
 
-def _facet_variants():
-    """The 8 CHSH sign patterns (odd number of minus signs)."""
+@functools.cache
+def _qp_operators():
+    """V^+ and G = N N^T, the orthogonal projector onto null(V), from one SVD.
+
+    V has rank 9: 16 weights meet 9 independent constraints (the
+    normalization is the sum of any setting pair's four rows).
+    """
+    u, s, vt = np.linalg.svd(_vertex_matrix())
+    rank = int(np.sum(s > 1e-10 * s[0]))
+    pinv = vt[:rank].T @ (u[:, :rank] / s[:rank]).T
+    null = vt[rank:].T
+    return _read_only(pinv), _read_only(null @ null.T)
+
+
+@functools.cache
+def _facets():
+    """The 8 CHSH sign patterns (odd number of minus signs), each with its
+    classical bound, the largest value any of the 16 vertices gives it."""
     out = []
     for c in product(_SIGNS, repeat=4):
         if c[0] * c[1] * c[2] * c[3] == -1:
-            out.append(np.array(c, dtype=float).reshape(2, 2))
-    return out
+            coeffs = np.array(c, dtype=float).reshape(2, 2)
+            values = _vertex_matrix().T @ np.einsum(
+                "ij,r,s->ijrs", coeffs, [1.0, -1.0], [1.0, -1.0]
+            ).reshape(16)
+            out.append((_read_only(coeffs), float(np.max(values))))
+    return tuple(out)
 
 
 def _best_certificate(behavior):
     e = behavior.correlators()
     best = None
-    for coeffs in _facet_variants():
+    for coeffs, bound in _facets():
         value = float(np.sum(coeffs * e))
-        # classical bound recomputed from the vertices, not assumed
-        bounds = _vertex_matrix().T @ np.einsum(
-            "ij,r,s->ijrs", coeffs, [1.0, -1.0], [1.0, -1.0]
-        ).reshape(16)
-        bound = float(np.max(bounds))
         if best is None or value - bound > best.value - best.bound:
             best = Certificate(coeffs=coeffs, value=value, bound=bound)
     return best
 
 
+def _min_norm_weights(p):
+    """Goldfarb-Idnani dual active set for min ||q||^2, V q = p, q >= 0.
+
+    Starts from q0 = V^+ p, the unconstrained minimum, and moves only
+    inside null(V), so V q = V q0 throughout.  The Hessian is the identity,
+    so the slack of bound i is q_i itself, and the primal step that raises
+    q_k while keeping the active bounds at zero is row k of the projector
+    onto null(V) with those bounds removed.  That projector starts as G and
+    takes a rank-one update per added or dropped bound, as does
+    ``m = H G[active]``, whose column k is the change in the active
+    multipliers per unit step (H inverts G[active, active]).  Returns q at
+    the optimum, or at the step that proves the bounds and V q = p
+    inconsistent: the entering bound depends on the active ones and no
+    active multiplier can drop.  Goldfarb & Idnani, Math. Programming 27, 1
+    (1983).
+    """
+    pinv, g = _qp_operators()
+    q = pinv @ p
+    proj = g.copy()
+    m = np.empty((16, 16))
+    mult = np.empty(16)
+    active = []
+    for _ in range(_MAX_QP_STEPS):
+        k = int(q.argmin())
+        if q[k] >= -_ENTER_TOL:
+            return q
+        mult_k = 0.0
+        while True:
+            na = len(active)
+            step = proj[k].copy()
+            gamma = step[k]
+            dmult = m[:na, k]
+            t_dual, drop = np.inf, -1  # step that brings a multiplier to zero
+            for i in range(na):
+                if dmult[i] > 0.0 and mult[i] / dmult[i] < t_dual:
+                    t_dual, drop = mult[i] / dmult[i], i
+            t_full = -q[k] / gamma if gamma > _DEPENDENT_TOL else np.inf
+            if t_full == np.inf and t_dual == np.inf:
+                return q
+            t = min(t_full, t_dual)
+            if t_full < np.inf:
+                q += t * step
+            mult[:na] -= t * dmult
+            mult_k += t
+            if t_full <= t_dual:
+                q[k] = 0.0
+                mult[na] = mult_k
+                step /= gamma
+                m[:na] -= dmult[:, None] * step
+                m[na] = step
+                proj -= np.multiply.outer(proj[k], step)
+                active.append(k)
+                break
+            # bound `drop` leaves the active set; since G is idempotent,
+            # H = m m^T, so row `drop` of m gives both rank-one updates
+            del active[drop]
+            mult[drop:na - 1] = mult[drop + 1:na]
+            row = m[drop] / np.sqrt(m[drop] @ m[drop])
+            m[drop:na - 1] = m[drop + 1:na]
+            m[:na - 1] -= np.multiply.outer(m[:na - 1] @ row, row)
+            proj += np.multiply.outer(row, row)
+    raise BellforgeError("minimum-norm mixture did not converge in %d steps" % _MAX_QP_STEPS)
+
+
 def _mixture_weights(behavior):
-    """Least-squares vertex mixture; returns (weights, max marginal error)."""
-    a = np.vstack([_vertex_matrix(), np.ones((1, 16))])
-    y = np.concatenate([behavior.p.reshape(16), [1.0]])
-    w, _ = nnls(a, y)
-    resid = np.max(np.abs(_vertex_matrix() @ w - behavior.p.reshape(16)))
+    """Minimum-norm vertex mixture; returns (weights, max marginal error).
+
+    The weights are clipped at zero, so a behavior outside the local
+    polytope, where the quadratic program stops at a point with negative
+    weights, shows up as a marginal error.
+    """
+    p = behavior.p.reshape(16)
+    w = np.clip(_min_norm_weights(p), 0.0, None)
+    resid = np.max(np.abs(_vertex_matrix() @ w - p))
     return w, float(max(resid, abs(w.sum() - 1.0)))
 
 
 def lhv_feasible(behavior):
-    """Decide local-model feasibility by vertex-mixture least squares.
+    """Decide local-model feasibility by the minimum-norm vertex mixture.
 
     Feasible: returns the mixture as a joint distribution over the 16
     outcome tuples.  Infeasible: returns the sign variant exceeding its
@@ -193,7 +285,6 @@ def lhv_feasible(behavior):
     """
     w, resid = _mixture_weights(behavior)
     if resid <= _FEAS_TOL:
-        w = np.clip(w, 0.0, None)
         return LhvResult(feasible=True, joint=JointDistribution(w.reshape(2, 2, 2, 2) / w.sum()))
     cert = _best_certificate(behavior)
     if cert.value <= cert.bound + _FEAS_TOL:
@@ -217,7 +308,6 @@ def brute_force_feasible(behavior):
         raise BellforgeError(
             "all facets satisfied but no mixture found (residual %g)" % resid
         )
-    w = np.clip(w, 0.0, None)
     return LhvResult(feasible=True, joint=JointDistribution(w.reshape(2, 2, 2, 2) / w.sum()))
 
 

@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import eval_hermite
 
 from .errors import DomainError, TruncationError, ValidationError
 
@@ -159,15 +158,19 @@ def dft_at(psi, p_values, axis=0):
 
 
 def _gaussian_values(x, x0, p0, sigma, t, mass):
-    sigma_c = sigma * (1.0 + 1.0j * t / (2.0 * mass * sigma**2))
-    center = x0 + p0 * t / mass
+    try:
+        sigma_c = sigma * (1.0 + 1.0j * t / (2.0 * mass * sigma**2))
+        center = x0 + p0 * t / mass
+        phase = p0**2 * t / (2.0 * mass)
+    except OverflowError:  # p0**2 left double range
+        raise DomainError("p0, t and mass put the packet phase outside double range") from None
     return (
         (2.0 * np.pi) ** (-0.25)
         * sigma_c ** (-0.5)
         * np.exp(
             -((x - center) ** 2) / (4.0 * sigma * sigma_c)
             + 1.0j * p0 * (x - x0)
-            - 1.0j * p0**2 * t / (2.0 * mass)
+            - 1.0j * phase
         )
     )
 
@@ -235,13 +238,21 @@ def two_gaussian_packet(t=0.0, mass=1.0, n=4096, xmax=24.0):
 
 
 def excited_state(level, n=2048, xmax=16.0):
-    """Harmonic-oscillator eigenstate (m = omega = 1), grid-sampled."""
+    """Harmonic-oscillator eigenstate (m = omega = 1), grid-sampled.
+
+    Built by the three-term recurrence of the normalized Hermite functions,
+    psi_{k+1} = sqrt(2/(k+1)) x psi_k - sqrt(k/(k+1)) psi_{k-1}, from
+    psi_0 = pi^(-1/4) exp(-x^2/2), so no factorial or H_k(x) leaves double
+    range at high levels (Bunck, BIT Numer. Math. 49, 281 (2009)).
+    """
     if level < 0:
         raise DomainError("level must be a nonnegative integer")
     ax = position_axis(n, xmax)
     x = ax.points()
-    norm = (2.0**level * float(math.factorial(level)) * np.sqrt(np.pi)) ** (-0.5)
-    values = norm * eval_hermite(level, x) * np.exp(-(x**2) / 2.0)
+    prev = np.zeros_like(x)
+    values = np.pi**-0.25 * np.exp(-(x**2) / 2.0)
+    for k in range(level):
+        prev, values = values, math.sqrt(2.0 / (k + 1)) * x * values - math.sqrt(k / (k + 1)) * prev
     return _finalize(values.astype(complex), (ax,), meta={"level": level})
 
 

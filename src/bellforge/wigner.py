@@ -29,7 +29,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import optimize
 
 from . import waves
 from .errors import DomainError, ValidationError
@@ -263,8 +262,31 @@ def parity_correlation(r, alpha, beta):
     alpha = complex(alpha)
     beta = complex(beta)
     c, s = _cosh_sinh_2r(r)
-    val = -2.0 * c * (abs(alpha) ** 2 + abs(beta) ** 2) + 4.0 * s * (alpha * beta).real
+    try:
+        val = -2.0 * c * (abs(alpha) ** 2 + abs(beta) ** 2) + 4.0 * s * (alpha * beta).real
+    except OverflowError:  # a squared displacement left double range
+        val = math.nan
+    if not val <= 0.0:
+        val = _nonpositive_exponent(r, alpha, beta)
     return math.exp(val)
+
+
+def _nonpositive_exponent(r, alpha, beta):
+    """The exponent of E as a sum of nonpositive terms,
+
+        -2 e^{-2|r|} (|alpha|^2 + |beta|^2) - 2 sinh(2|r|) |alpha - sgn(r) beta*|^2,
+
+    from cosh(2r) = sinh(2|r|) + e^{-2|r|}.  E <= 1, so the direct exponent
+    is never positive; where it reads positive or NaN, its two terms of
+    size cosh(2r) cancelled to rounding noise (or to inf - inf).
+    """
+    ar = abs(r)
+    val = -2.0 * math.exp(-2.0 * ar) * (abs(alpha) * abs(alpha) + abs(beta) * abs(beta))
+    squeeze = math.sinh(2.0 * ar)
+    if squeeze:
+        diff = alpha - math.copysign(1.0, r) * beta.conjugate()
+        val -= 2.0 * squeeze * (diff.real * diff.real + diff.imag * diff.imag)
+    return val
 
 
 def chsh_parity(r, displacements):
@@ -284,6 +306,61 @@ def _protocol_value(r, d1, d2):
     return chsh_parity(r, (d1, 0.0, 0.0, -d2))
 
 
+def _nelder_mead(loss, x0, xatol, fatol, maxiter):
+    """Unbounded, non-adaptive Nelder-Mead; returns (x, loss(x)).
+
+    A step-for-step copy of scipy.optimize.minimize(method="Nelder-Mead")
+    with these options (same initial simplex, arithmetic, sorts and
+    stopping test), so it returns the same bits.
+    """
+    n = len(x0)
+    sim = np.tile(x0, (n + 1, 1))
+    for k in range(n):
+        sim[k + 1, k] = 1.05 * x0[k] if x0[k] != 0 else 0.00025
+    fsim = np.array([loss(x) for x in sim], dtype=float)
+    # scipy sorts twice here; argsort need not be stable, so a second sort
+    # may still reorder ties
+    for _ in range(2):
+        ind = np.argsort(fsim)
+        sim = np.take(sim, ind, 0)
+        fsim = np.take(fsim, ind, 0)
+
+    iterations = 1
+    while iterations < maxiter:
+        if (np.max(np.ravel(np.abs(sim[1:] - sim[0]))) <= xatol
+                and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol):
+            break
+        xbar = np.add.reduce(sim[:-1], 0) / n
+        xr = 2 * xbar - sim[-1]
+        fxr = loss(xr)
+        if fxr < fsim[0]:
+            xe = 3 * xbar - 2 * sim[-1]
+            fxe = loss(xe)
+            sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+        elif fxr < fsim[-2]:
+            sim[-1], fsim[-1] = xr, fxr
+        else:
+            if fxr < fsim[-1]:  # outside contraction
+                xc = 1.5 * xbar - 0.5 * sim[-1]
+                fxc = loss(xc)
+                shrink = not fxc <= fxr
+            else:  # inside contraction
+                xc = 0.5 * xbar + 0.5 * sim[-1]
+                fxc = loss(xc)
+                shrink = not fxc < fsim[-1]
+            if shrink:
+                for j in range(1, n + 1):
+                    sim[j] = sim[0] + 0.5 * (sim[j] - sim[0])
+                    fsim[j] = loss(sim[j])
+            else:
+                sim[-1], fsim[-1] = xc, fxc
+        iterations += 1
+        ind = np.argsort(fsim)
+        sim = np.take(sim, ind, 0)
+        fsim = np.take(fsim, ind, 0)
+    return sim[0], np.min(fsim)
+
+
 def maximize_chsh_parity(r, search="protocol"):
     """Best CHSH value over displacement choices at fixed squeezing.
 
@@ -291,7 +368,8 @@ def maximize_chsh_parity(r, search="protocol"):
     (a, b, a', b') = (d1, 0, 0, -d2) with d1, d2 >= 0, the configuration
     whose large-r optimum is 1 + 2*2^(-1/3) - 2^(-4/3).  search="full"
     optimizes four independent real displacements and can exceed the
-    protocol value; neither search can pass 2*sqrt(2).
+    protocol value; neither search can pass 2*sqrt(2).  Each search runs
+    Nelder-Mead from four seeds and keeps the best.
     """
     if r < 0:
         raise DomainError("squeezing parameter must be nonnegative")
@@ -315,20 +393,19 @@ def maximize_chsh_parity(r, search="protocol"):
     else:
         raise DomainError("search must be 'protocol' or 'full'")
 
-    best = None
+    best_x, best_fun = None, None
     for seed in seeds:
-        res = optimize.minimize(
-            loss, np.asarray(seed, dtype=float), method="Nelder-Mead",
-            options={"xatol": 1e-10, "fatol": 1e-12, "maxiter": 4000},
+        x, fun = _nelder_mead(
+            loss, np.asarray(seed, dtype=float), xatol=1e-10, fatol=1e-12, maxiter=4000
         )
-        if best is None or res.fun < best.fun:
-            best = res
-    s_max = -float(best.fun)
+        if best_fun is None or fun < best_fun:
+            best_x, best_fun = x, fun
+    s_max = -float(best_fun)
     if search == "protocol":
-        d1, d2 = abs(best.x[0]), abs(best.x[1])
+        d1, d2 = abs(best_x[0]), abs(best_x[1])
         displacements = (d1, 0.0, 0.0, -d2)
     else:
-        displacements = tuple(float(v) for v in best.x)
+        displacements = tuple(float(v) for v in best_x)
     return {
         "r": float(r),
         "search": search,

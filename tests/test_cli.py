@@ -2,6 +2,9 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -57,6 +60,7 @@ def test_output_deterministic(capsys):
 def test_lhv_correlators(capsys):
     c = 1.0 / math.sqrt(2.0)
     doc = run_json(capsys, "lhv", "--correlators", f"{c},{-c},{c},{c}")
+    assert doc["method"] == "min-norm"
     assert not doc["feasible"]
     assert doc["certificate"]["value"] == pytest.approx(2.0 * math.sqrt(2.0), abs=1e-6)
     assert doc["certificate"]["bound"] == pytest.approx(2.0)
@@ -66,6 +70,10 @@ def test_lhv_feasible_point(capsys):
     doc = run_json(capsys, "lhv", "--correlators", "0.3,0.3,0.3,0.3", "--brute-force")
     assert doc["feasible"]
     assert doc["joint"] is not None
+    assert doc["method"] == "brute-force"
+    # the joint is the unique minimum-norm mixture, whichever route decided
+    fast = run_json(capsys, "lhv", "--correlators", "0.3,0.3,0.3,0.3")
+    assert fast["joint"] == doc["joint"]
 
 
 def test_chsh_pipes_into_lhv(capsys, monkeypatch):
@@ -115,14 +123,19 @@ def test_out_of_domain_counts_and_signs_exit_2(capsys, argv):
     assert err.count("error:") == 1 and "Traceback" not in err
 
 
-# finite inputs whose state or squeezing leaves double range (exit 2), and a
-# 2-D grid too small for its state (exit 3)
+# finite inputs whose state, squeezing or window leaves double range (exit 2),
+# and grids too small or too coarse for what they must hold (exit 3)
 OUT_OF_RANGE_PROBES = [
     (("parity-chsh", "--r", "400"), 2),
     (("parity-chsh", "--r", "1000", "--displacements", "0.1,0,0,-0.1"), 2),
     (("rs1d", "--sigma", "1e-300"), 2),
+    (("rs1d", "--p0", "1e200"), 2),
+    (("ak-compare", "--b", "1e-300"), 2),
+    (("ak-compare", "--b", "1e200"), 2),
     (("wigner", "--state", "psi-plus-grid", "--cutoff", "1e-300", "--n", "16"), 2),
     (("rs2d", "--xmax", "3", "--n", "64"), 3),
+    (("wigner", "--state", "excited", "--level", "180"), 3),
+    (("ak-compare", "--b", "1e-3", "--n", "256"), 3),
 ]
 
 
@@ -202,6 +215,59 @@ def test_wigner_excited_minimum(capsys):
     doc = run_json(capsys, "wigner", "--state", "excited", "--level", "1", "--n", "256", "--xmax", "10")
     assert doc["min_w"] == pytest.approx(-1.0 / math.pi, abs=1e-4)
     assert not doc["gaussian"]
+
+
+def test_wigner_high_level_on_a_wide_grid(capsys):
+    doc = run_json(capsys, "wigner", "--state", "excited", "--level", "180",
+                   "--xmax", "24", "--n", "1024")
+    assert math.isfinite(doc["min_w"]) and doc["min_w"] < 0.0
+
+
+@pytest.mark.parametrize("d", ["10,10,10,10", "10,-10,10,10"])
+def test_parity_chsh_finite_at_extreme_squeezing(capsys, d):
+    doc = run_json(capsys, "parity-chsh", "--r", "354", "--displacements", d)
+    assert abs(doc["s"]) <= 2.0 * math.sqrt(2.0)
+
+
+def test_parity_chsh_full_search_at_large_r(capsys):
+    doc = run_json(capsys, "parity-chsh", "--r", "50", "--search", "full")
+    assert abs(doc["s_max"]) <= 2.0 * math.sqrt(2.0)
+
+
+# one default-sized op per subcommand, each small enough to run in a second
+COLD_OPS = [
+    ["chsh", "--angles", "0,22.5,45,67.5", "--degrees", "--maximize"],
+    ["lhv", "--correlators", "0.3,0.3,0.3,0.3"],
+    ["lhv", "--correlators", "0.7071,-0.7071,0.7071,0.7071", "--brute-force"],
+    ["rs1d"],
+    ["rs2d", "--n", "64", "--xmax", "10"],
+    ["wigner", "--state", "excited", "--level", "1"],
+    ["parity-chsh", "--r", "1"],
+    ["parity-chsh", "--r", "1", "--search", "full"],
+    ["marginal-theorem"],
+    ["ak-compare", "--n", "256"],
+]
+
+
+def test_cli_runs_without_scipy():
+    """A fresh process imports bellforge.cli, runs every subcommand and never
+    loads scipy: its import would cost more than most of the work."""
+    script = (
+        "import io, contextlib, json, sys\n"
+        "from bellforge import cli\n"
+        "codes = []\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        codes.append(cli.main(argv))\n"
+        "print(json.dumps([codes, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')]))\n"
+    )
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", script, json.dumps(COLD_OPS)], env=env,
+                          capture_output=True, text=True, timeout=300, check=True)
+    codes, scipy_modules = json.loads(proc.stdout)
+    assert codes == [0] * len(COLD_OPS)
+    assert scipy_modules == []
 
 
 def test_parity_chsh_search(capsys):

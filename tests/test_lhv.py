@@ -160,3 +160,79 @@ def test_quantum_behavior_matches_kron_reference():
         settings = ChshSettings(*(AnalyzerSetting(t, kd) for t, kd in zip(angles, kinds)))
         got = lhv.quantum_behavior(state, settings).p
         assert np.max(np.abs(got - _kron_behavior(state, settings))) < 1e-12, k
+
+
+def _sparse_feasible_behaviors(rng, count):
+    """Vertex mixtures concentrated on a few vertices, alone or mixed with a
+    PR box, kept when local: their minimum-norm joints sit on the boundary
+    q >= 0, so the active set is exercised."""
+    out = []
+    while len(out) < count:
+        w = rng.dirichlet(np.full(16, 0.15))
+        p = (lhv._vertex_matrix() @ w).reshape(2, 2, 2, 2)
+        lam = rng.choice([0.0, rng.uniform(0.0, 0.3)])
+        b = lhv.Behavior(lam * lhv.pr_box().p + (1.0 - lam) * p)
+        if lhv.brute_force_feasible(b).feasible:
+            out.append(b)
+    return out
+
+
+def _kkt_residual(q, zero_tol=1e-12):
+    """How far q is from satisfying the optimality conditions of
+    min ||q||^2 s.t. V q = p, q >= 0: q = V^T y + mu with mu >= 0 and
+    mu_i = 0 wherever q_i > 0.  Solved as a nonnegative least-squares
+    problem in (y+, y-, mu on the zero set)."""
+    from scipy.optimize import nnls
+
+    v = lhv._vertex_matrix()
+    zero = q <= zero_tol
+    a = np.hstack([v.T, -v.T, np.eye(16)[:, zero]])
+    return nnls(a, q)[1]
+
+
+def test_min_norm_joint_reproduces_p_and_is_optimal():
+    pytest.importorskip("scipy")
+    rng = np.random.default_rng(3)
+    behaviors = _sparse_feasible_behaviors(rng, 120)
+    behaviors += [b for b in (_random_no_signalling(rng) for _ in range(120))
+                  if lhv.brute_force_feasible(b).feasible]
+    on_boundary = 0
+    for b in behaviors:
+        q = lhv.lhv_feasible(b).joint.q.reshape(16)
+        assert np.max(np.abs(lhv._vertex_matrix() @ q - b.p.reshape(16))) <= 1e-12
+        assert _kkt_residual(q) <= 1e-12
+        on_boundary += bool(np.any(q == 0.0))
+    assert on_boundary > 50
+
+
+def test_kkt_check_rejects_other_mixtures():
+    """The optimality check is not vacuous: a different valid mixture of the
+    same behavior (the midpoint towards another vertex mixture) fails it."""
+    pytest.importorskip("scipy")
+    rng = np.random.default_rng(4)
+    w = rng.dirichlet(np.ones(16))
+    b = lhv.JointDistribution(w.reshape(2, 2, 2, 2)).marginal_behavior()
+    q = lhv.lhv_feasible(b).joint.q.reshape(16)
+    assert _kkt_residual(q) <= 1e-12
+    other = 0.5 * (q + w)
+    assert np.max(np.abs(lhv._vertex_matrix() @ other - b.p.reshape(16))) <= 1e-12
+    assert _kkt_residual(other) > 1e-6
+
+
+def test_min_norm_joint_is_stable_under_ulp_changes():
+    rng = np.random.default_rng(8)
+    eps = np.finfo(float).eps
+    for b in _sparse_feasible_behaviors(rng, 60):
+        q = lhv.lhv_feasible(b).joint.q
+        for _ in range(3):
+            p = b.p * (1.0 + 4.0 * eps * rng.uniform(-1.0, 1.0, b.p.shape))
+            moved = lhv.lhv_feasible(lhv.Behavior(p)).joint.q
+            assert np.max(np.abs(moved - q)) <= 1e-14
+
+
+def test_near_boundary_behaviors_agree_between_deciders():
+    """Correlator behaviors straddling the local bound S = 2."""
+    for s in (1.9, 1.99, 1.999999, 2.0, 2.000001, 2.01, 2.1):
+        e = [[s / 4.0, s / 4.0], [s / 4.0, -s / 4.0]]
+        b = lhv.behavior_from_correlators(e)
+        assert lhv.lhv_feasible(b).feasible == lhv.brute_force_feasible(b).feasible == (s <= 2.0)

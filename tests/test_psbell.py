@@ -26,6 +26,46 @@ def test_overlap_integral_frozen_values():
         psbell.overlap_integral(0.5)
 
 
+def _quad_overlap(cutoff):
+    """I(L) by adaptive quadrature of the scalar closed-form inner integral,
+    split at w = sqrt(2): the reference the tanh-sinh rule must match."""
+    from scipy import integrate
+
+    big_m = math.sqrt(cutoff + 1.0)
+
+    def inner(w):
+        d = w * w - 2.0
+        if d > 0.0:
+            m = math.sqrt(d)
+            return (math.atan(big_m / m) - math.atan(1.0 / m)) / m
+        k = math.sqrt(-d)
+        return (
+            math.log((big_m - k) / (big_m + k)) - math.log((1.0 - k) / (1.0 + k))
+        ) / (2.0 * k)
+
+    lo, _ = integrate.quad(inner, 1.0, math.sqrt(2.0), epsabs=1e-12, limit=300)
+    hi, _ = integrate.quad(inner, math.sqrt(2.0), big_m, epsabs=1e-12, limit=300)
+    return 8.0 * (lo + hi) / (math.pi * math.log(cutoff + 1.0))
+
+
+def test_overlap_integral_matches_adaptive_quadrature():
+    pytest.importorskip("scipy")
+    for cutoff in np.geomspace(1.01, 1e10, 61):
+        assert abs(psbell.overlap_integral(cutoff) - _quad_overlap(cutoff)) <= 1e-12, cutoff
+
+
+def test_overlap_nodes_avoid_the_branch_points():
+    """No node may land on w = 1 (log singularity) or w = sqrt(2) (branch
+    switch), even when the second interval is a few ulps long."""
+    for a, b in ((1.0, math.sqrt(2.0)), (math.sqrt(2.0), math.sqrt(2.0) * (1 + 1e-15)),
+                 (math.sqrt(2.0), 1e5)):
+        w, weight = psbell._tanh_sinh_nodes(a, b)
+        assert np.all((w > a) & (w < b))
+        assert np.all(np.isfinite(psbell._inner_v(w, max(b, 1.5))))
+    for cutoff in (1.0 + 1e-12, 1.01, 1e10):
+        assert math.isfinite(psbell.overlap_integral(cutoff))
+
+
 def test_family_s_frozen_and_antisymmetric():
     for cutoff, (_, s_val) in FROZEN.items():
         assert psbell.family_s(cutoff, +1) == pytest.approx(s_val, abs=1e-6)

@@ -83,6 +83,36 @@ def test_excited_states_orthonormal():
         waves.excited_state(-1)
 
 
+def _hermite_reference(level, n=2048, xmax=16.0):
+    """The eigenstate from scipy's H_k and the factorial normalization,
+    normalized on the grid as ``excited_state`` does."""
+    import math
+
+    from scipy.special import eval_hermite
+
+    x = waves.position_axis(n, xmax).points()
+    norm = (2.0**level * float(math.factorial(level)) * np.sqrt(np.pi)) ** (-0.5)
+    values = norm * eval_hermite(level, x) * np.exp(-(x**2) / 2.0)
+    return values / np.sqrt(np.sum(values**2) * (2.0 * xmax / n))
+
+
+def test_excited_state_matches_hermite_reference():
+    pytest.importorskip("scipy")
+    for level in range(61):
+        got = waves.excited_state(level).values
+        assert np.max(np.abs(got - _hermite_reference(level))) <= 1e-14, level
+
+
+def test_high_excited_state_needs_a_wide_grid():
+    """Level 180 reaches x ~ 19: a 16-wide grid truncates it, a 24-wide one
+    holds it, and no factorial or H_k overflows on the way."""
+    with pytest.raises(TruncationError):
+        waves.excited_state(180)
+    psi = waves.excited_state(180, n=1024, xmax=24.0)
+    assert psi.meta["norm_defect"] < 1e-6
+    assert np.all(np.isfinite(psi.values))
+
+
 def test_dft_matches_fft_on_grid():
     psi = waves.two_gaussian_packet()
     phi = waves.fourier(psi)

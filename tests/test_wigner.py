@@ -232,6 +232,80 @@ def test_parity_correlation_properties():
     )
 
 
+def _direct_exponent(r, alpha, beta):
+    """The exponent of E(alpha, beta) as the direct closed form evaluates it."""
+    c, s = math.cosh(2.0 * r), math.sinh(2.0 * r)
+    alpha, beta = complex(alpha), complex(beta)
+    return -2.0 * c * (abs(alpha) ** 2 + abs(beta) ** 2) + 4.0 * s * (alpha * beta).real
+
+
+def test_parity_correlation_keeps_direct_bits():
+    rng = np.random.default_rng(12)
+    for _ in range(3000):
+        r = rng.uniform(0.0, 6.0)
+        alpha, beta = rng.normal(scale=0.8, size=2) + 1j * rng.normal(scale=0.8, size=2)
+        assert wigner.parity_correlation(r, alpha, beta) == math.exp(_direct_exponent(r, alpha, beta))
+
+
+@pytest.mark.parametrize("d", [(10, 10, 10, 10), (10, -10, 10, 10), (1e200, 0, 0, 0)])
+@pytest.mark.parametrize("r", [-354.0, 50.0, 354.0])
+def test_parity_chsh_finite_at_extreme_squeezing(r, d):
+    """Where cosh(2r) |alpha|^2 and sinh(2r) Re(alpha beta) cancel to
+    rounding noise or inf - inf, E still lies in [0, 1]."""
+    for alpha in (d[0], d[1] * 1j):
+        e = wigner.parity_correlation(r, alpha, d[1])
+        assert 0.0 <= e <= 1.0
+    s = wigner.chsh_parity(r, d)
+    assert math.isfinite(s) and abs(s) <= TSIRELSON
+
+
+def test_parity_correlation_nonpositive_exponent_form():
+    """The rewritten exponent equals the direct one where both are accurate."""
+    rng = np.random.default_rng(13)
+    for _ in range(500):
+        r = rng.uniform(-3.0, 3.0)
+        alpha, beta = rng.normal(size=2) + 1j * rng.normal(size=2)
+        direct = _direct_exponent(r, alpha, beta)
+        assert wigner._nonpositive_exponent(r, alpha, beta) == pytest.approx(direct, rel=1e-12, abs=1e-12)
+
+
+def _scipy_maximize(r, search):
+    """The search as scipy.optimize.minimize runs it: the reference the
+    in-tree Nelder-Mead must reproduce bit for bit."""
+    from scipy import optimize
+
+    if search == "protocol":
+        def loss(v):
+            return -wigner._protocol_value(r, abs(v[0]), abs(v[1]))
+        seeds = [(0.05, 0.05), (0.2, 0.2), (0.5, 0.5), (0.9, 0.9)]
+    else:
+        def loss(v):
+            return -wigner.chsh_parity(r, tuple(v))
+        seeds = [(0.1, 0.0, 0.0, -0.1), (0.3, -0.05, 0.05, -0.3),
+                 (0.5, 0.1, -0.1, -0.5), (0.2, 0.2, -0.2, -0.2)]
+    best = None
+    for seed in seeds:
+        res = optimize.minimize(
+            loss, np.asarray(seed, dtype=float), method="Nelder-Mead",
+            options={"xatol": 1e-10, "fatol": 1e-12, "maxiter": 4000},
+        )
+        if best is None or res.fun < best.fun:
+            best = res
+    if search == "protocol":
+        return -float(best.fun), (abs(best.x[0]), 0.0, 0.0, -abs(best.x[1]))
+    return -float(best.fun), tuple(float(v) for v in best.x)
+
+
+@pytest.mark.parametrize("search", ["protocol", "full"])
+@pytest.mark.parametrize("r", [0.0, 0.3, 1.0, 1.7, 3.0, 6.0])
+def test_nelder_mead_matches_scipy_bit_for_bit(r, search):
+    pytest.importorskip("scipy")
+    got = wigner.maximize_chsh_parity(r, search=search)
+    s_max, displacements = _scipy_maximize(r, search)
+    assert got["s_max"] == s_max
+    assert got["displacements"] == displacements
+
+
 def test_protocol_maxima_frozen():
     values = []
     for r in sorted(PROTOCOL_MAXIMA):
