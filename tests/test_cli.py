@@ -129,11 +129,11 @@ OUT_OF_RANGE_PROBES = [
     (("parity-chsh", "--r", "400"), 2),
     (("parity-chsh", "--r", "1000", "--displacements", "0.1,0,0,-0.1"), 2),
     (("rs1d", "--sigma", "1e-300"), 2),
+    (("wigner", "--state", "psi-plus-grid", "--cutoff", "1e-300", "--n", "16"), 2),
+    (("rs2d", "--xmax", "3", "--n", "64"), 3),
     (("rs1d", "--p0", "1e200"), 2),
     (("ak-compare", "--b", "1e-300"), 2),
     (("ak-compare", "--b", "1e200"), 2),
-    (("wigner", "--state", "psi-plus-grid", "--cutoff", "1e-300", "--n", "16"), 2),
-    (("rs2d", "--xmax", "3", "--n", "64"), 3),
     (("wigner", "--state", "excited", "--level", "180"), 3),
     (("ak-compare", "--b", "1e-3", "--n", "256"), 3),
 ]
