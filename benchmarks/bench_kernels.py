@@ -9,9 +9,11 @@ The deposit benchmarks mirror the transport verifier's workload: cell
 masses pushed into a 4x oversampled histogram, as one large 1-D call
 (rs1d) and as one batched call of many short columns (rs2d).  The scan
 benchmark uses the maximizer's full correlation tables.  The Wigner rows
-time the half-spectrum transform on the `wigner` command's states: the
-two-mode psi-plus grid state at n=64 (64 x1 slabs) and a 1-D two-packet
-state at n=1024.  The 2-D transport rows time the three stages of one
+time the real-FFT transform on the `wigner` command's states: the two-mode
+psi-plus grid state at n=64 (64 x1 slabs) and at n=32 (as the command runs
+it, without the rank-4 array), a 1-D two-packet state at n=1024, and the
+1-D marginal check at the command's default n=256 against its padded-FFT
+reference.  The 2-D transport rows time the three stages of one
 deterministic `rs2d` op at the benchmark's transport shape (n=256, rho=0,
 sigma=0.7, xmax=20): the chain, its verification and the off-pair
 distance.
@@ -64,6 +66,13 @@ def bench_deposit_intervals_2d(rng, columns=256, rows=257, nbins=1024):
     return lambda: _kernels.deposit_intervals(lo, hi, w, -8.0, 16.0 / nbins, nbins)
 
 
+def bench_marginal_errors_1d(n=256):
+    psi = waves.two_gaussian_packet(n=n)
+    grid = wigner.wigner_transform(psi)
+    return ("marginal_errors_1d (1-D, %d)" % n,
+            functools.partial(wigner.marginal_errors_1d, grid, psi))
+
+
 def bench_transport_2d():
     psi = waves.correlated_gaussian_2d(rho=0.0, sigma=0.7, n=256, xmax=20.0)
     chain = causal.rs_map_2d(psi)
@@ -92,8 +101,11 @@ def main(argv=None):
         ("deposit_intervals (256 cols x 257, 1024)", bench_deposit_intervals_2d(rng)),
         ("wigner_transform (psi-plus grid, 64^2)", functools.partial(
             wigner.wigner_transform, waves.psi_marginal_state(+1, 10.0, n=64))),
+        ("wigner_transform (psi-plus grid, 32^2)", functools.partial(
+            wigner.wigner_transform, waves.psi_marginal_state(+1, 10.0, n=32), store_full=False)),
         ("wigner_transform (1-D, 1024)", functools.partial(
             wigner.wigner_transform, waves.two_gaussian_packet(n=1024, xmax=24.0))),
+        bench_marginal_errors_1d(),
         *bench_transport_2d(),
     ]
     print("%-40s %10s" % ("kernel", "best [ms]"))

@@ -150,28 +150,9 @@ def debb_momentum_field(psi):
     return field
 
 
-def _padded_transform(psi, axis, factor):
-    """Transform of one position axis onto a factor-times-finer momentum
-    grid, by zero padding that axis."""
-    ax = psi.axes[axis]
-    if ax.representation != waves.POSITION:
-        raise ValidationError("can only oversample a position-representation axis")
-    pad_n = factor * ax.n
-    shape = list(psi.values.shape)
-    shape[axis] = pad_n
-    padded = np.zeros(shape, dtype=complex)
-    start = (factor - 1) * ax.n // 2
-    sl = [slice(None)] * psi.values.ndim
-    sl[axis] = slice(start, start + ax.n)
-    padded[tuple(sl)] = psi.values
-    axes = list(psi.axes)
-    axes[axis] = waves.Axis(pad_n, ax.spacing, ax.representation)
-    return waves.fourier(waves.GridWavefunction(tuple(axes), padded, {}), axis=axis)
-
-
 def _oversampled_momentum_density(psi, axis=0, factor=4):
     """|psi_tilde|^2 on a factor-times-finer momentum grid via zero padding."""
-    fine = _padded_transform(psi, axis, factor)
+    fine = waves.padded_transform(psi, axis, factor)
     return fine.density(), fine.axes[axis]
 
 
@@ -499,7 +480,7 @@ def _double_fine_masses(psi, first, factor):
     Axis 0 is padded and transformed before axis 1 is padded, so the first
     transform runs over the n1 state columns only, not over the zero
     columns of a fully padded array."""
-    big_mm = _padded_transform(_padded_transform(psi, 0, factor), 1, factor)
+    big_mm = waves.padded_transform(waves.padded_transform(psi, 0, factor), 1, factor)
     fine_masses = big_mm.density() * big_mm.axes[0].spacing * big_mm.axes[1].spacing
     oriented = _oriented(fine_masses, first)  # (p_first fine, p_other fine)
     return _group_fine_axis(oriented, factor, axis=0)  # (p_first cells, p_other fine)

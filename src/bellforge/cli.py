@@ -315,7 +315,7 @@ def _cmd_wigner(args):
     if args.state in ("psi-plus-grid", "psi-minus-grid"):
         sign = +1 if args.state == "psi-plus-grid" else -1
         psi = waves.psi_marginal_state(sign, args.cutoff, n=args.n, xmax=args.xmax)
-        summary = wigner.wigner_transform(psi)
+        summary = wigner.wigner_transform(psi, store_full=False)
         payload.update(
             {
                 "n": args.n,
@@ -335,16 +335,9 @@ def _cmd_wigner(args):
 
     psi = _state_1d(args)
     grid = wigner.wigner_transform(psi)
-    resid = wigner.gaussianity_residual(psi)
-    payload.update(
-        {
-            "n": psi.axes[0].n,
-            "min_w": float(grid.values.min()),
-            "gaussian": bool(resid < 1e-6),
-            "residual": resid,
-            "marginal_errors": wigner.marginal_errors_1d(grid, psi),
-        }
-    )
+    payload["n"] = psi.axes[0].n
+    payload.update(wigner.hudson_check(psi, grid=grid))
+    payload["marginal_errors"] = wigner.marginal_errors_1d(grid, psi)
     x = grid.x_axis.points()
     p = grid.p_axis.points()
     rows = (

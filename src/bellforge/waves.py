@@ -137,6 +137,25 @@ def fourier(psi, axis=0):
     return GridWavefunction(tuple(axes), new_values, dict(psi.meta))
 
 
+def padded_transform(psi, axis, factor):
+    """Transform of one position axis onto a factor-times-finer momentum
+    grid, by zero padding that axis; the values are ``dft_at``'s there."""
+    ax = psi.axes[axis]
+    if ax.representation != POSITION:
+        raise ValidationError("can only oversample a position-representation axis")
+    pad_n = factor * ax.n
+    shape = list(psi.values.shape)
+    shape[axis] = pad_n
+    padded = np.zeros(shape, dtype=complex)
+    start = (factor - 1) * ax.n // 2
+    sl = [slice(None)] * psi.values.ndim
+    sl[axis] = slice(start, start + ax.n)
+    padded[tuple(sl)] = psi.values
+    axes = list(psi.axes)
+    axes[axis] = Axis(pad_n, ax.spacing, ax.representation)
+    return fourier(GridWavefunction(tuple(axes), padded, {}), axis=axis)
+
+
 def dft_at(psi, p_values, axis=0):
     """Explicit transform of one axis onto arbitrary momentum points.
 
@@ -183,11 +202,21 @@ def gaussian_spread(sigma, t, mass):
         raise DomainError("sigma, t and mass put the packet width outside double range") from None
 
 
+def _check_momentum_range(ax, p0, sigma):
+    """Past the momentum edge pi/dx the sampled state aliases: keep 8 momentum
+    widths 1/(2 sigma) between it and p0."""
+    edge = math.pi / ax.spacing
+    if edge - abs(p0) < 8.0 / (2.0 * sigma):
+        raise TruncationError("momentum range +-%.3g leaves < 8 momentum widths around p0 = %.3g"
+                              % (edge, p0))
+
+
 def gaussian_packet(x0=0.0, p0=0.0, sigma=1.0, t=0.0, mass=1.0, n=2048, xmax=None):
     """Freely evolving Gaussian packet, sampled from the closed form.
 
     The grid must cover at least 8 spread widths around the drifted center
-    at time t, otherwise the lost tail mass raises a truncation error.
+    at time t, and its momentum range at least 8 momentum widths 1/(2 sigma)
+    around p0; otherwise the lost tail mass raises a truncation error.
     """
     if sigma <= 0 or mass <= 0:
         raise DomainError("sigma and mass must be positive")
@@ -204,6 +233,7 @@ def gaussian_packet(x0=0.0, p0=0.0, sigma=1.0, t=0.0, mass=1.0, n=2048, xmax=Non
         )
     ax = position_axis(n, xmax)
     values = _gaussian_values(ax.points(), x0, p0, sigma, t, mass)
+    _check_momentum_range(ax, p0, sigma)
     meta = {"x0": x0, "p0": p0, "sigma": sigma, "t": t, "mass": mass}
     return _finalize(values, (ax,), meta=meta)
 
@@ -211,7 +241,8 @@ def gaussian_packet(x0=0.0, p0=0.0, sigma=1.0, t=0.0, mass=1.0, n=2048, xmax=Non
 def superposition(components, t=0.0, mass=1.0, n=4096, xmax=16.0):
     """Weighted sum of freely evolved Gaussians, renormalized on the grid.
 
-    components: iterable of (weight, x0, p0, sigma).
+    components: iterable of (weight, x0, p0, sigma).  Each component must
+    fit the grid as a single ``gaussian_packet`` must.
     """
     ax = position_axis(n, xmax)
     x = ax.points()
@@ -224,6 +255,7 @@ def superposition(components, t=0.0, mass=1.0, n=4096, xmax=16.0):
                 "component centered at %.3g needs 8 spread widths inside the grid" % center
             )
         values += weight * _gaussian_values(x, x0, p0, sigma, t, mass)
+        _check_momentum_range(ax, p0, sigma)
     norm2 = np.sum(np.abs(values) ** 2) * ax.spacing
     return GridWavefunction((ax,), values / np.sqrt(norm2), {"t": t, "mass": mass})
 

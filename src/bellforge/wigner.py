@@ -6,15 +6,18 @@ The 1-D transform evaluates
 
 with y_m = m * spacing (m = -n/2..n/2-1, off-grid terms zero) and p_j on
 a momentum grid of spacing pi / (n * spacing), half the FFT-conjugate
-spacing.  The summand is Hermitian in m, so one half-spectrum FFT per row
-over lags m = 0..n/2 gives the real sum, and the q marginal of W collapses to
-|psi(x_k)|^2 exactly (finite-sum identity, not an approximation).  The p
-marginal approximates |psi_tilde(p_j)|^2 at the half-grid points with
+spacing.  The summand is Hermitian in m, so one real inverse FFT of its
+conjugate over lags m = 0..n/2 per row gives the real sum, and the q marginal
+of W collapses to |psi(x_k)|^2 exactly (finite-sum identity, not an
+approximation).  The p marginal approximates |psi_tilde(p_j)|^2 at the
+half-grid points, the central n points of a twice zero-padded FFT, with
 spectral accuracy.
 
 The 2-D transform never materializes the rank-4 array unless asked: it
-streams one x1 slab at a time, accumulating the minimum and all four
-pair marginals.
+streams one x1 slab of conjugate lag products at a time through one real
+inverse FFT over both lags, accumulates the minimum, all four pair
+marginals and the central slice in FFT order, and shifts and scales the
+(n, n) results once at the end.
 
 The two-mode squeezed vacuum enters through closed forms: its Wigner
 function, the displaced-parity correlator E(alpha, beta) = pi^2 W at the
@@ -29,6 +32,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import waves
 from .errors import DomainError, ValidationError
@@ -57,27 +61,26 @@ class WignerGrid:
         return self.values.sum(axis=0) * self.x_axis.spacing
 
 
-def _lag_pairs(n):
-    """Index pairs (k + m, k - m) for k < n and lags m = 0..n/2; a pair with
-    an end off the grid points both ends at n, where callers keep a zero."""
-    k = np.arange(n)[:, None]
-    m = np.arange(n // 2 + 1)[None, :]
-    ia, ib = k + m, k - m
-    off = (ia >= n) | (ib < 0)
-    return np.where(off, n, ia), np.where(off, n, ib)
-
-
-def _half_spectrum(c):
-    """Real sum_m C[m] exp(-2 pi i j m / n), j = -n/2..n/2-1 in centered order,
-    from lags m = 0..n/2 of a last axis with C[-m] = conj C[m], C[-n/2] = 0."""
-    return np.fft.fftshift(np.fft.hfft(c, axis=-1), axes=-1)
+def _lag_windows(values):
+    """Views (A, B) over the last axis of values, for points k < n and lags
+    m = 0..n/2: A[..., k, m] = conj psi[..., k + m] and B[..., k, m] =
+    psi[..., k - m], zero where the index leaves the grid."""
+    n = values.shape[-1]
+    h = n // 2
+    pad = np.zeros((2,) + values.shape[:-1] + (n + 2 * h,), dtype=complex)
+    pad[0, ..., h:h + n] = np.conj(values)
+    pad[1, ..., h:h + n] = values
+    win = sliding_window_view(pad, h + 1, axis=-1)
+    return win[0, ..., h:, :], win[1, ..., :n, ::-1]
 
 
 def _wigner_1d(psi):
     ax = psi.axes[0]
-    ia, ib = _lag_pairs(ax.n)
-    v = np.append(psi.values, 0.0)
-    w = _half_spectrum(v[ia] * np.conj(v[ib])) * (ax.spacing / math.pi)
+    a, b = _lag_windows(psi.values)
+    # a * b = conj C for C[k, m] = psi(k + m) psi*(k - m), Hermitian in m, so
+    # the real inverse transform over lags m = 0..n/2 is sum_m C[m] e^{-2 pi i jm/n}
+    w = np.fft.fftshift(np.fft.irfft(a * b, ax.n, norm="forward"), axes=-1)
+    w *= ax.spacing / math.pi
     return WignerGrid(ax, _half_momentum_axis(ax), w)
 
 
@@ -101,12 +104,9 @@ def _wigner_2d(psi, store_full=None):
     if store_full is None:
         store_full = n <= _FULL_GRID_LIMIT
 
-    ia, ib = _lag_pairs(n)
-    pad = np.zeros((n, n + 1), dtype=complex)  # column n is the off-grid zero
-    pad[:, :n] = psi.values
-    m1 = np.fft.ifftshift(np.arange(n) - n // 2)  # x1 lags in FFT order
+    a, b = _lag_windows(psi.values)  # (x1, k2, m2) views
 
-    scale = dx0 * dx1 / math.pi**2
+    # sums of the unscaled transform, in FFT (unshifted) frequency order
     min_w = np.inf
     qq = np.empty((n, n))
     qp = np.empty((n, n))
@@ -114,31 +114,41 @@ def _wigner_2d(psi, store_full=None):
     pp = np.zeros((n, n))
     central = np.empty((n, n))
     full = np.empty((n, n, n, n)) if store_full else None
-    slab = np.zeros((n, n, n // 2 + 1), dtype=complex)
+    slab = np.empty((n, n, n // 2 + 1), dtype=complex)
+    w = np.empty((n, n, n))
 
     for k1 in range(n):
-        a1 = k1 + m1
-        b1 = k1 - m1
-        ok1 = (a1 >= 0) & (a1 < n) & (b1 >= 0) & (b1 < n)
-        # slab[m1, k2, m2] = psi[k1+m1, k2+m2] psi*[k1-m1, k2-m2], m2 = 0..n/2;
-        # C[-m1, k2, -m2] = conj C[m1, k2, m2], so after the full transform
-        # over m1 every row is Hermitian in m2
-        slab[~ok1] = 0.0
-        slab[ok1] = pad[a1[ok1]][:, ia] * np.conj(pad[b1[ok1]])[:, ib]
-        w = np.fft.fftshift(_half_spectrum(np.fft.fft(slab, axis=0)), axes=0) * scale
+        # slab[m1, k2, m2] = psi*[k1+m1, k2+m2] psi[k1-m1, k2-m2], x1 lags m1
+        # in FFT order (0..lo, then -lo..-1), zero where k1 +- m1 leaves the
+        # grid; it is Hermitian in (m1, m2), so one real inverse transform over
+        # both lags gives sum_m C[m] exp(-2 pi i j.m / n) for C = conj slab
+        lo = min(k1, n - 1 - k1)
+        np.multiply(a[k1:k1 + lo + 1], b[k1 - lo:k1 + 1][::-1], out=slab[:lo + 1])
+        np.multiply(a[k1 - lo:k1], b[k1 + 1:k1 + lo + 1][::-1], out=slab[n - lo:])
+        slab[lo + 1:n - lo] = 0.0
+        np.fft.irfftn(slab, s=(n, n), axes=(0, 2), norm="forward", out=w)
         # w indexed (j1, k2, j2)
         min_w = min(min_w, float(w.min()))
         q2p2 = w.sum(axis=0)  # p1 integrated out
-        qq[k1] = q2p2.sum(axis=1) * dp0 * dp1
-        qp[k1] = q2p2.sum(axis=0) * dp0 * dx1
-        pq += w.sum(axis=2) * dx0 * dp1
-        pp += w.sum(axis=1) * dx0 * dx1
-        central[k1] = w[:, n // 2, n // 2]
+        qq[k1] = q2p2.sum(axis=1)
+        qp[k1] = q2p2.sum(axis=0)
+        pq += w.sum(axis=2)
+        pp += w.sum(axis=1)
+        central[k1] = w[:, n // 2, 0]
         if store_full:
             full[k1] = np.moveaxis(w, 0, 1)  # store as (k1, k2, j1, j2)
 
-    marginals = {"qq": qq, "qp": qp, "pq": pq, "pp": pp}
-    return Wigner2DSummary(tuple(psi.axes), p_axes, min_w, marginals, central, full)
+    scale = dx0 * dx1 / math.pi**2
+    shift = np.fft.fftshift
+    marginals = {
+        "qq": qq * (scale * dp0 * dp1),
+        "qp": shift(qp, axes=1) * (scale * dp0 * dx1),
+        "pq": shift(pq, axes=0) * (scale * dx0 * dp1),
+        "pp": shift(pp) * (scale * dx0 * dx1),
+    }
+    full = shift(full, axes=(2, 3)) * scale if store_full else None
+    central = shift(central, axes=1) * scale
+    return Wigner2DSummary(tuple(psi.axes), p_axes, scale * min_w, marginals, central, full)
 
 
 def wigner_transform(psi, store_full=None):
@@ -153,42 +163,39 @@ def wigner_transform(psi, store_full=None):
     raise ValidationError("Wigner transform supports 1-D and 2-D states only")
 
 
+def _half_grid_transform(psi, axes):
+    """psi_tilde on the half-spacing momentum grid of each listed axis: the
+    central n points of the 2n-point conjugate grid of a twice zero-padded
+    transform."""
+    sl = [slice(None)] * psi.dim
+    for axis in axes:
+        n = psi.axes[axis].n
+        psi = waves.padded_transform(psi, axis, 2)
+        sl[axis] = slice(n // 2, n // 2 + n)
+    return psi.values[tuple(sl)]
+
+
 def marginal_errors_1d(grid, psi):
     """Max-norm errors of the Wigner marginals against transform densities.
 
     The q marginal is exact by construction; the p marginal is checked
-    against the explicit transform evaluated on the half-spacing grid.
+    against the transform evaluated on the half-spacing grid.
     """
     q_err = float(np.max(np.abs(grid.q_marginal() - psi.density())))
-    tilde = waves.dft_at(psi, grid.p_axis.points())
+    tilde = _half_grid_transform(psi, (0,))
     p_err = float(np.max(np.abs(grid.p_marginal() - np.abs(tilde) ** 2)))
     return {"q": q_err, "p": p_err}
 
 
-def _dft2_half(psi, p1, p2):
-    """Explicit double transform onto arbitrary (p1, p2) points."""
-    a = waves.dft_at(psi, p1, axis=0)  # (x2, p1)
-    ax2 = psi.axes[1]
-    kernel = np.exp(-1.0j * np.outer(np.asarray(p2, dtype=float), ax2.points()))
-    return (
-        np.tensordot(a.T, kernel, axes=([1], [1]))
-        * ax2.spacing
-        / math.sqrt(2.0 * math.pi)
-    )  # (p1, p2)
-
-
 def marginal_errors_2d(summary, psi):
     """Max-norm errors of all four pair marginals of a 2-D Wigner function."""
-    p1 = summary.p_axes[0].points()
-    p2 = summary.p_axes[1].points()
-    qq_err = float(np.max(np.abs(summary.marginals["qq"] - psi.density())))
-    qp_ref = np.abs(waves.dft_at(psi, p2, axis=1)) ** 2  # (x1, p2)
-    qp_err = float(np.max(np.abs(summary.marginals["qp"] - qp_ref)))
-    pq_ref = np.abs(waves.dft_at(psi, p1, axis=0).T) ** 2  # (p1, x2)
-    pq_err = float(np.max(np.abs(summary.marginals["pq"] - pq_ref)))
-    pp_ref = np.abs(_dft2_half(psi, p1, p2)) ** 2
-    pp_err = float(np.max(np.abs(summary.marginals["pp"] - pp_ref)))
-    return {"qq": qq_err, "qp": qp_err, "pq": pq_err, "pp": pp_err}
+    refs = {
+        "qq": psi.density(),
+        "qp": np.abs(_half_grid_transform(psi, (1,))) ** 2,  # (x1, p2)
+        "pq": np.abs(_half_grid_transform(psi, (0,))) ** 2,  # (p1, x2)
+        "pp": np.abs(_half_grid_transform(psi, (0, 1))) ** 2,
+    }
+    return {k: float(np.max(np.abs(summary.marginals[k] - ref))) for k, ref in refs.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -218,13 +225,15 @@ def gaussianity_residual(psi, floor=1e-6):
     return max(_quadratic_residual(x, log_mag), _quadratic_residual(x, phase))
 
 
-def hudson_check(psi, residual_tol=1e-6):
+def hudson_check(psi, residual_tol=1e-6, grid=None):
     """Minimum Wigner value alongside a direct gaussianity flag.
 
     For pure states the two agree: the minimum is nonnegative (to
-    rounding) exactly when the state is Gaussian.
+    rounding) exactly when the state is Gaussian.  grid is the state's
+    Wigner function if the caller has it already.
     """
-    grid = wigner_transform(psi)
+    if grid is None:
+        grid = wigner_transform(psi)
     resid = gaussianity_residual(psi)
     return {
         "min_w": float(grid.values.min()),

@@ -136,6 +136,8 @@ OUT_OF_RANGE_PROBES = [
     (("ak-compare", "--b", "1e200"), 2),
     (("wigner", "--state", "excited", "--level", "180"), 3),
     (("ak-compare", "--b", "1e-3", "--n", "256"), 3),
+    (("rs1d", "--p0", "300"), 3),
+    (("rs1d", "--p0", "300", "--n", "256"), 3),
 ]
 
 

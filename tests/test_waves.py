@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -72,6 +74,20 @@ def test_truncation_guard():
         waves.gaussian_packet(sigma=-1.0)
 
 
+def test_momentum_range_guard():
+    """A mean momentum within 8 widths 1/(2 sigma) of the grid's momentum
+    edge pi/dx aliases: the state is refused, not sampled."""
+    edge = math.pi / waves.position_axis(256, 12.0).spacing  # 33.5
+    with pytest.raises(TruncationError):
+        waves.gaussian_packet(p0=edge - 3.9, n=256, xmax=12.0)
+    with pytest.raises(TruncationError):
+        waves.gaussian_packet(p0=-300.0, n=2048)
+    with pytest.raises(TruncationError):
+        waves.superposition([(1.0, 0.0, 0.0, 1.0), (1.0, 0.0, edge, 1.0)], n=256, xmax=12.0)
+    psi = waves.gaussian_packet(p0=edge - 4.1, n=256, xmax=12.0)
+    assert psi.meta["norm_defect"] < 1e-6
+
+
 def test_excited_states_orthonormal():
     states = [waves.excited_state(k) for k in range(4)]
     dx = states[0].axes[0].spacing
@@ -86,8 +102,6 @@ def test_excited_states_orthonormal():
 def _hermite_reference(level, n=2048, xmax=16.0):
     """The eigenstate from scipy's H_k and the factorial normalization,
     normalized on the grid as ``excited_state`` does."""
-    import math
-
     from scipy.special import eval_hermite
 
     x = waves.position_axis(n, xmax).points()

@@ -74,20 +74,45 @@ def test_2d_transform_matches_explicit_sum(n):
     ref = np.einsum("abcd,ic,jd->abij", c, e1, e2) * scale  # (k1, k2, j1, j2)
     assert np.max(np.abs(ref.imag)) < 1e-13
     ref = ref.real
-    summary = wigner.wigner_transform(psi)
-    assert np.max(np.abs(summary.values - ref)) < 1e-13
-    assert summary.min_w == pytest.approx(ref.min(), abs=1e-13)
-    assert np.max(np.abs(summary.central_slice - ref[:, n // 2, :, n // 2])) < 1e-13
     x1, x2 = (ax.spacing for ax in psi.axes)
-    p1, p2 = (ax.spacing for ax in summary.p_axes)
+    p1, p2 = (wigner._half_momentum_axis(ax).spacing for ax in psi.axes)
     want = {
         "qq": ref.sum(axis=(2, 3)) * p1 * p2,
         "qp": ref.sum(axis=(1, 2)) * x2 * p1,
         "pq": ref.sum(axis=(0, 3)).T * x1 * p2,
         "pp": ref.sum(axis=(0, 1)) * x1 * x2,
     }
-    for key, marginal in want.items():
-        assert np.max(np.abs(summary.marginals[key] - marginal)) < 1e-13, key
+    # the streamed summaries must not depend on whether the rank-4 array is kept
+    for store_full in (True, False):
+        summary = wigner.wigner_transform(psi, store_full=store_full)
+        if store_full:
+            assert np.max(np.abs(summary.values - ref)) < 1e-13
+        else:
+            assert summary.values is None
+        assert summary.min_w == pytest.approx(ref.min(), abs=1e-13)
+        assert np.max(np.abs(summary.central_slice - ref[:, n // 2, :, n // 2])) < 1e-13
+        for key, marginal in want.items():
+            assert np.max(np.abs(summary.marginals[key] - marginal)) < 1e-13, key
+
+
+@pytest.mark.parametrize("n", [8, 64, 512])
+def test_half_grid_transform_matches_explicit_sum_1d(n):
+    psi = _random_state(n, 1, seed=n + 2)
+    p = wigner._half_momentum_axis(psi.axes[0]).points()
+    got = wigner._half_grid_transform(psi, (0,))
+    assert np.max(np.abs(got - waves.dft_at(psi, p))) < 1e-13
+
+
+def test_half_grid_transform_matches_explicit_sum_2d():
+    psi = _random_state(32, 2, seed=7)
+    p1, p2 = (wigner._half_momentum_axis(ax).points() for ax in psi.axes)
+    along0 = waves.dft_at(psi, p1, axis=0)  # (x2, p1)
+    along1 = waves.dft_at(psi, p2, axis=1)  # (x1, p2)
+    assert np.max(np.abs(wigner._half_grid_transform(psi, (0,)) - along0.T)) < 1e-13
+    assert np.max(np.abs(wigner._half_grid_transform(psi, (1,)) - along1)) < 1e-13
+    # both axes: the explicit sum over x2 of the axis-0 transform
+    both = waves.dft_at(waves.GridWavefunction(psi.axes, along0.T), p2, axis=1)
+    assert np.max(np.abs(wigner._half_grid_transform(psi, (0, 1)) - both)) < 1e-13
 
 
 def _wigner_csv(tmp_path, capsys, *argv):
@@ -146,6 +171,12 @@ def test_excited_state_minimum():
     k, j = np.unravel_index(np.argmin(grid.values), grid.values.shape)
     assert abs(grid.x_axis.points()[k]) < 1e-9
     assert abs(grid.p_axis.points()[j]) < 1e-9
+
+
+def test_hudson_check_reuses_a_given_grid():
+    psi = waves.two_gaussian_packet(n=256)
+    grid = wigner.wigner_transform(psi)
+    assert wigner.hudson_check(psi, grid=grid) == wigner.hudson_check(psi)
 
 
 def test_hudson_criterion():
