@@ -16,16 +16,20 @@ it, without the rank-4 array), a 1-D two-packet state at n=1024, and the
 reference.  The 2-D transport rows time the three stages of one
 deterministic `rs2d` op at the benchmark's transport shape (n=256, rho=0,
 sigma=0.7, xmax=20): the chain, its verification and the off-pair
-distance.
+distance.  The last two rows time the per-call CLI layer: building the
+argument parser, and one warm in-process `cli.main` call of an `lhv`
+op, which reuses the parser built by the first call.
 """
 
 import argparse
+import contextlib
 import functools
+import io
 import time
 
 import numpy as np
 
-from bellforge import _kernels, causal, waves, wigner
+from bellforge import _kernels, causal, cli, waves, wigner
 
 
 def _best_of(fn, repeat):
@@ -83,6 +87,20 @@ def bench_transport_2d():
     ]
 
 
+def bench_cli():
+    argv = ["lhv", "--correlators=0.7071,-0.7071,0.7071,0.7071"]
+
+    def call():
+        with contextlib.redirect_stdout(io.StringIO()):
+            cli.main(list(argv))
+
+    call()
+    return [
+        ("cli.build_parser()", cli.build_parser),
+        ("cli.main(lhv --correlators), warm", call),
+    ]
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--grid", type=int, default=64, help="angle grid side for the scan")
@@ -107,6 +125,7 @@ def main(argv=None):
             wigner.wigner_transform, waves.two_gaussian_packet(n=1024, xmax=24.0))),
         bench_marginal_errors_1d(),
         *bench_transport_2d(),
+        *bench_cli(),
     ]
     print("%-40s %10s" % ("kernel", "best [ms]"))
     for label, fn in rows:

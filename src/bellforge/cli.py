@@ -6,10 +6,15 @@ Output is deterministic byte for byte for fixed arguments and seeds.
 
 Exit codes: 0 success, 2 invalid input (including argparse errors),
 3 tolerance failure (grid resolution or truncation), 1 anything else.
+
+main() may be called repeatedly in one process: it builds the parser once
+and looks up the ``_cmd_*`` handler on every call, so a warm call pays only
+for parsing its own arguments (tens of microseconds) and its command's work.
 """
 
 import argparse
 import csv
+import functools
 import json
 import math
 import sys
@@ -44,26 +49,22 @@ def _write_csv(path, header, rows):
         writer.writerows(rows)
 
 
-def _finite_float(text):
-    """argparse type: a float that is neither nan nor infinite."""
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError("must be a finite number, got %r" % text)
-    return value
+def _checked(convert, accept, wanted):
+    """argparse type: convert(text), refused unless it parses and accept(value)."""
+    def parse(text):
+        try:
+            value = convert(text)
+        except ValueError:
+            value = None
+        if value is None or not accept(value):
+            raise argparse.ArgumentTypeError("must be %s, got %r" % (wanted, text))
+        return value
+    return parse
 
 
-def _count(text):
-    """argparse type: a nonnegative integer."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = -1
-    if value < 0:
-        raise argparse.ArgumentTypeError("must be a nonnegative integer, got %r" % text)
-    return value
+_finite_float = _checked(float, math.isfinite, "a finite number")
+_positive_float = _checked(float, lambda v: 0 < v < math.inf, "a positive finite number")
+_count = _checked(int, lambda v: v >= 0, "a nonnegative integer")
 
 
 def _parse_floats(text, count=None, name="values"):
@@ -489,7 +490,6 @@ def build_parser():
     p.add_argument("--maximize", action="store_true", help="also search the best angles")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default="", help="write the correlation table as CSV")
-    p.set_defaults(handler=_cmd_chsh)
 
     p = sub.add_parser("lhv", help="decide local-hidden-variable feasibility")
     p.add_argument("--correlators", default="", help="four correlators E11,E12,E21,E22")
@@ -502,15 +502,13 @@ def build_parser():
     p.add_argument("--brute-force", action="store_true",
                    help="decide by checking every sign variant instead of the mixture fit")
     p.add_argument("--out", default="")
-    p.set_defaults(handler=_cmd_lhv)
 
     p = sub.add_parser("rs1d", help="1-D CDF-matching transport map and verification")
     _add_state_1d_arguments(p)
     p.add_argument("--epsilon", type=int, default=1, choices=[1, -1])
     p.add_argument("--mc", type=_count, default=0, help="verify with this many Monte Carlo samples")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_count, default=0)
     p.add_argument("--out", default="")
-    p.set_defaults(handler=_cmd_rs1d)
 
     p = sub.add_parser("rs2d", help="2-D chained transport and verification")
     p.add_argument("--rho", type=_finite_float, default=0.5)
@@ -520,9 +518,8 @@ def build_parser():
     p.add_argument("--ordering", default="px", choices=["px", "xp"])
     p.add_argument("--epsilons", default="1,1")
     p.add_argument("--mc", type=_count, default=0)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_count, default=0)
     p.add_argument("--out", default="")
-    p.set_defaults(handler=_cmd_rs2d)
 
     p = sub.add_parser("marginal-theorem", help="quadrant Bell violation table over cutoffs")
     p.add_argument("--cutoffs", default="10,100,1000,10000")
@@ -530,7 +527,6 @@ def build_parser():
                    help="cross-check the smallest cutoff on an n x n grid")
     p.add_argument("--grid-xmax", type=_finite_float, default=None)
     p.add_argument("--out", default="")
-    p.set_defaults(handler=_cmd_marginal_theorem)
 
     p = sub.add_parser("wigner", help="discrete Wigner transform diagnostics")
     _add_state_1d_arguments(
@@ -538,7 +534,6 @@ def build_parser():
     )
     p.add_argument("--cutoff", type=_finite_float, default=10.0)
     p.add_argument("--out", default="")
-    p.set_defaults(handler=_cmd_wigner)
 
     p = sub.add_parser("parity-chsh", help="displaced-parity CHSH for the squeezed vacuum")
     p.add_argument("--r", type=_finite_float, default=2.0)
@@ -546,7 +541,6 @@ def build_parser():
     p.add_argument("--displacements", default="",
                    help="evaluate four real displacements a,b,a',b' instead of searching")
     p.add_argument("--out", default="")
-    p.set_defaults(handler=_cmd_parity_chsh)
 
     p = sub.add_parser("ak-compare", help="joint-record ridge versus transport map")
     p.add_argument("--sigma", type=_finite_float, default=1.0)
@@ -555,9 +549,8 @@ def build_parser():
     p.add_argument("--b", type=_finite_float, default=0.5)
     p.add_argument("--n", type=int, default=1024)
     p.add_argument("--xmax", type=_finite_float, default=None)
-    p.add_argument("--window-std", type=_finite_float, default=3.0)
+    p.add_argument("--window-std", type=_positive_float, default=3.0)
     p.add_argument("--out", default="")
-    p.set_defaults(handler=_cmd_ak_compare)
 
     p = sub.add_parser("waves", help="wavefunction utilities")
     wsub = p.add_subparsers(dest="subcommand", required=True)
@@ -565,15 +558,20 @@ def build_parser():
     _add_state_1d_arguments(d, default_n=4096)
     d.add_argument("--rep", default="x", choices=["x", "p"])
     d.add_argument("--out", default="")
-    d.set_defaults(handler=_cmd_waves_dump)
 
     return parser
 
 
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
+    # looked up per call, so a handler replaced on the module is the one that runs
+    command = args.command + ("_" + args.subcommand if "subcommand" in args else "")
+    handler = globals()["_cmd_" + command.replace("-", "_")]
     try:
-        payload, csv_spec = args.handler(args)
+        payload, csv_spec = handler(args)
     except BellforgeError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return exc.exit_code

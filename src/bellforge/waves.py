@@ -292,6 +292,8 @@ def correlated_gaussian_2d(rho=0.5, sigma=1.0, n=256, xmax=8.0):
     """Real 2-D Gaussian whose position density has correlation rho."""
     if not -1.0 < rho < 1.0:
         raise DomainError("correlation must lie in (-1, 1)")
+    if not sigma > 0:
+        raise DomainError("sigma must be positive")
     ax = position_axis(n, xmax)
     x = ax.points()
     x1 = x[:, None]

@@ -115,6 +115,12 @@ def test_non_finite_input_exits_2_without_output(capsys, argv):
     ("rs2d", "--mc", "-1", "--n", "64"),
     ("rs2d", "--epsilons", "1.5,1", "--n", "64"),
     ("rs2d", "--epsilons", "0,1", "--n", "64"),
+    ("rs1d", "--mc", "100", "--seed", "-1"),
+    ("rs2d", "--n", "64", "--xmax", "10", "--mc", "100", "--seed", "-1"),
+    ("rs2d", "--sigma", "-0.7", "--n", "64", "--xmax", "10"),
+    ("rs2d", "--sigma", "0", "--n", "64", "--xmax", "10"),
+    ("ak-compare", "--window-std", "0"),
+    ("ak-compare", "--window-std", "-1"),
 ])
 def test_out_of_domain_counts_and_signs_exit_2(capsys, argv):
     code, out, err = run(capsys, *argv)
@@ -249,6 +255,26 @@ COLD_OPS = [
     ["marginal-theorem"],
     ["ak-compare", "--n", "256"],
 ]
+
+
+def test_repeated_calls_in_one_process_are_identical(capsys):
+    """The parser is built once per process; reusing it across successes,
+    argparse errors (exit 2) and library errors (exit 3) changes no output."""
+    sequence = [*COLD_OPS[:3], ["chsh", "--state", "bogus"], *COLD_OPS[3:6],
+                ["rs1d", "--xmax", "3"], *COLD_OPS[6:]]
+    passes = [[run(capsys, *argv)[:2] for argv in sequence] for _ in range(2)]
+    assert passes[0] == passes[1]
+    assert [code for code, _ in passes[0]] == [0] * 3 + [2] + [0] * 3 + [3] + [0] * 4
+    for argv in COLD_OPS:
+        assert vars(cli._parser().parse_args(argv)) == vars(cli.build_parser().parse_args(argv))
+
+
+def test_parser_is_built_once(capsys):
+    cli._parser.cache_clear()
+    sequence = (COLD_OPS[1], ["chsh", "--state", "bogus"], ["waves", "dump"], COLD_OPS[1])
+    assert [run(capsys, *argv)[0] for argv in sequence] == [0, 2, 2, 0]
+    info = cli._parser.cache_info()
+    assert (info.misses, info.hits) == (1, len(sequence) - 1)
 
 
 def test_cli_runs_without_scipy():

@@ -156,6 +156,9 @@ def test_correlated_gaussian_moments():
     assert cov / v1 == pytest.approx(rho, abs=1e-9)
     with pytest.raises(DomainError):
         waves.correlated_gaussian_2d(rho=1.0)
+    for sigma in (0.0, -0.7, math.nan):
+        with pytest.raises(DomainError, match="sigma must be positive"):
+            waves.correlated_gaussian_2d(sigma=sigma, n=16)
 
 
 def test_marginal_state_construction():
