@@ -20,7 +20,13 @@ the density is even.
 Pushforwards never sample a delta-on-a-map density pointwise: each source
 cell's exact mass is deposited over its image interval, so total mass is
 conserved to rounding and L1 comparisons against transform densities are
-meaningful at fine bins.
+meaningful at fine bins.  Every deposit takes its bins from ``_fine_bins``,
+the factor-times-finer cells of an axis, which on a momentum axis are the
+cells of the zero-padded transform's grid.  The refinement factors are
+fixed: 8 for 1-D verification (``_FINE_1D``); 4 for the momentum CDF of
+the 1-D map, the 2-D verification, the off-chain distance, Takabayasi's
+gap and the ballistic check (``_FINE``).  The 2-D Monte Carlo check
+compares histograms on cells of 4 x 4 grid points (``_MC_GROUP``).
 """
 
 from dataclasses import dataclass
@@ -32,6 +38,9 @@ from .errors import DomainError, GridResolutionError, ValidationError
 
 _NODE_FLOOR = 1e-12  # |psi| below this marks the phase ill-defined
 _SLICE_FLOOR = 1e-300  # conditional slices lighter than this carry no map
+_FINE_1D = 8  # momentum refinement of the 1-D marginal check
+_FINE = 4  # momentum refinement of map tabulation and the other checks
+_MC_GROUP = 4  # grid points per histogram cell side in the 2-D Monte Carlo check
 
 
 # ---------------------------------------------------------------------------
@@ -41,6 +50,23 @@ _SLICE_FLOOR = 1e-300  # conditional slices lighter than this carry no map
 def _cell_edges(axis):
     pts = axis.points()
     return np.concatenate([pts - axis.spacing / 2.0, [pts[-1] + axis.spacing / 2.0]])
+
+
+def _fine_bins(axis, factor=1):
+    """(first edge, width, count) of the factor-times-finer cells of an axis;
+    factor 1 gives its own cells.
+
+    Fine cells are point-anchored: every factor-th fine point is an axis
+    point.  For a power-of-two factor the bins of a momentum axis are, bit
+    for bit, the cells of its zero-padded transform's grid.
+    """
+    width = axis.spacing / factor
+    return axis.points()[0] - width / 2.0, width, factor * axis.n
+
+
+def _cell_index(values, axis):
+    """Index of the axis point nearest to each value, clipped to the grid."""
+    return np.clip(np.round(values / axis.spacing + axis.n // 2).astype(int), 0, axis.n - 1)
 
 
 def _column_totals(masses):
@@ -196,7 +222,7 @@ def _cell_l1(rep, tgt, factor, *axes):
     return float(np.sum(np.abs(rep - tgt)))
 
 
-def takabayasi_gap_detailed(psi, fine_factor=4):
+def takabayasi_gap_detailed(psi):
     """L1 gap between the field-pushforward of |psi|^2 and |psi_tilde|^2.
 
     Each position cell's mass rides the momentum field into the interval
@@ -218,17 +244,14 @@ def takabayasi_gap_detailed(psi, fine_factor=4):
     lo = np.minimum(edge_vals[:-1], edge_vals[1:])[ok]
     hi = np.maximum(edge_vals[:-1], edge_vals[1:])[ok]
 
-    fine_dens, fine_ax = _oversampled_momentum_density(psi, factor=fine_factor)
-    fine_edges = _cell_edges(fine_ax)
-    deposited = _kernels.deposit_intervals(
-        lo, hi, masses[ok], fine_edges[0], fine_ax.spacing, fine_ax.n
-    )
+    fine_dens, fine_ax = _oversampled_momentum_density(psi, factor=_FINE)
+    deposited = _kernels.deposit_intervals(lo, hi, masses[ok], *_fine_bins(fine_ax))
     gap = float(np.sum(np.abs(deposited - fine_dens * fine_ax.spacing)))
     return {"gap": gap, "excluded_mass": excluded}
 
 
-def takabayasi_gap(psi, fine_factor=4):
-    return takabayasi_gap_detailed(psi, fine_factor)["gap"]
+def takabayasi_gap(psi):
+    return takabayasi_gap_detailed(psi)["gap"]
 
 
 # ---------------------------------------------------------------------------
@@ -250,10 +273,10 @@ class MonotoneMap:
         return -np.interp(x, self.x_edges, -self.p_hat_edges)
 
 
-def rs_map_1d(psi, epsilon=+1, p_refine=4):
+def rs_map_1d(psi, epsilon=+1):
     """Monotone map with F_p(p_hat(x)) = F_x(x), or 1 - F_x(x) for epsilon=-1.
 
-    The momentum CDF is tabulated on a p_refine-times-finer grid (by zero
+    The momentum CDF is tabulated on a _FINE-times-finer grid (by zero
     padding the transform); the piecewise-linear inversion error in the
     tails scales with the square of the tabulation cell width, so the
     refinement buys accuracy exactly where the density is thinnest.
@@ -263,7 +286,7 @@ def rs_map_1d(psi, epsilon=+1, p_refine=4):
     if psi.dim != 1:
         raise ValidationError("rs_map_1d needs a 1-D state")
     ax = psi.axes[0]
-    fine_dens, pax = _oversampled_momentum_density(psi, factor=int(p_refine))
+    fine_dens, pax = _oversampled_momentum_density(psi, factor=_FINE)
     p_hat, p_hat_edges = _invert_edges_and_nodes(
         _cell_edges(pax), _cdf_edges(fine_dens * pax.spacing),
         _cdf_edges(psi.density() * ax.spacing), epsilon,
@@ -291,7 +314,7 @@ def _sample_from_cells(masses, edges, count, rng):
     return edges[idx] + rng.random(count) * (edges[idx + 1] - edges[idx])
 
 
-def verify_marginals_1d(m, psi, fine_factor=8, mc_samples=0, seed=0):
+def verify_marginals_1d(m, psi, mc_samples=0, seed=0):
     """L1 distances of the marginals reproduced by a 1-D map.
 
     The x marginal is the base density itself, so its distance is zero by
@@ -301,32 +324,24 @@ def verify_marginals_1d(m, psi, fine_factor=8, mc_samples=0, seed=0):
     """
     ax = psi.axes[0]
     masses = psi.density() * ax.spacing
-    fine_dens, fine_ax = _oversampled_momentum_density(psi, factor=fine_factor)
+    fine_dens, fine_ax = _oversampled_momentum_density(psi, factor=_FINE_1D)
     target = fine_dens * fine_ax.spacing
-    fine_edges = _cell_edges(fine_ax)
+    bins = _fine_bins(fine_ax)
 
     if mc_samples:
         rng = np.random.default_rng(seed)
         x = _sample_from_cells(masses, _cell_edges(ax), mc_samples, rng)
-        dep = _kernels.deposit_points(
-            m.evaluate(x),
-            np.full(x.shape, 1.0 / mc_samples),
-            fine_edges[0],
-            fine_ax.spacing,
-            fine_ax.n,
-        )
+        dep = _kernels.deposit_points(m.evaluate(x), np.full(x.shape, 1.0 / mc_samples), *bins)
         method = "mc"
     else:
-        dep = _deposit_edge_intervals(
-            m.p_hat_edges, masses, fine_edges[0], fine_ax.spacing, fine_ax.n
-        )
+        dep = _deposit_edge_intervals(m.p_hat_edges, masses, *bins)
         method = "deterministic"
 
     # compare cell masses: MC noise grows with bin count, and a
     # piecewise-uniform pushforward cannot match sub-cell density shape
     # (that residue scales like dp instead of the dp^2 quadrature error
     # that measures actual map quality)
-    distances = {"x": 0.0, "p": _cell_l1(dep, target, fine_factor, 0)}
+    distances = {"x": 0.0, "p": _cell_l1(dep, target, _FINE_1D, 0)}
     threshold = 5e-2 if mc_samples else 5e-3
     return {
         "distances": distances,
@@ -367,12 +382,7 @@ class ChainedMap2D:
 
     def conditioning_cells(self):
         """Momentum cell index hit by each stage-1 node value."""
-        pax = self.momentum_axes[self.first_axis]
-        return np.clip(
-            np.round(self.map1_nodes / pax.spacing + pax.n // 2).astype(int),
-            0,
-            pax.n - 1,
-        )
+        return _cell_index(self.map1_nodes, self.momentum_axes[self.first_axis])
 
     def point_maps(self):
         """Composite momenta (p1, p2) assigned to every position cell (k1, k2)."""
@@ -468,9 +478,7 @@ def _stage1_cell_masses(chain, psi):
     """Push base cell masses through stage 1 onto the coarse momentum cells
     that condition stage 2; returns (n_pfirst, n_other)."""
     pax = chain.momentum_axes[chain.first_axis]
-    return _deposit_edge_intervals(
-        chain.map1_edges, _base_masses(chain, psi), _cell_edges(pax)[0], pax.spacing, pax.n
-    )
+    return _deposit_edge_intervals(chain.map1_edges, _base_masses(chain, psi), *_fine_bins(pax))
 
 
 def _double_fine_masses(psi, first, factor):
@@ -486,7 +494,7 @@ def _double_fine_masses(psi, first, factor):
     return _group_fine_axis(oriented, factor, axis=0)  # (p_first cells, p_other fine)
 
 
-def verify_marginals_2d(chain, psi, fine_factor=4, mc_samples=0, seed=0):
+def verify_marginals_2d(chain, psi, mc_samples=0, seed=0):
     """L1 distances for the three densities a chain reproduces.
 
     Deterministic path: source cell masses ride the map stages as exact
@@ -504,27 +512,20 @@ def verify_marginals_2d(chain, psi, fine_factor=4, mc_samples=0, seed=0):
     base = _base_masses(chain, psi)
 
     # middle density (p_first, x_other): per-column interval pushforward
-    fine_dens, fine_ax = _oversampled_momentum_density(psi, axis=first, factor=fine_factor)
+    fine_dens, fine_ax = _oversampled_momentum_density(psi, axis=first, factor=_FINE)
     tgt_mid = _oriented(fine_dens, first) * fine_ax.spacing * psi.axes[other].spacing
-    rep_mid = _deposit_edge_intervals(
-        chain.map1_edges, base, _cell_edges(fine_ax)[0], fine_ax.spacing, fine_ax.n
-    )
+    rep_mid = _deposit_edge_intervals(chain.map1_edges, base, *_fine_bins(fine_ax))
     # cell-mass comparison, as in the 1-D verifier
-    distances[labels[1]] = _cell_l1(rep_mid, tgt_mid, fine_factor, 0)
+    distances[labels[1]] = _cell_l1(rep_mid, tgt_mid, _FINE, 0)
 
     # final density (p_first cells, p_other fine): stage-2 pushforward of
     # the stage-1 masses against a p_first-cell-integrated target
     m1 = _stage1_cell_masses(chain, psi)
-    tgt_pp = _double_fine_masses(psi, first, fine_factor)
-    pax_other = chain.momentum_axes[other]
-    fine2_n = fine_factor * pax_other.n
-    fine2_spacing = pax_other.spacing / fine_factor
-    # bins must sit on the padded-transform fine grid (point-anchored)
-    fine2_edge0 = pax_other.points()[0] - fine2_spacing / 2.0
+    tgt_pp = _double_fine_masses(psi, first, _FINE)
     rep_pp = _deposit_edge_intervals(
-        chain.map2_edges, m1.T, fine2_edge0, fine2_spacing, fine2_n
+        chain.map2_edges, m1.T, *_fine_bins(chain.momentum_axes[other], _FINE)
     ).T
-    distances[labels[2]] = _cell_l1(rep_pp, tgt_pp, fine_factor, 1)
+    distances[labels[2]] = _cell_l1(rep_pp, tgt_pp, _FINE, 1)
 
     return {
         "distances": distances,
@@ -533,8 +534,8 @@ def verify_marginals_2d(chain, psi, fine_factor=4, mc_samples=0, seed=0):
     }
 
 
-def _verify_2d_mc(chain, psi, mc_samples, seed, group=4):
-    """Monte Carlo marginal check on group-coarsened grids."""
+def _verify_2d_mc(chain, psi, mc_samples, seed):
+    """Monte Carlo marginal check on _MC_GROUP-coarsened grids."""
     rng = np.random.default_rng(seed)
     first = chain.first_axis
     labels = _chain_labels(chain)
@@ -547,25 +548,22 @@ def _verify_2d_mc(chain, psi, mc_samples, seed, group=4):
     pm = chain.point_maps()
     p1, p2 = pm["p1"][k1, k2], pm["p2"][k1, k2]
 
-    pax1, pax2 = chain.momentum_axes
-    kp1 = np.clip(np.round(p1 / pax1.spacing + pax1.n // 2).astype(int), 0, pax1.n - 1)
-    kp2 = np.clip(np.round(p2 / pax2.spacing + pax2.n // 2).astype(int), 0, pax2.n - 1)
+    kp1, kp2 = (_cell_index(p, pax) for p, pax in zip((p1, p2), chain.momentum_axes))
 
     psi_m = waves.fourier(psi, axis=first)
     psi_mm = waves.fourier(psi_m, axis=first ^ 1)
     tgt_m = psi_m.density() * psi_m.axes[0].spacing * psi_m.axes[1].spacing
     tgt_mm = psi_mm.density() * psi_mm.axes[0].spacing * psi_mm.axes[1].spacing
 
-    def hist2(a, b, na, nb):
-        h = np.bincount(a * nb + b, minlength=na * nb) / mc_samples
-        return h.reshape(na, nb)
+    def hist2(a, b):  # a momentum axis has as many points as its position axis
+        return (np.bincount(a * n2 + b, minlength=n1 * n2) / mc_samples).reshape(n1, n2)
 
-    distances = {labels[0]: _cell_l1(hist2(k1, k2, n1, n2), base, group, 0, 1)}
-    if first == 0:
-        distances[labels[1]] = _cell_l1(hist2(kp1, k2, pax1.n, n2), tgt_m, group, 0, 1)
-    else:
-        distances[labels[1]] = _cell_l1(hist2(k1, kp2, n1, pax2.n), tgt_m, group, 0, 1)
-    distances[labels[2]] = _cell_l1(hist2(kp1, kp2, pax1.n, pax2.n), tgt_mm, group, 0, 1)
+    mid = ((kp1, k2), (k1, kp2))[first]
+    distances = {
+        labels[0]: _cell_l1(hist2(k1, k2), base, _MC_GROUP, 0, 1),
+        labels[1]: _cell_l1(hist2(*mid), tgt_m, _MC_GROUP, 0, 1),
+        labels[2]: _cell_l1(hist2(kp1, kp2), tgt_mm, _MC_GROUP, 0, 1),
+    }
     return {
         "distances": distances,
         "method": "mc",
@@ -573,20 +571,16 @@ def _verify_2d_mc(chain, psi, mc_samples, seed, group=4):
     }
 
 
-def verify_marginals(m, psi, fine_factor=None, mc_samples=0, seed=0):
+def verify_marginals(m, psi, mc_samples=0, seed=0):
     """Marginal verification report for a 1-D map or a 2-D chain."""
     if isinstance(m, MonotoneMap):
-        return verify_marginals_1d(
-            m, psi, fine_factor=fine_factor or 8, mc_samples=mc_samples, seed=seed
-        )
+        return verify_marginals_1d(m, psi, mc_samples=mc_samples, seed=seed)
     if isinstance(m, ChainedMap2D):
-        return verify_marginals_2d(
-            m, psi, fine_factor=fine_factor or 4, mc_samples=mc_samples, seed=seed
-        )
+        return verify_marginals_2d(m, psi, mc_samples=mc_samples, seed=seed)
     raise ValidationError("expected a MonotoneMap or a ChainedMap2D")
 
 
-def ccs_distance(chain, psi, ccs, fine_factor=4):
+def ccs_distance(chain, psi, ccs):
     """L1 distance between a chain-implied density and the transform density.
 
     For the three densities the chain reproduces this returns the
@@ -595,7 +589,7 @@ def ccs_distance(chain, psi, ccs, fine_factor=4):
     """
     labels = _chain_labels(chain)
     if ccs in labels:
-        return verify_marginals_2d(chain, psi, fine_factor=fine_factor)["distances"][ccs]
+        return verify_marginals_2d(chain, psi)["distances"][ccs]
     off_label = "qp" if chain.ordering == "px" else "pq"
     if ccs != off_label:
         raise DomainError("ccs must be one of qq, pq, qp, pp")
@@ -606,18 +600,14 @@ def ccs_distance(chain, psi, ccs, fine_factor=4):
     other = 1 - first
     base = _base_masses(chain, psi)
     idx = chain.conditioning_cells()
-    pax_other = chain.momentum_axes[other]
-    fine_n = fine_factor * pax_other.n
-    fine_spacing = pax_other.spacing / fine_factor
-    fine_edge0 = pax_other.points()[0] - fine_spacing / 2.0
     rows = np.arange(base.shape[1])
     rep = _kernels.deposit_intervals(
         chain.map2_edges[rows, idx].T, chain.map2_edges[rows + 1, idx].T, base.T,
-        fine_edge0, fine_spacing, fine_n,
+        *_fine_bins(chain.momentum_axes[other], _FINE),
     ).T
-    fine_dens, fine_ax = _oversampled_momentum_density(psi, axis=other, factor=fine_factor)
+    fine_dens, fine_ax = _oversampled_momentum_density(psi, axis=other, factor=_FINE)
     tgt = _oriented(fine_dens, first) * psi.axes[first].spacing * fine_ax.spacing
-    return _cell_l1(rep, tgt, fine_factor, 1)
+    return _cell_l1(rep, tgt, _FINE, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -634,7 +624,6 @@ def ballistic_transport_check(
     epsilon=+1,
     n=2048,
     xmax=None,
-    fine_factor=4,
 ):
     """Transport the mapped density of a free Gaussian from t to t_prime.
 
@@ -655,16 +644,13 @@ def ballistic_transport_check(
     landed_edges = m.x_edges + m.p_hat_edges * lag
 
     ax = psi_t.axes[0]
-    fine_n = fine_factor * ax.n
-    fine_spacing = ax.spacing / fine_factor
-    fine_edge0 = -xmax - fine_spacing / 2.0
-    masses = psi_t.density() * ax.spacing
-    dep = _deposit_edge_intervals(landed_edges, masses, fine_edge0, fine_spacing, fine_n)
+    edge0, width, fine_n = _fine_bins(ax, _FINE)
+    dep = _deposit_edge_intervals(landed_edges, psi_t.density() * ax.spacing, edge0, width, fine_n)
 
     psi_fine = waves.gaussian_packet(
         x0=x0, p0=p0, sigma=sigma, t=t_prime, n=fine_n, xmax=xmax, mass=mass
     )
-    tgt = psi_fine.density() * fine_spacing
+    tgt = psi_fine.density() * width
     covered = dep.sum()
     return {
         "l1": float(np.sum(np.abs(dep - tgt))),

@@ -104,7 +104,8 @@ def _pairs(s):
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers (each returns payload, csv spec or None)
+# subcommand handlers (each returns payload, csv spec or None; main adds
+# "schema_version" and "command" to the payload)
 
 
 def _cmd_chsh(args):
@@ -112,8 +113,6 @@ def _cmd_chsh(args):
         raise ValidationError("chsh needs --angles and/or --maximize")
     state = _SPINOR_STATES[args.state]()
     payload = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "chsh",
         "state": args.state,
         "kinds": args.kinds,
     }
@@ -182,8 +181,6 @@ def _cmd_lhv(args):
     result = decide(behavior)
     corr = behavior.correlators()
     payload = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "lhv",
         "method": "brute-force" if args.brute_force else "min-norm",
         "source": source,
         "correlators": {
@@ -229,8 +226,6 @@ def _cmd_rs1d(args):
     m = causal.rs_map_1d(psi, args.epsilon)
     report = causal.verify_marginals(m, psi, mc_samples=args.mc, seed=args.seed)
     payload = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "rs1d",
         "state": args.state,
         "epsilon": args.epsilon,
         "n": psi.axes[0].n,
@@ -258,8 +253,6 @@ def _cmd_rs2d(args):
     pm_other = other.point_maps()
     base = psi.density() * psi.axes[0].spacing * psi.axes[1].spacing
     payload = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "rs2d",
         "rho": args.rho,
         "ordering": args.ordering,
         "epsilons": epsilons,
@@ -288,8 +281,6 @@ def _cmd_marginal_theorem(args):
         cutoffs, grid_n=args.grid, grid_xmax=args.grid_xmax
     )
     payload = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "marginal-theorem",
         "cutoffs": report["cutoffs"],
         "overlap": report["overlap"],
         "s_plus": report["s_plus"],
@@ -308,11 +299,7 @@ def _cmd_marginal_theorem(args):
 
 
 def _cmd_wigner(args):
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "wigner",
-        "state": args.state,
-    }
+    payload = {"state": args.state}
     if args.state in ("psi-plus-grid", "psi-minus-grid"):
         sign = +1 if args.state == "psi-plus-grid" else -1
         psi = waves.psi_marginal_state(sign, args.cutoff, n=args.n, xmax=args.xmax)
@@ -350,11 +337,7 @@ def _cmd_wigner(args):
 
 
 def _cmd_parity_chsh(args):
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "parity-chsh",
-        "r": args.r,
-    }
+    payload = {"r": args.r}
     if args.displacements:
         d = _parse_floats(args.displacements, 4, "--displacements")
         payload["displacements"] = d
@@ -400,8 +383,6 @@ def _cmd_ak_compare(args):
     _, var_x = waves.mean_and_var(psi)
     _, var_p = waves.mean_and_var(waves.fourier(psi))
     payload = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "ak-compare",
         "sigma": args.sigma,
         "t": args.t,
         "mass": args.mass,
@@ -439,8 +420,6 @@ def _cmd_waves_dump(args):
     pts = ax.points()
     dens = psi.density()
     payload = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "waves dump",
         "state": args.state,
         "rep": rep,
         "n": ax.n,
@@ -567,14 +546,15 @@ _parser = functools.cache(build_parser)
 
 def main(argv=None):
     args = _parser().parse_args(argv)
+    words = [args.command] + ([args.subcommand] if "subcommand" in args else [])
     # looked up per call, so a handler replaced on the module is the one that runs
-    command = args.command + ("_" + args.subcommand if "subcommand" in args else "")
-    handler = globals()["_cmd_" + command.replace("-", "_")]
+    handler = globals()["_cmd_" + "_".join(words).replace("-", "_")]
     try:
         payload, csv_spec = handler(args)
     except BellforgeError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return exc.exit_code
+    payload.update(schema_version=SCHEMA_VERSION, command=" ".join(words))
     out = getattr(args, "out", "")
     if out:
         payload["csv"] = out

@@ -21,6 +21,13 @@ POSITION = "x"
 MOMENTUM = "p"
 
 
+def _check_length(n):
+    """Return n if it is a valid axis length, else raise ValidationError."""
+    if n < 4 or (n & (n - 1)) != 0:
+        raise ValidationError("axis length must be a power of two, at least 4")
+    return n
+
+
 @dataclass(frozen=True)
 class Axis:
     n: int
@@ -28,8 +35,7 @@ class Axis:
     representation: str = POSITION
 
     def __post_init__(self):
-        if self.n < 4 or (self.n & (self.n - 1)) != 0:
-            raise ValidationError("axis length must be a power of two, at least 4")
+        _check_length(self.n)
         if self.spacing <= 0:
             raise ValidationError("axis spacing must be positive")
         if self.representation not in (POSITION, MOMENTUM):
@@ -49,7 +55,8 @@ class Axis:
 
 def position_axis(n, xmax):
     """Centered position axis covering [-xmax, xmax)."""
-    return Axis(int(n), 2.0 * float(xmax) / int(n), POSITION)
+    n = _check_length(int(n))  # before n divides the width
+    return Axis(n, 2.0 * float(xmax) / n, POSITION)
 
 
 @dataclass(frozen=True)

@@ -38,6 +38,7 @@ from . import waves
 from .errors import DomainError, ValidationError
 
 _FULL_GRID_LIMIT = 32  # largest n for which the rank-4 Wigner array is kept
+_GAUSSIAN_RESIDUAL = 1e-6  # hudson_check calls a state Gaussian below this residual
 
 
 # ---------------------------------------------------------------------------
@@ -225,7 +226,7 @@ def gaussianity_residual(psi, floor=1e-6):
     return max(_quadratic_residual(x, log_mag), _quadratic_residual(x, phase))
 
 
-def hudson_check(psi, residual_tol=1e-6, grid=None):
+def hudson_check(psi, grid=None):
     """Minimum Wigner value alongside a direct gaussianity flag.
 
     For pure states the two agree: the minimum is nonnegative (to
@@ -237,7 +238,7 @@ def hudson_check(psi, residual_tol=1e-6, grid=None):
     resid = gaussianity_residual(psi)
     return {
         "min_w": float(grid.values.min()),
-        "gaussian": bool(resid < residual_tol),
+        "gaussian": bool(resid < _GAUSSIAN_RESIDUAL),
         "residual": resid,
     }
 

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import math
@@ -121,6 +122,12 @@ def test_non_finite_input_exits_2_without_output(capsys, argv):
     ("rs2d", "--sigma", "0", "--n", "64", "--xmax", "10"),
     ("ak-compare", "--window-std", "0"),
     ("ak-compare", "--window-std", "-1"),
+    ("rs1d", "--n", "0"),
+    ("rs2d", "--n", "0"),
+    ("wigner", "--n", "0"),
+    ("wigner", "--state", "psi-plus-grid", "--n", "0"),
+    ("ak-compare", "--n", "0"),
+    ("waves", "dump", "--n", "0", "--out", os.devnull),
 ])
 def test_out_of_domain_counts_and_signs_exit_2(capsys, argv):
     code, out, err = run(capsys, *argv)
@@ -325,6 +332,7 @@ def test_waves_dump(tmp_path, capsys):
     out = tmp_path / "state.csv"
     doc = run_json(capsys, "waves", "dump", "--state", "two-gaussian", "--rep", "p", "--out", str(out))
     assert doc["csv"] == str(out)
+    assert doc["command"] == "waves dump" and doc["schema_version"] == "1"
     with open(out, newline="") as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == ["p", "real", "imag", "density"]
@@ -336,3 +344,48 @@ def test_bad_arguments_exit_2(capsys):
         cli.main(["chsh", "--state", "bogus"])
     assert exc.value.code == 2
     capsys.readouterr()
+
+
+# sha256 prefixes of the stdout of the transport commands, recorded before
+# the verifier's fine bins came from one helper (numpy 2.4, x86-64): every
+# distance is printed in full, so a bin edge moved by one ulp shows here
+STDOUT_DIGESTS = [
+    (("rs1d", "--n", "256", "--state", "gaussian", "--epsilon", "1"), "39ad25ea17cd43ab"),
+    (("rs1d", "--n", "256", "--state", "gaussian", "--epsilon", "-1"), "bc6368e182e6a3cb"),
+    (("rs1d", "--n", "256", "--state", "two-gaussian", "--epsilon", "1"), "2570ef90358c1e56"),
+    (("rs1d", "--n", "256", "--state", "two-gaussian", "--epsilon", "-1"), "c62d7f8977c1569d"),
+    (("rs1d", "--n", "256", "--state", "excited", "--epsilon", "1"), "db209009c02748bc"),
+    (("rs1d", "--n", "256", "--state", "excited", "--epsilon", "-1"), "a33161f1d887625c"),
+    (("rs1d", "--n", "1024", "--state", "gaussian", "--epsilon", "1"), "54d43813e7db5947"),
+    (("rs1d", "--n", "1024", "--state", "gaussian", "--epsilon", "-1"), "e8af572c8f17a3d7"),
+    (("rs1d", "--n", "1024", "--state", "two-gaussian", "--epsilon", "1"), "035fcf99fe795311"),
+    (("rs1d", "--n", "1024", "--state", "two-gaussian", "--epsilon", "-1"), "3ac46c97b4f21f8c"),
+    (("rs1d", "--n", "1024", "--state", "excited", "--epsilon", "1"), "b77f44a819cdb275"),
+    (("rs1d", "--n", "1024", "--state", "excited", "--epsilon", "-1"), "5bb486b12e52b22c"),
+    (("rs1d", "--n", "1024", "--mc", "20000", "--seed", "3"), "f048ed016d8fa240"),
+    (("rs2d", "--n", "64", "--xmax", "10", "--ordering", "px", "--epsilons=1,1"), "ed9caf4007720e68"),
+    (("rs2d", "--n", "64", "--xmax", "10", "--ordering", "px", "--epsilons=1,-1"), "6f8c1e7958336ece"),
+    (("rs2d", "--n", "64", "--xmax", "10", "--ordering", "px", "--epsilons=-1,1"), "f774fcee25fdb665"),
+    (("rs2d", "--n", "64", "--xmax", "10", "--ordering", "px", "--epsilons=-1,-1"), "cf3466d4a022e931"),
+    (("rs2d", "--n", "64", "--xmax", "10", "--ordering", "xp", "--epsilons=1,1"), "748aa794cdf41020"),
+    (("rs2d", "--n", "64", "--xmax", "10", "--ordering", "xp", "--epsilons=1,-1"), "de0e3018e0256d39"),
+    (("rs2d", "--n", "64", "--xmax", "10", "--ordering", "xp", "--epsilons=-1,1"), "6506a9dc86ba1cdb"),
+    (("rs2d", "--n", "64", "--xmax", "10", "--ordering", "xp", "--epsilons=-1,-1"), "ff212f86cbb25b35"),
+    (("rs2d", "--n", "128", "--xmax", "12", "--ordering", "px", "--epsilons=1,1"), "48b8681da708a729"),
+    (("rs2d", "--n", "128", "--xmax", "12", "--ordering", "px", "--epsilons=1,-1"), "98afdd987ad40525"),
+    (("rs2d", "--n", "128", "--xmax", "12", "--ordering", "px", "--epsilons=-1,1"), "5543958ffdc67317"),
+    (("rs2d", "--n", "128", "--xmax", "12", "--ordering", "px", "--epsilons=-1,-1"), "7a80ecaaae6cddc9"),
+    (("rs2d", "--n", "128", "--xmax", "12", "--ordering", "xp", "--epsilons=1,1"), "29dfeca06efb46a3"),
+    (("rs2d", "--n", "128", "--xmax", "12", "--ordering", "xp", "--epsilons=1,-1"), "476bc85be4080585"),
+    (("rs2d", "--n", "128", "--xmax", "12", "--ordering", "xp", "--epsilons=-1,1"), "e88210b257756137"),
+    (("rs2d", "--n", "128", "--xmax", "12", "--ordering", "xp", "--epsilons=-1,-1"), "fc458c3d910ab903"),
+    (("rs2d", "--n", "64", "--xmax", "10", "--mc", "20000", "--seed", "5"), "635364cf6854e77c"),
+    (("ak-compare", "--n", "256"), "916be18fadf69767"),
+]
+
+
+@pytest.mark.parametrize("argv, want", STDOUT_DIGESTS)
+def test_transport_stdout_pinned(capsys, argv, want):
+    code, out, err = run(capsys, *argv)
+    assert code == 0, err
+    assert hashlib.sha256(out.encode()).hexdigest()[:16] == want
