@@ -16,9 +16,13 @@ it, without the rank-4 array), a 1-D two-packet state at n=1024, and the
 reference.  The 2-D transport rows time the three stages of one
 deterministic `rs2d` op at the benchmark's transport shape (n=256, rho=0,
 sigma=0.7, xmax=20): the chain, its verification and the off-pair
-distance.  The last two rows time the per-call CLI layer: building the
-argument parser, and one warm in-process `cli.main` call of an `lhv`
-op, which reuses the parser built by the first call.
+distance.  The Monte Carlo rows time the cell sampler of `rs1d --mc` and
+`rs2d --mc` at 2e5 draws over the 4096 cells of a two-Gaussian state and
+the 256^2 cells of the transport shape, each next to the
+`Generator.choice` call whose draws it reproduces, and one 1-D Monte
+Carlo verification at n=2048.  The last two rows time the per-call CLI
+layer: building the argument parser, and one warm in-process `cli.main`
+call of an `lhv` op, which reuses the parser built by the first call.
 """
 
 import argparse
@@ -87,6 +91,27 @@ def bench_transport_2d():
     ]
 
 
+def bench_monte_carlo(draws=200_000):
+    psi = waves.two_gaussian_packet(n=4096)
+    psi2 = waves.correlated_gaussian_2d(rho=0.0, sigma=0.7, n=256, xmax=20.0)
+    rows = []
+    for label, masses in (("4096", psi.density() * psi.axes[0].spacing),
+                          ("256^2", psi2.density().ravel())):
+        def choice(masses=masses):
+            np.random.default_rng(1).choice(masses.size, draws, p=masses / masses.sum())
+
+        def sample(masses=masses):
+            causal._sample_cells(masses, draws, np.random.default_rng(1))
+
+        rows += [("rng.choice (%.0e draws, %s)" % (draws, label), choice),
+                 ("_sample_cells (%.0e draws, %s)" % (draws, label), sample)]
+    psi = waves.two_gaussian_packet(n=2048)
+    m = causal.rs_map_1d(psi)
+    rows.append(("verify_marginals_1d mc (2048, %.0e)" % draws, functools.partial(
+        causal.verify_marginals_1d, m, psi, mc_samples=draws, seed=7)))
+    return rows
+
+
 def bench_cli():
     argv = ["lhv", "--correlators=0.7071,-0.7071,0.7071,0.7071"]
 
@@ -125,6 +150,7 @@ def main(argv=None):
             wigner.wigner_transform, waves.two_gaussian_packet(n=1024, xmax=24.0))),
         bench_marginal_errors_1d(),
         *bench_transport_2d(),
+        *bench_monte_carlo(),
         *bench_cli(),
     ]
     print("%-40s %10s" % ("kernel", "best [ms]"))

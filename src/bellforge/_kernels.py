@@ -40,18 +40,30 @@ def chsh_scan(c_ab, c_abp, c_apb, c_apbp):
 
 
 def deposit_points(x, w, x0, dx, nbins):
-    """Cloud-in-cell deposit of weighted points onto bin centers
-    x0 + (k + 1/2) dx.  Shares falling outside the ``nbins`` bins are dropped."""
+    """Cloud-in-cell deposit of weighted points (1-D) onto bin centers
+    x0 + (k + 1/2) dx.  Shares falling outside the ``nbins`` bins are dropped.
+
+    Point k's lower share goes to slot k + 2 and its upper share to slot
+    k + 3 of one bincount with two spill slots at each end; k is clipped to
+    [-2, nbins] (NaN to nbins) so every share off the bins lands in a spill
+    slot.  Each bin adds the same shares in the same order as a deposit of
+    the in-range shares alone, so dropping the spill slots leaves it exact.
+    """
     pos = (np.asarray(x, dtype=float) - x0) / dx - 0.5
     kf = np.floor(pos)
-    f = pos - kf
-    w = np.asarray(w, dtype=float)
-    # compare as float before the int cast: huge coordinates overflow int64
-    lo_ok = (kf >= 0.0) & (kf < nbins)
-    hi_ok = (kf >= -1.0) & (kf < nbins - 1)
-    idx = np.concatenate([kf[lo_ok], kf[hi_ok] + 1.0]).astype(np.int64)
-    mass = np.concatenate([(w * (1.0 - f))[lo_ok], (w * f)[hi_ok]])
-    return np.bincount(idx, mass, minlength=nbins)
+    f = np.subtract(pos, kf, out=pos)
+    m = len(f)
+    # lower shares, then upper shares, written in place: fresh temporaries
+    # of this size cost as much in page faults as the arithmetic itself
+    mass = np.empty(2 * m)
+    np.multiply(w, np.subtract(1.0, f, out=mass[:m]), out=mass[:m])
+    np.multiply(w, f, out=mass[m:])
+    # clip as float before the int cast: huge coordinates overflow int64
+    slot = np.empty(2 * m, dtype=np.intp)
+    slot[:m] = np.fmax(np.fmin(kf, nbins, out=kf), -2.0, out=kf)
+    slot[:m] += 2
+    np.add(slot[:m], 1, out=slot[m:])
+    return np.bincount(slot, mass, nbins + 4)[2 : nbins + 2]
 
 
 def deposit_intervals(lo, hi, w, x0, dx, nbins):

@@ -27,6 +27,14 @@ fixed: 8 for 1-D verification (``_FINE_1D``); 4 for the momentum CDF of
 the 1-D map, the 2-D verification, the off-chain distance, Takabayasi's
 gap and the ballistic check (``_FINE``).  The 2-D Monte Carlo check
 compares histograms on cells of 4 x 4 grid points (``_MC_GROUP``).
+
+The Monte Carlo checks draw source cells with ``_sample_cells``, which
+returns exactly the draws of ``Generator.choice`` with p = masses / total
+from a bucketed count table of the CDF, searching only the draws its
+buckets leave open.  The 1-D check places each sample uniformly in its cell
+and evaluates the map there with ``_evaluate_in_cells``: np.interp's
+arithmetic on the known cell, so the momenta equal ``MonotoneMap.evaluate``
+bit for bit without a second search.
 """
 
 from dataclasses import dataclass
@@ -308,10 +316,51 @@ def _deposit_edge_intervals(map_edges, masses, bin_edge0, bin_width, nbins):
     )
 
 
-def _sample_from_cells(masses, edges, count, rng):
-    prob = masses / masses.sum()
-    idx = rng.choice(masses.shape[0], size=count, p=prob)
-    return edges[idx] + rng.random(count) * (edges[idx + 1] - edges[idx])
+def _sample_cells(masses, count, rng):
+    """Indices of ``count`` cells drawn with probability proportional to the
+    flattened masses: the draws of ``rng.choice(n, count, p=masses /
+    masses.sum())``, leaving rng in the same state.
+
+    choice finds each draw u in the normalized CDF by a binary search, in
+    random order.  Here a table over a power-of-two grid of k >= n buckets
+    counts the CDF values at or below each b/k; a draw in bucket
+    b = floor(u k) has its answer between the counts at b and b + 1, and
+    only the few draws whose bracket is open are searched.  u k, b/k and the
+    CDF values times k are exact, so every index equals choice's.  About
+    one bucket per 8 draws keeps both the table and the open share small.
+    """
+    masses = np.asarray(masses, dtype=float).ravel()
+    total = masses.sum()
+    if not (np.isfinite(total) and total > 0.0) or np.any(masses < 0.0):
+        raise ValidationError("cell masses must be finite, non-negative and not all zero")
+    cdf = np.cumsum(masses / total)
+    cdf /= cdf[-1]
+    u = rng.random(count)
+    k = 1 << (max(masses.size, count // 8) - 1).bit_length()
+    # below[b] = number of CDF values <= b/k, as ceil(c k) <= b
+    below = np.cumsum(np.bincount(np.ceil(cdf * k).astype(np.intp), minlength=k + 1))
+    bucket = (u * k).astype(np.intp)
+    idx = below[bucket]
+    open_ = np.flatnonzero(idx < below[bucket + 1])
+    idx[open_] = np.searchsorted(cdf, u[open_], "right")
+    return idx
+
+
+def _evaluate_in_cells(m, x, cells):
+    """``m.evaluate(x)`` for points x known to lie in the source cells
+    ``cells`` (edges included), bit for bit, without np.interp's search.
+
+    np.interp's arithmetic on the cell j holding x: the node value where x
+    is a node (the last edge included), else slope[j] (x - x_j) + f_j.  A
+    point that rounded onto its cell's upper edge belongs to the next cell.
+    """
+    xe = m.x_edges
+    fe = m.p_hat_edges if m.epsilon == +1 else -m.p_hat_edges
+    slope = np.append((fe[1:] - fe[:-1]) / (xe[1:] - xe[:-1]), 0.0)
+    j = cells + (x >= xe[cells + 1])
+    xj, fj = xe[j], fe[j]
+    out = np.where(x == xj, fj, slope[j] * (x - xj) + fj)
+    return out if m.epsilon == +1 else -out
 
 
 def verify_marginals_1d(m, psi, mc_samples=0, seed=0):
@@ -320,7 +369,8 @@ def verify_marginals_1d(m, psi, mc_samples=0, seed=0):
     The x marginal is the base density itself, so its distance is zero by
     construction and reported as such.  The p marginal is the pushforward
     of the cell masses through the map, deterministic by default or a
-    seeded Monte Carlo histogram when mc_samples > 0.
+    seeded Monte Carlo histogram when mc_samples > 0.  The map must be
+    tabulated on psi's grid.
     """
     ax = psi.axes[0]
     masses = psi.density() * ax.spacing
@@ -330,8 +380,11 @@ def verify_marginals_1d(m, psi, mc_samples=0, seed=0):
 
     if mc_samples:
         rng = np.random.default_rng(seed)
-        x = _sample_from_cells(masses, _cell_edges(ax), mc_samples, rng)
-        dep = _kernels.deposit_points(m.evaluate(x), np.full(x.shape, 1.0 / mc_samples), *bins)
+        cells = _sample_cells(masses, mc_samples, rng)
+        lo, hi = m.x_edges[cells], m.x_edges[cells + 1]
+        x = lo + rng.random(mc_samples) * (hi - lo)
+        p = _evaluate_in_cells(m, x, cells)
+        dep = _kernels.deposit_points(p, np.full(x.shape, 1.0 / mc_samples), *bins)
         method = "mc"
     else:
         dep = _deposit_edge_intervals(m.p_hat_edges, masses, *bins)
@@ -481,14 +534,15 @@ def _stage1_cell_masses(chain, psi):
     return _deposit_edge_intervals(chain.map1_edges, _base_masses(chain, psi), *_fine_bins(pax))
 
 
-def _double_fine_masses(psi, first, factor):
+def _double_fine_masses(padded0, first, factor):
     """Cell masses of the full momentum density, fine along both axes,
-    then cell-integrated back to coarse cells along the first axis.
+    then cell-integrated back to coarse cells along the first axis, from
+    padded0 = ``waves.padded_transform(psi, 0, factor)``.
 
     Axis 0 is padded and transformed before axis 1 is padded, so the first
     transform runs over the n1 state columns only, not over the zero
     columns of a fully padded array."""
-    big_mm = waves.padded_transform(waves.padded_transform(psi, 0, factor), 1, factor)
+    big_mm = waves.padded_transform(padded0, 1, factor)
     fine_masses = big_mm.density() * big_mm.axes[0].spacing * big_mm.axes[1].spacing
     oriented = _oriented(fine_masses, first)  # (p_first fine, p_other fine)
     return _group_fine_axis(oriented, factor, axis=0)  # (p_first cells, p_other fine)
@@ -512,8 +566,9 @@ def verify_marginals_2d(chain, psi, mc_samples=0, seed=0):
     base = _base_masses(chain, psi)
 
     # middle density (p_first, x_other): per-column interval pushforward
-    fine_dens, fine_ax = _oversampled_momentum_density(psi, axis=first, factor=_FINE)
-    tgt_mid = _oriented(fine_dens, first) * fine_ax.spacing * psi.axes[other].spacing
+    fine = waves.padded_transform(psi, first, _FINE)
+    fine_ax = fine.axes[first]
+    tgt_mid = _oriented(fine.density(), first) * fine_ax.spacing * psi.axes[other].spacing
     rep_mid = _deposit_edge_intervals(chain.map1_edges, base, *_fine_bins(fine_ax))
     # cell-mass comparison, as in the 1-D verifier
     distances[labels[1]] = _cell_l1(rep_mid, tgt_mid, _FINE, 0)
@@ -521,7 +576,8 @@ def verify_marginals_2d(chain, psi, mc_samples=0, seed=0):
     # final density (p_first cells, p_other fine): stage-2 pushforward of
     # the stage-1 masses against a p_first-cell-integrated target
     m1 = _stage1_cell_masses(chain, psi)
-    tgt_pp = _double_fine_masses(psi, first, _FINE)
+    padded0 = fine if first == 0 else waves.padded_transform(psi, 0, _FINE)
+    tgt_pp = _double_fine_masses(padded0, first, _FINE)
     rep_pp = _deposit_edge_intervals(
         chain.map2_edges, m1.T, *_fine_bins(chain.momentum_axes[other], _FINE)
     ).T
@@ -542,8 +598,7 @@ def _verify_2d_mc(chain, psi, mc_samples, seed):
     n1, n2 = psi.axes[0].n, psi.axes[1].n
 
     base = psi.density() * psi.axes[0].spacing * psi.axes[1].spacing
-    flat = base.ravel()
-    idx = rng.choice(flat.size, size=mc_samples, p=flat / flat.sum())
+    idx = _sample_cells(base, mc_samples, rng)
     k1, k2 = idx // n2, idx % n2
     pm = chain.point_maps()
     p1, p2 = pm["p1"][k1, k2], pm["p2"][k1, k2]

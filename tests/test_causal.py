@@ -98,7 +98,8 @@ def test_double_fine_masses_equal_fully_padded_transform(n):
     for psi in (_skewed_state(n, 8.0), waves.correlated_gaussian_2d(rho=0.5, n=n, xmax=8.0)):
         for first in (0, 1):
             np.testing.assert_array_equal(
-                causal._double_fine_masses(psi, first, 4), _ref_double_fine_masses(psi, first, 4)
+                causal._double_fine_masses(waves.padded_transform(psi, 0, 4), first, 4),
+                _ref_double_fine_masses(psi, first, 4),
             )
 
 
@@ -201,6 +202,135 @@ def test_verify_1d_monte_carlo():
     assert rep["passed"], rep["distances"]
     again = causal.verify_marginals(m, psi, mc_samples=200_000, seed=1)
     assert again["distances"] == rep["distances"]  # seeded, reproducible
+
+
+ONE_D_STATES = {
+    "gaussian": lambda n: waves.gaussian_packet(n=n),
+    "two-gaussian": lambda n: waves.two_gaussian_packet(n=n),
+    "excited": lambda n: waves.excited_state(1, n=n),
+}
+
+
+def _assert_draws_like_choice(masses, count, seed):
+    """_sample_cells draws what Generator.choice draws and leaves the
+    generator where choice leaves it."""
+    rng = np.random.default_rng(seed)
+    got = causal._sample_cells(masses, count, rng)
+    ref = np.random.default_rng(seed)
+    flat = masses.ravel()
+    want = ref.choice(flat.size, count, p=flat / flat.sum())
+    np.testing.assert_array_equal(got, want)
+    assert rng.random() == ref.random()
+
+
+@pytest.mark.parametrize("n", [1024, 2048, 4096])
+@pytest.mark.parametrize("state", sorted(ONE_D_STATES))
+def test_sample_cells_equals_choice_on_1d_states(state, n):
+    psi = ONE_D_STATES[state](n)
+    _assert_draws_like_choice(psi.density() * psi.axes[0].spacing, 200_000, n + 3)
+
+
+@pytest.mark.parametrize("n", [128, 256])
+def test_sample_cells_equals_choice_on_2d_masses(n):
+    psi = waves.correlated_gaussian_2d(rho=0.0, sigma=0.7, n=n, xmax=20.0)
+    _assert_draws_like_choice(psi.density() * psi.axes[0].spacing * psi.axes[1].spacing, 200_000, n)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_sample_cells_equals_choice_with_zero_cells(seed):
+    # zero cells repeat CDF values; a steep spread of masses puts many CDF
+    # values in one bucket, and few draws per cell give a coarse table
+    rng = np.random.default_rng(seed)
+    n = (1000, 4097, 33, 3000)[seed]
+    masses = rng.random(n) ** 12
+    masses[rng.random(n) < 0.6] = 0.0
+    masses[: n // 20 + 1] = 0.0
+    masses[-(n // 12 + 1) :] = 0.0
+    masses[n // 2] = 1.0
+    for count in (0, 1, 7, 50_000):
+        _assert_draws_like_choice(masses, count, seed)
+
+
+class _FixedDraws:
+    """Stands in for a Generator whose uniform draws are given."""
+
+    def __init__(self, u):
+        self.u = np.asarray(u, dtype=float)
+
+    def random(self, count):
+        assert count == self.u.size
+        return self.u
+
+
+def test_sample_cells_draws_on_cdf_values_go_right():
+    # CDF 1/4, 1/4, 1/2, 1: draws equal to a CDF value, or to a bucket
+    # bound b/k, take choice's searchsorted side "right"
+    masses = np.array([1.0, 0.0, 1.0, 2.0])
+    u = np.array([0.0, 0.125, 0.25, 0.375, 0.5, 0.75, 1.0 - 2.0**-53])
+    cdf = np.cumsum(masses / masses.sum())
+    got = causal._sample_cells(masses, u.size, _FixedDraws(u))
+    np.testing.assert_array_equal(got, np.searchsorted(cdf, u, "right"))
+    np.testing.assert_array_equal(got, [0, 0, 2, 2, 3, 3, 3])
+
+
+def test_sample_cells_single_cell():
+    _assert_draws_like_choice(np.array([2.5]), 1000, 0)
+    assert not causal._sample_cells(np.array([2.5]), 10, np.random.default_rng(0)).any()
+
+
+@pytest.mark.parametrize(
+    "masses", [[0.5, np.nan, 0.5], [0.5, np.inf, 0.5], [0.5, -0.1, 0.6], [0.0, 0.0, 0.0]]
+)
+def test_sample_cells_refuses_bad_masses(masses):
+    with pytest.raises(ValidationError, match="cell masses"):
+        causal._sample_cells(np.array(masses), 10, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("epsilon", [+1, -1])
+@pytest.mark.parametrize("state", sorted(ONE_D_STATES))
+def test_evaluate_in_cells_equals_evaluate_bitwise(state, epsilon):
+    psi = ONE_D_STATES[state](1024)
+    m = causal.rs_map_1d(psi, epsilon)
+    n = len(m.x)
+    rng = np.random.default_rng(epsilon + 5)
+    cells = rng.integers(0, n, 20_000)
+    lo, hi = m.x_edges[cells], m.x_edges[cells + 1]
+    r = np.concatenate([rng.random(cells.size - 4), [0.0, 0.5, 1.0 - 2.0**-53, 1.0 - 2.0**-52]])
+    inside = lo + r * (hi - lo)
+    # points on each cell's lower and upper edge, and on the last edge
+    all_cells = np.arange(n)
+    x = np.concatenate([inside, m.x_edges[:-1], m.x_edges[1:], [m.x_edges[-1]]])
+    cells = np.concatenate([cells, all_cells, all_cells, [n - 1]])
+    got = causal._evaluate_in_cells(m, x, cells)
+    assert got.tobytes() == m.evaluate(x).tobytes()
+
+
+@pytest.mark.parametrize("epsilon", [+1, -1])
+def test_evaluate_in_cells_keeps_signed_zero_nodes(epsilon):
+    # a node value of zero keeps its sign only through np.interp's node rule
+    edges = np.array([-1.5, -0.5, 0.5, 1.5])
+    p_edges = np.array([-2.0, -0.0, 1.0, 3.0]) * epsilon  # -0.0 on the +1 side, 0.0 on -1
+    m = causal.MonotoneMap(np.array([-1.0, 0.0, 1.0]), 0.5 * (p_edges[:-1] + p_edges[1:]),
+                           edges, p_edges, epsilon)
+    x = np.array([-1.5, -0.5, -0.5, 0.0, 0.5, 1.5, 1.5])
+    cells = np.array([0, 0, 1, 1, 1, 2, 2])
+    got = causal._evaluate_in_cells(m, x, cells)
+    assert got.tobytes() == m.evaluate(x).tobytes()
+
+
+def test_verify_2d_transforms_axis0_once_for_px(monkeypatch):
+    psi = waves.correlated_gaussian_2d(rho=0.3, sigma=0.7, n=64, xmax=10.0)
+    chain = causal.rs_map_2d(psi, ordering="px")
+    calls = []
+    transform = waves.padded_transform
+
+    def counted(state, axis, factor):
+        calls.append((axis, factor))
+        return transform(state, axis, factor)
+
+    monkeypatch.setattr(waves, "padded_transform", counted)
+    causal.verify_marginals_2d(chain, psi)
+    assert calls == [(0, causal._FINE), (1, causal._FINE)]
 
 
 def test_chain_2d_structure_and_marginals():

@@ -1,6 +1,7 @@
 """The kernels and the batched CDF inversion against slow, obviously correct
 per-interval, per-point and per-slice references kept here."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -182,6 +183,37 @@ def test_deposit_points_matches_reference():
     w = rng.random(x.size)
     got = _kernels.deposit_points(x, w, -4.0, 0.05, 160)
     np.testing.assert_allclose(got, _ref_deposit_points(x, w, -4.0, 0.05, 160), rtol=1e-12, atol=1e-15)
+
+
+# sha256 prefixes of deposit_points output bytes for _pin_points(*case),
+# recorded before the kernel dropped its boolean compression
+DEPOSIT_POINTS_PINS = {
+    (-3.0, 0.0625, 96, 10): "abe247f554f3bb11",
+    (-4.0, 0.05, 160, 11): "8fad33e970883ec0",
+    (-6.0, 12.0 / 4096, 4096, 12): "441275420b5b54f7",
+}
+
+
+def _pin_points(x0, dx, nbins, seed):
+    """Seeded points around the bins, shuffled with NaN, +-1e300, the first
+    and last bin edges and centres, and the floats just either side of the
+    outer edges."""
+    rng = np.random.default_rng(seed)
+    first, last = x0, x0 + nbins * dx
+    special = [np.nan, 1e300, -1e300,
+               first, last, np.nextafter(first, -np.inf), np.nextafter(last, np.inf),
+               np.nextafter(first, np.inf), np.nextafter(last, -np.inf),
+               x0 + dx / 2, last - dx / 2, x0 - dx / 2, last + dx / 2]
+    x = np.concatenate([rng.normal(x0 + nbins * dx / 2, nbins * dx / 5, 3000), special])
+    rng.shuffle(x)
+    return x, rng.uniform(0.5, 1.5, x.size)
+
+
+@pytest.mark.parametrize("case", list(DEPOSIT_POINTS_PINS))
+def test_deposit_points_bits_pinned(case):
+    x0, dx, nbins, _ = case
+    out = _kernels.deposit_points(*_pin_points(*case), x0, dx, nbins)
+    assert hashlib.sha256(out.tobytes()).hexdigest()[:16] == DEPOSIT_POINTS_PINS[case]
 
 
 def test_deposit_points_conserves_interior_mass():
