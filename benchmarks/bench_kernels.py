@@ -20,7 +20,9 @@ distance.  The Monte Carlo rows time the cell sampler of `rs1d --mc` and
 `rs2d --mc` at 2e5 draws over the 4096 cells of a two-Gaussian state and
 the 256^2 cells of the transport shape, each next to the
 `Generator.choice` call whose draws it reproduces, and one 1-D Monte
-Carlo verification at n=2048.  The last two rows time the per-call CLI
+Carlo verification at n=2048.  The ridge row times the joint record and
+its conditional ridge (``ak_distribution`` then ``momentum_peaks``) at the
+`ak-compare` defaults (n=1024, b=0.5).  The last two rows time the per-call CLI
 layer: building the argument parser, and one warm in-process `cli.main`
 call of an `lhv` op, which reuses the parser built by the first call.
 """
@@ -33,7 +35,7 @@ import time
 
 import numpy as np
 
-from bellforge import _kernels, causal, cli, waves, wigner
+from bellforge import _kernels, akmeas, causal, cli, waves, wigner
 
 
 def _best_of(fn, repeat):
@@ -112,6 +114,12 @@ def bench_monte_carlo(draws=200_000):
     return rows
 
 
+def bench_ridge(n=1024, b=0.5):
+    psi = waves.gaussian_packet(sigma=1.0, t=1.0, n=n)
+    return ("ak_distribution + momentum_peaks (%d)" % n,
+            lambda: akmeas.momentum_peaks(akmeas.ak_distribution(psi, b)))
+
+
 def bench_cli():
     argv = ["lhv", "--correlators=0.7071,-0.7071,0.7071,0.7071"]
 
@@ -151,6 +159,7 @@ def main(argv=None):
         bench_marginal_errors_1d(),
         *bench_transport_2d(),
         *bench_monte_carlo(),
+        bench_ridge(),
         *bench_cli(),
     ]
     print("%-40s %10s" % ("kernel", "best [ms]"))

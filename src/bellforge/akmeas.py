@@ -57,21 +57,11 @@ class AkDistribution:
     def marginal_x2(self):
         return self.joint.sum(axis=0) * self.x1_axis.spacing
 
-    def _moments(self, axis):
-        rho = self.marginal_x1() if axis == 0 else self.marginal_x2()
-        ax = self.x1_axis if axis == 0 else self.x2_axis
-        w = rho * ax.spacing
-        total = w.sum()
-        x = ax.points()
-        mean = float(np.sum(x * w) / total)
-        var = float(np.sum((x - mean) ** 2 * w) / total)
-        return mean, var
-
     def mean_var_x1(self):
-        return self._moments(0)
+        return waves.moments(self.x1_axis, self.marginal_x1())
 
     def mean_var_x2(self):
-        return self._moments(1)
+        return waves.moments(self.x2_axis, self.marginal_x2())
 
 
 def window_profile(x, b):
@@ -138,7 +128,7 @@ def ak_distribution(psi, b):
             (waves.Axis(chunk, ax.spacing, waves.POSITION), ax), windowed, {}
         )
         joint[start : start + chunk] = np.abs(waves.fourier(block, axis=1).values) ** 2
-    pax = waves.fourier(psi).axes[0]
+    pax = ax.conjugate()
     return AkDistribution(ax, pax, joint, float(b), _regime_warnings(psi, b, ax, pax))
 
 
@@ -179,7 +169,7 @@ def wigner_smoothed(psi, b):
     grid = wigner.wigner_transform(psi)
     x = grid.x_axis.points()
     pw = grid.p_axis.points()
-    x2 = waves.fourier(psi).axes[0].points()
+    x2 = psi.axes[0].conjugate().points()
     gx = np.exp(-((x[:, None] - x[None, :]) ** 2) / (2.0 * b * b))
     gx /= b * math.sqrt(2.0 * math.pi)
     sp = 1.0 / (2.0 * b)
@@ -198,41 +188,30 @@ def momentum_peaks(record, window_std=3.0):
 
     Peaks are refined by a parabola through the log-density at the
     discrete maximum and its neighbors, which is exact for Gaussian
-    ridges.  Conditionals with no curvature at the top (or negligible
-    mass) are flagged flat and left at the raw grid maximum.
+    ridges.  Conditionals are flagged flat and left at the raw grid maximum
+    when they have negligible mass, their maximum on an end of the grid, a
+    nonpositive value at the top, or no curvature there.
     """
     if not isinstance(record, AkDistribution):
         raise ValidationError("momentum_peaks expects an AkDistribution")
     mean1, var1 = record.mean_var_x1()
-    std1 = math.sqrt(var1)
     x1 = record.x1_axis.points()
-    keep = np.abs(x1 - mean1) <= window_std * std1
-    idx = np.nonzero(keep)[0]
-    p = record.x2_axis.points()
-    dp = record.x2_axis.spacing
-    row_floor = 1e-12 * float(record.joint.max()) * record.joint.shape[1]
+    idx = np.nonzero(np.abs(x1 - mean1) <= window_std * math.sqrt(var1))[0]
+    rows = record.joint[idx]
+    n2 = rows.shape[1]
+    row_floor = 1e-12 * float(record.joint.max()) * n2
 
-    peaks = np.empty(idx.shape)
-    flat = np.zeros(idx.shape, dtype=bool)
-    for out_k, k in enumerate(idx):
-        row = record.joint[k]
-        j = int(np.argmax(row))
-        peaks[out_k] = p[j]
-        if row.sum() < row_floor or j == 0 or j == record.joint.shape[1] - 1:
-            flat[out_k] = True
-            continue
-        trip = row[j - 1 : j + 2]
-        if trip.min() <= 0.0:
-            flat[out_k] = True
-            continue
+    j = np.argmax(rows, axis=1)
+    trip = np.take_along_axis(rows, np.clip(j, 1, n2 - 2)[:, None] + np.arange(-1, 2), axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
         logs = np.log(trip)
-        denom = logs[0] - 2.0 * logs[1] + logs[2]
-        if denom >= -1e-12:
-            flat[out_k] = True
-            continue
-        peaks[out_k] += 0.5 * (logs[0] - logs[2]) / denom * dp
-
+        denom = logs[:, 0] - 2.0 * logs[:, 1] + logs[:, 2]
+        flat = ((rows.sum(axis=1) < row_floor) | (j == 0) | (j == n2 - 1)
+                | (trip.min(axis=1) <= 0.0) | (denom >= -1e-12))
+        shift = 0.5 * (logs[:, 0] - logs[:, 2]) / denom * record.x2_axis.spacing
+    peaks = record.x2_axis.points()[j]
     usable = ~flat
+    peaks[usable] += shift[usable]
     if usable.sum() >= 2:
         slope, intercept = np.polyfit(x1[idx][usable], peaks[usable], 1)
     else:

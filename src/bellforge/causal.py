@@ -26,7 +26,8 @@ cells of the zero-padded transform's grid.  The refinement factors are
 fixed: 8 for 1-D verification (``_FINE_1D``); 4 for the momentum CDF of
 the 1-D map, the 2-D verification, the off-chain distance, Takabayasi's
 gap and the ballistic check (``_FINE``).  The 2-D Monte Carlo check
-compares histograms on cells of 4 x 4 grid points (``_MC_GROUP``).
+compares histograms on cells of 4 x 4 grid points (``_MC_GROUP``).  The pass
+rule lives in ``_THRESHOLDS`` alone: every L1 distance below its method's value.
 
 The Monte Carlo checks draw source cells with ``_sample_cells``, which
 returns exactly the draws of ``Generator.choice`` with p = masses / total
@@ -49,6 +50,7 @@ _SLICE_FLOOR = 1e-300  # conditional slices lighter than this carry no map
 _FINE_1D = 8  # momentum refinement of the 1-D marginal check
 _FINE = 4  # momentum refinement of map tabulation and the other checks
 _MC_GROUP = 4  # grid points per histogram cell side in the 2-D Monte Carlo check
+_THRESHOLDS = {"deterministic": 5e-3, "mc": 5e-2}  # pass below, per verification method
 
 
 # ---------------------------------------------------------------------------
@@ -184,12 +186,6 @@ def debb_momentum_field(psi):
     return field
 
 
-def _oversampled_momentum_density(psi, axis=0, factor=4):
-    """|psi_tilde|^2 on a factor-times-finer momentum grid via zero padding."""
-    fine = waves.padded_transform(psi, axis, factor)
-    return fine.density(), fine.axes[axis]
-
-
 def _group_fine_axis(fine_masses, factor, axis=0):
     """Sum fine-grid masses into the coarse cells they subdivide.
 
@@ -252,9 +248,9 @@ def takabayasi_gap_detailed(psi):
     lo = np.minimum(edge_vals[:-1], edge_vals[1:])[ok]
     hi = np.maximum(edge_vals[:-1], edge_vals[1:])[ok]
 
-    fine_dens, fine_ax = _oversampled_momentum_density(psi, factor=_FINE)
-    deposited = _kernels.deposit_intervals(lo, hi, masses[ok], *_fine_bins(fine_ax))
-    gap = float(np.sum(np.abs(deposited - fine_dens * fine_ax.spacing)))
+    fine = waves.padded_transform(psi, 0, _FINE)
+    deposited = _kernels.deposit_intervals(lo, hi, masses[ok], *_fine_bins(fine.axes[0]))
+    gap = float(np.sum(np.abs(deposited - fine.density() * fine.axes[0].spacing)))
     return {"gap": gap, "excluded_mass": excluded}
 
 
@@ -294,9 +290,10 @@ def rs_map_1d(psi, epsilon=+1):
     if psi.dim != 1:
         raise ValidationError("rs_map_1d needs a 1-D state")
     ax = psi.axes[0]
-    fine_dens, pax = _oversampled_momentum_density(psi, factor=_FINE)
+    fine = waves.padded_transform(psi, 0, _FINE)
+    pax = fine.axes[0]
     p_hat, p_hat_edges = _invert_edges_and_nodes(
-        _cell_edges(pax), _cdf_edges(fine_dens * pax.spacing),
+        _cell_edges(pax), _cdf_edges(fine.density() * pax.spacing),
         _cdf_edges(psi.density() * ax.spacing), epsilon,
     )
     return MonotoneMap(
@@ -363,6 +360,13 @@ def _evaluate_in_cells(m, x, cells):
     return out if m.epsilon == +1 else -out
 
 
+def _report(distances, method):
+    """Verification report: passed when every distance is below the method's
+    threshold in ``_THRESHOLDS``."""
+    passed = all(v < _THRESHOLDS[method] for v in distances.values())
+    return {"distances": distances, "method": method, "passed": bool(passed)}
+
+
 def verify_marginals_1d(m, psi, mc_samples=0, seed=0):
     """L1 distances of the marginals reproduced by a 1-D map.
 
@@ -374,9 +378,9 @@ def verify_marginals_1d(m, psi, mc_samples=0, seed=0):
     """
     ax = psi.axes[0]
     masses = psi.density() * ax.spacing
-    fine_dens, fine_ax = _oversampled_momentum_density(psi, factor=_FINE_1D)
-    target = fine_dens * fine_ax.spacing
-    bins = _fine_bins(fine_ax)
+    fine = waves.padded_transform(psi, 0, _FINE_1D)
+    target = fine.density() * fine.axes[0].spacing
+    bins = _fine_bins(fine.axes[0])
 
     if mc_samples:
         rng = np.random.default_rng(seed)
@@ -385,22 +389,15 @@ def verify_marginals_1d(m, psi, mc_samples=0, seed=0):
         x = lo + rng.random(mc_samples) * (hi - lo)
         p = _evaluate_in_cells(m, x, cells)
         dep = _kernels.deposit_points(p, np.full(x.shape, 1.0 / mc_samples), *bins)
-        method = "mc"
     else:
         dep = _deposit_edge_intervals(m.p_hat_edges, masses, *bins)
-        method = "deterministic"
 
     # compare cell masses: MC noise grows with bin count, and a
     # piecewise-uniform pushforward cannot match sub-cell density shape
     # (that residue scales like dp instead of the dp^2 quadrature error
     # that measures actual map quality)
     distances = {"x": 0.0, "p": _cell_l1(dep, target, _FINE_1D, 0)}
-    threshold = 5e-2 if mc_samples else 5e-3
-    return {
-        "distances": distances,
-        "method": method,
-        "passed": bool(all(v < threshold for v in distances.values())),
-    }
+    return _report(distances, "mc" if mc_samples else "deterministic")
 
 
 # ---------------------------------------------------------------------------
@@ -582,12 +579,7 @@ def verify_marginals_2d(chain, psi, mc_samples=0, seed=0):
         chain.map2_edges, m1.T, *_fine_bins(chain.momentum_axes[other], _FINE)
     ).T
     distances[labels[2]] = _cell_l1(rep_pp, tgt_pp, _FINE, 1)
-
-    return {
-        "distances": distances,
-        "method": "deterministic",
-        "passed": bool(all(v < 5e-3 for v in distances.values())),
-    }
+    return _report(distances, "deterministic")
 
 
 def _verify_2d_mc(chain, psi, mc_samples, seed):
@@ -619,11 +611,7 @@ def _verify_2d_mc(chain, psi, mc_samples, seed):
         labels[1]: _cell_l1(hist2(*mid), tgt_m, _MC_GROUP, 0, 1),
         labels[2]: _cell_l1(hist2(kp1, kp2), tgt_mm, _MC_GROUP, 0, 1),
     }
-    return {
-        "distances": distances,
-        "method": "mc",
-        "passed": bool(all(v < 5e-2 for v in distances.values())),
-    }
+    return _report(distances, "mc")
 
 
 def verify_marginals(m, psi, mc_samples=0, seed=0):
@@ -660,8 +648,8 @@ def ccs_distance(chain, psi, ccs):
         chain.map2_edges[rows, idx].T, chain.map2_edges[rows + 1, idx].T, base.T,
         *_fine_bins(chain.momentum_axes[other], _FINE),
     ).T
-    fine_dens, fine_ax = _oversampled_momentum_density(psi, axis=other, factor=_FINE)
-    tgt = _oriented(fine_dens, first) * psi.axes[first].spacing * fine_ax.spacing
+    fine = waves.padded_transform(psi, other, _FINE)
+    tgt = _oriented(fine.density(), first) * psi.axes[first].spacing * fine.axes[other].spacing
     return _cell_l1(rep, tgt, _FINE, 1)
 
 

@@ -132,7 +132,7 @@ def _cmd_chsh(args):
         payload["s"] = spinor.chsh_value(state, settings)
         csv_settings = settings
     if args.maximize:
-        best, value = spinor.maximize_chsh(state, args.kinds, seed=args.seed)
+        best, value = spinor.maximize_chsh(state, args.kinds)
         payload["maximize"] = {
             "angles_rad": [best.a.theta, best.b.theta, best.a_prime.theta, best.b_prime.theta],
             "s": value,
@@ -157,13 +157,17 @@ def _cmd_lhv(args):
     elif args.from_state:
         try:
             doc = json.load(sys.stdin)
-            angles = [float(v) for v in doc["angles_rad"]]
-            kinds = doc["kinds"]
-            state_name = doc["state"]
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+            angles, kinds, state_name = doc["angles_rad"], doc["kinds"], doc["state"]
+            if not (isinstance(angles, list)
+                    and isinstance(kinds, str) and isinstance(state_name, str)):
+                raise TypeError("angles_rad must be a list, kinds and state strings")
+            angles = [float(v) for v in angles]
+        except (json.JSONDecodeError, KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ValidationError(
                 "--from-state expects chsh JSON with state, kinds, angles_rad on stdin"
             ) from exc
+        if len(angles) != 4 or not all(map(math.isfinite, angles)):
+            raise ValidationError("angles_rad must hold exactly four finite numbers")
         if state_name not in _SPINOR_STATES:
             raise ValidationError("unknown state %r in piped document" % state_name)
         behavior = lhv.quantum_behavior(
@@ -378,8 +382,8 @@ def _cmd_ak_compare(args):
         )
     slope_rs = float(np.polyfit(peaks["x1"][usable], p_rs[usable], 1)[0])
 
-    mean1, var1 = record.mean_var_x1()
-    mean2, var2 = record.mean_var_x2()
+    _, var1 = record.mean_var_x1()
+    _, var2 = record.mean_var_x2()
     _, var_x = waves.mean_and_var(psi)
     _, var_p = waves.mean_and_var(waves.fourier(psi))
     payload = {
@@ -453,6 +457,13 @@ def _add_state_1d_arguments(p, default_state="gaussian", default_n=2048, states=
     p.add_argument("--xmax", type=_finite_float, default=None)
 
 
+def _add_command(sub, name, summary):
+    """A subparser with the --out option that every command shares."""
+    p = sub.add_parser(name, help=summary)
+    p.add_argument("--out", default="", help="write the command's table as CSV")
+    return p
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="bellforge",
@@ -461,16 +472,16 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("chsh", help="correlations and CHSH value for a two-photon state")
+    p = _add_command(sub, "chsh", "correlations and CHSH value for a two-photon state")
     p.add_argument("--state", default="psi-plus", choices=sorted(_SPINOR_STATES))
     p.add_argument("--kinds", default="LLLL", help="analyzer kinds, four letters L/E ordered a,b,a',b'")
     p.add_argument("--angles", default="", help="four analyzer angles a,b,a',b'")
     p.add_argument("--degrees", action="store_true", help="read --angles in degrees")
     p.add_argument("--maximize", action="store_true", help="also search the best angles")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", default="", help="write the correlation table as CSV")
+    p.add_argument("--seed", type=int, default=0,
+                   help="ignored: the --maximize search is deterministic")
 
-    p = sub.add_parser("lhv", help="decide local-hidden-variable feasibility")
+    p = _add_command(sub, "lhv", "decide local-hidden-variable feasibility")
     p.add_argument("--correlators", default="", help="four correlators E11,E12,E21,E22")
     p.add_argument("--from-state", action="store_true",
                    help="read a chsh JSON document from stdin")
@@ -480,16 +491,14 @@ def build_parser():
     p.add_argument("--degrees", action="store_true")
     p.add_argument("--brute-force", action="store_true",
                    help="decide by checking every sign variant instead of the mixture fit")
-    p.add_argument("--out", default="")
 
-    p = sub.add_parser("rs1d", help="1-D CDF-matching transport map and verification")
+    p = _add_command(sub, "rs1d", "1-D CDF-matching transport map and verification")
     _add_state_1d_arguments(p)
     p.add_argument("--epsilon", type=int, default=1, choices=[1, -1])
     p.add_argument("--mc", type=_count, default=0, help="verify with this many Monte Carlo samples")
     p.add_argument("--seed", type=_count, default=0)
-    p.add_argument("--out", default="")
 
-    p = sub.add_parser("rs2d", help="2-D chained transport and verification")
+    p = _add_command(sub, "rs2d", "2-D chained transport and verification")
     p.add_argument("--rho", type=_finite_float, default=0.5)
     p.add_argument("--sigma", type=_finite_float, default=1.0)
     p.add_argument("--n", type=int, default=512)
@@ -498,30 +507,26 @@ def build_parser():
     p.add_argument("--epsilons", default="1,1")
     p.add_argument("--mc", type=_count, default=0)
     p.add_argument("--seed", type=_count, default=0)
-    p.add_argument("--out", default="")
 
-    p = sub.add_parser("marginal-theorem", help="quadrant Bell violation table over cutoffs")
+    p = _add_command(sub, "marginal-theorem", "quadrant Bell violation table over cutoffs")
     p.add_argument("--cutoffs", default="10,100,1000,10000")
     p.add_argument("--grid", type=int, default=0,
                    help="cross-check the smallest cutoff on an n x n grid")
     p.add_argument("--grid-xmax", type=_finite_float, default=None)
-    p.add_argument("--out", default="")
 
-    p = sub.add_parser("wigner", help="discrete Wigner transform diagnostics")
+    p = _add_command(sub, "wigner", "discrete Wigner transform diagnostics")
     _add_state_1d_arguments(
         p, default_n=256, states=_STATES_1D + ("psi-plus-grid", "psi-minus-grid")
     )
     p.add_argument("--cutoff", type=_finite_float, default=10.0)
-    p.add_argument("--out", default="")
 
-    p = sub.add_parser("parity-chsh", help="displaced-parity CHSH for the squeezed vacuum")
+    p = _add_command(sub, "parity-chsh", "displaced-parity CHSH for the squeezed vacuum")
     p.add_argument("--r", type=_finite_float, default=2.0)
     p.add_argument("--search", default="protocol", choices=["protocol", "full"])
     p.add_argument("--displacements", default="",
                    help="evaluate four real displacements a,b,a',b' instead of searching")
-    p.add_argument("--out", default="")
 
-    p = sub.add_parser("ak-compare", help="joint-record ridge versus transport map")
+    p = _add_command(sub, "ak-compare", "joint-record ridge versus transport map")
     p.add_argument("--sigma", type=_finite_float, default=1.0)
     p.add_argument("--t", type=_finite_float, default=1.0)
     p.add_argument("--mass", type=_finite_float, default=1.0)
@@ -529,14 +534,12 @@ def build_parser():
     p.add_argument("--n", type=int, default=1024)
     p.add_argument("--xmax", type=_finite_float, default=None)
     p.add_argument("--window-std", type=_positive_float, default=3.0)
-    p.add_argument("--out", default="")
 
     p = sub.add_parser("waves", help="wavefunction utilities")
     wsub = p.add_subparsers(dest="subcommand", required=True)
-    d = wsub.add_parser("dump", help="write a sampled state as CSV (requires --out)")
+    d = _add_command(wsub, "dump", "write a sampled state as CSV (requires --out)")
     _add_state_1d_arguments(d, default_n=4096)
     d.add_argument("--rep", default="x", choices=["x", "p"])
-    d.add_argument("--out", default="")
 
     return parser
 
@@ -555,7 +558,7 @@ def main(argv=None):
         print("error: %s" % exc, file=sys.stderr)
         return exc.exit_code
     payload.update(schema_version=SCHEMA_VERSION, command=" ".join(words))
-    out = getattr(args, "out", "")
+    out = args.out
     if out:
         payload["csv"] = out
     try:

@@ -67,6 +67,13 @@ def _sign_groups(masses, points, axis):
     return np.moveaxis(grouped, 0, axis)
 
 
+def _quad_table(psi, ccs):
+    """3x3 sign-group mass table of the mixed density selected by ccs."""
+    w = _ccs_state(psi, ccs)
+    masses = w.density() * w.axes[0].spacing * w.axes[1].spacing
+    return _sign_groups(_sign_groups(masses, w.axes[0].points(), 0), w.axes[1].points(), 1)
+
+
 def quad_densities(psi):
     """Sign-pair mass tables for all four quadrature pairs.
 
@@ -75,13 +82,7 @@ def quad_densities(psi):
     table sums to the state's total mass (1 after normalization).
     """
     _require_position_2d(psi)
-    out = {}
-    for ccs in _CCS:
-        w = _ccs_state(psi, ccs)
-        masses = w.density() * w.axes[0].spacing * w.axes[1].spacing
-        t = _sign_groups(masses, w.axes[0].points(), 0)
-        out[ccs] = _sign_groups(t, w.axes[1].points(), 1)
-    return out
+    return {ccs: _quad_table(psi, ccs) for ccs in _CCS}
 
 
 def _table_correlator(table):
@@ -91,10 +92,7 @@ def _table_correlator(table):
 def quadrant_correlator(psi, ccs):
     """E_ab = <sgn(a) sgn(b)> on the mixed density selected by ccs."""
     _require_position_2d(psi)
-    w = _ccs_state(psi, ccs)
-    masses = w.density() * w.axes[0].spacing * w.axes[1].spacing
-    t = _sign_groups(masses, w.axes[0].points(), 0)
-    return _table_correlator(_sign_groups(t, w.axes[1].points(), 1))
+    return _table_correlator(_quad_table(psi, ccs))
 
 
 def s_functional(psi):
@@ -197,9 +195,13 @@ def family_correlators(cutoff, sign=+1):
     }
 
 
+def _s_of_overlap(i_val):
+    """S_+ = (sqrt(2)/8) (2 + I)^2 from the overlap integral I."""
+    return math.sqrt(2.0) / 8.0 * (2.0 + i_val) ** 2
+
+
 def family_s(cutoff, sign=+1):
-    s = waves._parse_sign(sign)
-    return s * math.sqrt(2.0) / 8.0 * (2.0 + overlap_integral(cutoff)) ** 2
+    return waves._parse_sign(sign) * _s_of_overlap(overlap_integral(cutoff))
 
 
 # ---------------------------------------------------------------------------
@@ -234,7 +236,7 @@ def marginal_theorem_demo(
         raise DomainError("cutoffs must be strictly increasing")
 
     overlaps = [overlap_integral(c) for c in cutoffs]
-    s_plus = [math.sqrt(2.0) / 8.0 * (2.0 + i) ** 2 for i in overlaps]
+    s_plus = [_s_of_overlap(i) for i in overlaps]
     s_minus = [-s for s in s_plus]
 
     for sp, sm in zip(s_plus, s_minus):

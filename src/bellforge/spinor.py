@@ -192,33 +192,24 @@ def _parse_kinds(kinds):
     return kinds
 
 
-def maximize_chsh(state, kinds, seed=0):
+def maximize_chsh(state, kinds):
     """Maximize the CHSH value over analyzer angles for fixed kinds.
 
     ``kinds`` holds the four analyzer kinds in the order (a, b, a', b').
     Exhaustive scan on a step-pi/64 grid, then coordinate-descent
-    refinement.  Deterministic: the scan covers the whole torus, ties break
-    to the lexicographically smallest (a, a', b, b') tuple, and ``seed`` is
-    accepted only for interface stability.
+    refinement.  Deterministic: the scan covers the whole torus and ties
+    break to the lexicographically smallest (a, a', b, b') tuple.
     """
-    del seed
     state = check_state(state)
     ka, kb, kap, kbp = _parse_kinds(kinds)
 
     t = _correlation_tensor(state)
-    t_ab = _sandwiches(t, ka, kb)
-    t_abp = _sandwiches(t, ka, kbp)
-    t_apb = _sandwiches(t, kap, kb)
-    t_apbp = _sandwiches(t, kap, kbp)
-
     theta = np.arange(_GRID_N) * (np.pi / _GRID_N)
     cz, sz = np.cos(2 * theta), np.sin(2 * theta)
-    c_ab = _corr_matrix(t_ab, cz, sz, cz, sz)
-    c_abp = _corr_matrix(t_abp, cz, sz, cz, sz)
-    c_apb = _corr_matrix(t_apb, cz, sz, cz, sz)
-    c_apbp = _corr_matrix(t_apbp, cz, sz, cz, sz)
-
-    _, ia, iap, ib, ibp = _kernels.chsh_scan(c_ab, c_abp, c_apb, c_apbp)
+    pairs = ((ka, kb), (ka, kbp), (kap, kb), (kap, kbp))  # ab, ab', a'b, a'b'
+    t_ab, t_abp, t_apb, t_apbp = sandwiches = [_sandwiches(t, x, y) for x, y in pairs]
+    tables = [_corr_matrix(sw, cz, sz, cz, sz) for sw in sandwiches]
+    _, ia, iap, ib, ibp = _kernels.chsh_scan(*tables)
     angles = np.array([theta[ia], theta[ib], theta[iap], theta[ibp]])
 
     def objective(v):

@@ -86,11 +86,6 @@ class GridWavefunction:
         return np.abs(self.values) ** 2
 
 
-def density(psi):
-    """|psi|^2 on the same grid."""
-    return psi.density()
-
-
 def _norm_defect(norm2, deficit_tol=1e-6, norm2_exact=1.0):
     """Relative defect of a sampled norm against the continuum norm; raise
     if it exceeds deficit_tol or the norm is not a positive double."""
@@ -105,13 +100,14 @@ def _norm_defect(norm2, deficit_tol=1e-6, norm2_exact=1.0):
     return defect
 
 
-def _finalize(values, axes, deficit_tol=1e-6, meta=None):
-    """Check the sampled norm, renormalize exactly, record the defect."""
+def _finalize(values, axes, deficit_tol=1e-6, meta=None, norm2_exact=1.0):
+    """Check the sampled norm against norm2_exact, renormalize exactly,
+    record the defect."""
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
         vol = float(np.prod([ax.spacing for ax in axes]))
         norm2 = float(np.sum(np.abs(values) ** 2) * vol)
     out_meta = dict(meta or {})
-    out_meta["norm_defect"] = _norm_defect(norm2, deficit_tol)
+    out_meta["norm_defect"] = _norm_defect(norm2, deficit_tol, norm2_exact)
     return GridWavefunction(tuple(axes), values / np.sqrt(norm2), out_meta)
 
 
@@ -209,6 +205,14 @@ def gaussian_spread(sigma, t, mass):
         raise DomainError("sigma, t and mass put the packet width outside double range") from None
 
 
+def _check_position_range(xmax, spread, center):
+    """Past the grid edge xmax the state is cut off: keep 8 spread widths
+    between it and the packet center."""
+    if xmax - abs(center) < 8.0 * spread:
+        raise TruncationError("grid half-width %.3g leaves < 8 spread widths around center %.3g"
+                              % (xmax, center))
+
+
 def _check_momentum_range(ax, p0, sigma):
     """Past the momentum edge pi/dx the sampled state aliases: keep 8 momentum
     widths 1/(2 sigma) between it and p0."""
@@ -233,11 +237,7 @@ def gaussian_packet(x0=0.0, p0=0.0, sigma=1.0, t=0.0, mass=1.0, n=2048, xmax=Non
         # 12 spread widths: the conjugate cell width pi/xmax sets the
         # transport-map resolution, and 10 widths leaves it too coarse
         xmax = abs(center) + 12.0 * spread
-    if xmax - abs(center) < 8.0 * spread:
-        raise TruncationError(
-            "grid half-width %.3g leaves < 8 spread widths around center %.3g"
-            % (xmax, center)
-        )
+    _check_position_range(xmax, spread, center)
     ax = position_axis(n, xmax)
     values = _gaussian_values(ax.points(), x0, p0, sigma, t, mass)
     _check_momentum_range(ax, p0, sigma)
@@ -255,12 +255,7 @@ def superposition(components, t=0.0, mass=1.0, n=4096, xmax=16.0):
     x = ax.points()
     values = np.zeros(n, dtype=complex)
     for weight, x0, p0, sigma in components:
-        spread = gaussian_spread(sigma, t, mass)
-        center = x0 + p0 * t / mass
-        if xmax - abs(center) < 8.0 * spread:
-            raise TruncationError(
-                "component centered at %.3g needs 8 spread widths inside the grid" % center
-            )
+        _check_position_range(xmax, gaussian_spread(sigma, t, mass), x0 + p0 * t / mass)
         values += weight * _gaussian_values(x, x0, p0, sigma, t, mass)
         _check_momentum_range(ax, p0, sigma)
     norm2 = np.sum(np.abs(values) ** 2) * ax.spacing
@@ -307,11 +302,9 @@ def correlated_gaussian_2d(rho=0.5, sigma=1.0, n=256, xmax=8.0):
     x2 = x[None, :]
     q = (x1**2 + x2**2 - 2.0 * rho * x1 * x2) / (1.0 - rho**2)
     values = np.exp(-q / (4.0 * sigma**2)).astype(complex)
-    norm2 = np.sum(np.abs(values) ** 2) * ax.spacing**2
     # the continuum integral of |values|^2 is 2 pi sigma^2 sqrt(1 - rho^2)
-    defect = _norm_defect(norm2, norm2_exact=2.0 * np.pi * sigma**2 * np.sqrt(1.0 - rho**2))
-    meta = {"rho": rho, "sigma": sigma, "norm_defect": defect}
-    return GridWavefunction((ax, ax), values / np.sqrt(norm2), meta)
+    exact = 2.0 * np.pi * sigma**2 * np.sqrt(1.0 - rho**2)
+    return _finalize(values, (ax, ax), meta={"rho": rho, "sigma": sigma}, norm2_exact=exact)
 
 
 def tensor(psi1, psi2):
@@ -380,11 +373,15 @@ def marginal_density(psi, axis):
     return dens.sum(axis=others) * vol if others else dens
 
 
-def mean_and_var(psi, axis=0):
-    rho = marginal_density(psi, axis)
-    x = psi.axes[axis].points()
-    w = rho * psi.axes[axis].spacing
+def moments(ax, rho):
+    """Mean and variance of the axis points under the density rho on that axis."""
+    x = ax.points()
+    w = rho * ax.spacing
     total = w.sum()
     mean = float(np.sum(x * w) / total)
     var = float(np.sum((x - mean) ** 2 * w) / total)
     return mean, var
+
+
+def mean_and_var(psi, axis=0):
+    return moments(psi.axes[axis], marginal_density(psi, axis))

@@ -385,3 +385,28 @@ def test_ballistic_transport():
     assert rep["mass_in_range"] == pytest.approx(1.0, abs=1e-6)
     with pytest.raises(DomainError):
         causal.ballistic_transport_check(t=2.0, t_prime=1.0)
+
+
+def test_pass_thresholds_pinned():
+    assert causal._THRESHOLDS == {"deterministic": 5e-3, "mc": 5e-2}
+    for method, threshold in causal._THRESHOLDS.items():
+        below = float(np.nextafter(threshold, 0.0))
+        assert causal._report({"a": 0.0, "b": below}, method)["passed"]
+        assert not causal._report({"a": 0.0, "b": threshold}, method)["passed"]
+        assert causal._report({"b": below}, method) == {
+            "distances": {"b": below}, "method": method, "passed": True}
+
+
+@pytest.mark.parametrize("threshold, passed", [(np.inf, True), (0.0, False)])
+def test_every_verifier_reads_the_thresholds(monkeypatch, threshold, passed):
+    psi1 = waves.gaussian_packet(n=256)
+    psi2 = waves.correlated_gaussian_2d(rho=0.0, n=64, xmax=8.0)
+    monkeypatch.setattr(causal, "_THRESHOLDS", {"deterministic": threshold, "mc": threshold})
+    reports = [
+        causal.verify_marginals(causal.rs_map_1d(psi1), psi1),
+        causal.verify_marginals(causal.rs_map_1d(psi1), psi1, mc_samples=20_000),
+        causal.verify_marginals(causal.rs_map_2d(psi2), psi2),
+        causal.verify_marginals(causal.rs_map_2d(psi2), psi2, mc_samples=20_000),
+    ]
+    assert [r["method"] for r in reports] == ["deterministic", "mc"] * 2
+    assert [r["passed"] for r in reports] == [passed] * 4

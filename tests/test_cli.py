@@ -180,6 +180,29 @@ def test_non_finite_piped_angle_exits_2(capsys, monkeypatch):
     assert code == 2 and out == "" and "finite" in err
 
 
+@pytest.mark.parametrize("fields", [
+    {"angles_rad": [0.0, 0.5]},
+    {"kinds": 5},
+    {"state": ["x"]},
+    {"angles_rad": "0123"},
+    {"angles_rad": [10**400, 0, 0, 0]},
+])
+def test_malformed_piped_document_exits_2(capsys, monkeypatch, fields):
+    doc = {"state": "psi-plus", "kinds": "LLLL", "angles_rad": [0.0, 0.4, 0.8, 1.2], **fields}
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
+    code, out, err = run(capsys, "lhv", "--from-state")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_chsh_seed_is_ignored(capsys):
+    argv = ("chsh", "--state", "psi-minus", "--kinds", "LELE", "--maximize")
+    code1, out1, _ = run(capsys, *argv, "--seed", "1")
+    code2, out2, _ = run(capsys, *argv, "--seed", "2")
+    assert code1 == code2 == 0
+    assert out1 == out2
+
+
 def test_lhv_input_modes_exclusive(capsys):
     code, _, err = run(capsys, "lhv", "--correlators", "0,0,0,0", "--angles", "0,1,2,3")
     assert code == 2

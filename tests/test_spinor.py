@@ -95,17 +95,17 @@ def test_chsh_value_uses_minus_on_ab_prime():
 
 
 def test_maximize_matches_known_optima():
-    _, v_ll = spinor.maximize_chsh(spinor.psi_plus(), "LLLL", seed=0)
+    _, v_ll = spinor.maximize_chsh(spinor.psi_plus(), "LLLL")
     assert v_ll == pytest.approx(spinor.TSIRELSON, abs=1e-6)
-    _, v_mixed = spinor.maximize_chsh(spinor.psi_plus(), "LELE", seed=0)
+    _, v_mixed = spinor.maximize_chsh(spinor.psi_plus(), "LELE")
     assert v_mixed == pytest.approx(2.0, abs=1e-6)
-    _, v_prod = spinor.maximize_chsh(spinor.product_xx(), "LLLL", seed=0)
+    _, v_prod = spinor.maximize_chsh(spinor.product_xx(), "LLLL")
     assert v_prod == pytest.approx(2.0, abs=1e-6)
 
 
 def test_maximize_is_deterministic():
-    s1, v1 = spinor.maximize_chsh(spinor.psi_minus(), "LLEE", seed=3)
-    s2, v2 = spinor.maximize_chsh(spinor.psi_minus(), "LLEE", seed=3)
+    s1, v1 = spinor.maximize_chsh(spinor.psi_minus(), "LLEE")
+    s2, v2 = spinor.maximize_chsh(spinor.psi_minus(), "LLEE")
     assert v1 == v2
     assert s1 == s2
 
