@@ -16,7 +16,7 @@ it, without the rank-4 array), a 1-D two-packet state at n=1024, and the
 reference.  The 2-D transport rows time the three stages of one
 deterministic `rs2d` op at the benchmark's transport shape (n=256, rho=0,
 sigma=0.7, xmax=20): the chain, its verification and the off-pair
-distance.  The Monte Carlo rows time the cell sampler of `rs1d --mc` and
+distance, for each ordering.  The Monte Carlo rows time the cell sampler of `rs1d --mc` and
 `rs2d --mc` at 2e5 draws over the 4096 cells of a two-Gaussian state and
 the 256^2 cells of the transport shape, each next to the
 `Generator.choice` call whose draws it reproduces, and one 1-D Monte
@@ -85,12 +85,18 @@ def bench_marginal_errors_1d(n=256):
 
 def bench_transport_2d():
     psi = waves.correlated_gaussian_2d(rho=0.0, sigma=0.7, n=256, xmax=20.0)
-    chain = causal.rs_map_2d(psi)
-    return [
-        ("rs_map_2d (256^2)", functools.partial(causal.rs_map_2d, psi)),
-        ("verify_marginals_2d (256^2)", functools.partial(causal.verify_marginals_2d, chain, psi)),
-        ("ccs_distance qp (256^2)", functools.partial(causal.ccs_distance, chain, psi, "qp")),
-    ]
+    rows = []
+    for ordering, off_pair in (("px", "qp"), ("xp", "pq")):
+        chain = causal.rs_map_2d(psi, ordering=ordering)
+        rows += [
+            ("rs_map_2d %s (256^2)" % ordering,
+             functools.partial(causal.rs_map_2d, psi, ordering=ordering)),
+            ("verify_marginals_2d %s (256^2)" % ordering,
+             functools.partial(causal.verify_marginals_2d, chain, psi)),
+            ("ccs_distance %s %s (256^2)" % (ordering, off_pair),
+             functools.partial(causal.ccs_distance, chain, psi, off_pair)),
+        ]
+    return rows
 
 
 def bench_monte_carlo(draws=200_000):

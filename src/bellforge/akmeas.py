@@ -44,6 +44,8 @@ class AkDistribution:
     joint: np.ndarray  # (n_x1, n_x2) density
     b: float
     warnings: tuple
+    var_x: float  # position and momentum variances of the state
+    var_p: float
 
     def cell(self):
         return self.x1_axis.spacing * self.x2_axis.spacing
@@ -69,14 +71,8 @@ def window_profile(x, b):
     return (2.0 * math.pi * b * b) ** -0.25 * np.exp(-(x * x) / (4.0 * b * b))
 
 
-def _state_scales(psi):
-    _, var_x = waves.mean_and_var(psi)
-    _, var_p = waves.mean_and_var(waves.fourier(psi))
-    return math.sqrt(var_x), math.sqrt(var_p)
-
-
-def _regime_warnings(psi, b, ax, pax):
-    dq, dp = _state_scales(psi)
+def _regime_warnings(var_x, var_p, b, ax, pax):
+    dq, dp = math.sqrt(var_x), math.sqrt(var_p)
     notes = []
     if dq * dp < 4.0:
         notes.append(
@@ -129,7 +125,10 @@ def ak_distribution(psi, b):
         )
         joint[start : start + chunk] = np.abs(waves.fourier(block, axis=1).values) ** 2
     pax = ax.conjugate()
-    return AkDistribution(ax, pax, joint, float(b), _regime_warnings(psi, b, ax, pax))
+    _, var_x = waves.mean_and_var(psi)
+    _, var_p = waves.mean_and_var(waves.fourier(psi))
+    warnings = _regime_warnings(var_x, var_p, b, ax, pax)
+    return AkDistribution(ax, pax, joint, float(b), warnings, var_x, var_p)
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,12 @@ Two phase-space constructions over a base density |psi(x)|^2:
   mixed position/momentum densities at once; swapping the chaining order
   yields a genuinely different composite map with the same marginals.
 
+The 2-D chain maps axis 0 first, in its chain frame (``_chain_frame``): the
+state itself for ordering "px", the axis-swapped state for "xp".  The maps,
+their deterministic verification and the off-pair distance are built there
+alone; ``point_maps``, the density labels and the Monte Carlo check use the
+state's own axes.
+
 Epsilon convention: epsilon=+1 matches F_p(p_hat) = F_x(x) (nondecreasing
 map); epsilon=-1 matches F_p(p_hat) = 1 - F_x(x) (nonincreasing).  The
 latter is the antitone coupling; it preserves the momentum marginal for
@@ -404,43 +410,50 @@ def verify_marginals_1d(m, psi, mc_samples=0, seed=0):
 # 2-D chained transport
 
 
-def _oriented(values, mapped_axis):
-    """View a 2-D array as (mapped axis, conditioning axis)."""
-    return values if mapped_axis == 0 else values.T
+def _chain_frame(psi, ordering):
+    """The state with the coordinate stage 1 maps on axis 0: psi itself for
+    "px", psi with its axes swapped, as a contiguous copy, for "xp"."""
+    if ordering == "px":
+        return psi
+    return waves.GridWavefunction(psi.axes[::-1], np.ascontiguousarray(psi.values.T), psi.meta)
+
+
+def _cell_masses(w):
+    """Cell masses of a 2-D state: density times axis 0's, then axis 1's spacing."""
+    return w.density() * w.axes[0].spacing * w.axes[1].spacing
 
 
 @dataclass(frozen=True)
 class ChainedMap2D:
-    """Conditional transport chain over a 2-D state.
+    """Conditional transport chain over a 2-D state, held in its chain frame
+    (``_chain_frame``), whose axis 0 is the coordinate mapped first.
 
-    Stage 1 maps the coordinate ``first_axis`` into its conjugate
-    momentum, one monotone map per cell of the other coordinate.  Stage 2
-    maps the other coordinate, one map per momentum cell produced by
-    stage 1.  Tables hold map values at source nodes and at source cell
-    edges; the edge tables drive mass-preserving pushforwards.
+    Stage 1 maps frame axis 0 into its conjugate momentum, one monotone map
+    per cell of axis 1.  Stage 2 maps axis 1, one map per momentum cell
+    produced by stage 1.  Tables hold map values at source nodes and at
+    source cell edges; the edge tables drive mass-preserving pushforwards.
     """
 
     ordering: str  # "px" replaces x1 first, "xp" replaces x2 first
     epsilons: tuple
-    first_axis: int
-    map1_nodes: np.ndarray  # (n_first, n_other)
-    map1_edges: np.ndarray  # (n_first + 1, n_other)
-    map2_nodes: np.ndarray  # (n_other, n_pfirst)
-    map2_edges: np.ndarray  # (n_other + 1, n_pfirst)
-    axes: tuple
-    momentum_axes: tuple
+    map1_nodes: np.ndarray  # (n0, n1), frame axes
+    map1_edges: np.ndarray  # (n0 + 1, n1)
+    map2_nodes: np.ndarray  # (n1, n_p0)
+    map2_edges: np.ndarray  # (n1 + 1, n_p0)
+    axes: tuple  # frame position axes
+    momentum_axes: tuple  # frame momentum axes
 
     def conditioning_cells(self):
         """Momentum cell index hit by each stage-1 node value."""
-        return _cell_index(self.map1_nodes, self.momentum_axes[self.first_axis])
+        return _cell_index(self.map1_nodes, self.momentum_axes[0])
 
     def point_maps(self):
-        """Composite momenta (p1, p2) assigned to every position cell (k1, k2)."""
+        """Composite momenta (p1, p2) of every cell (k1, k2) on the state's own axes."""
         idx = self.conditioning_cells()
-        n_other = self.map2_nodes.shape[0]
-        # out[k_first, k_other] = stage-2 node value at (k_other | stage-1 cell)
-        out = self.map2_nodes[np.arange(n_other)[None, :], idx]
-        if self.first_axis == 0:
+        n1 = self.map2_nodes.shape[0]
+        # out[k0, k1] = stage-2 node value at (k1 | stage-1 cell)
+        out = self.map2_nodes[np.arange(n1)[None, :], idx]
+        if self.ordering == "px":
             return {"p1": self.map1_nodes, "p2": out}
         return {"p1": out.T, "p2": self.map1_nodes.T}
 
@@ -474,10 +487,10 @@ def rs_map_2d(psi, epsilon1=+1, epsilon2=+1, ordering="px"):
     """Chained conditional transport for a 2-D state.
 
     ordering "px" builds p_hat_1(x1 | x2) against the (p1, x2) density and
-    then p_hat_2(x2 | p1) against the (p1, p2) density; ordering "xp"
-    swaps the coordinate roles.  Per-slice norms of the position and
-    momentum conditionals must agree (a transform along the mapped axis
-    preserves them exactly); mismatch beyond 1e-5 raises
+    then p_hat_2(x2 | p1) against the (p1, p2) density; ordering "xp" is
+    the same chain on the axis-swapped state.  Per-slice norms of the
+    position and momentum conditionals must agree (a transform along the
+    mapped axis preserves them exactly); mismatch beyond 1e-5 raises
     GridResolutionError.
     """
     if ordering not in ("px", "xp"):
@@ -487,27 +500,20 @@ def rs_map_2d(psi, epsilon1=+1, epsilon2=+1, ordering="px"):
             raise DomainError("epsilons must be +1 or -1")
     if psi.dim != 2:
         raise ValidationError("rs_map_2d needs a 2-D state")
-    first = 0 if ordering == "px" else 1
-    other = 1 - first
-
-    psi_m = waves.fourier(psi, axis=first)
-    psi_mm = waves.fourier(psi_m, axis=other)
-    mass, mass_m, mass_mm = (w.density() * w.cell_volume() for w in (psi, psi_m, psi_mm))
-    map1_nodes, map1_edges = _conditional_maps(
-        _oriented(mass, first), _oriented(mass_m, first), psi_m.axes[first], epsilon1
-    )
-    map2_nodes, map2_edges = _conditional_maps(
-        _oriented(mass_m, other), _oriented(mass_mm, other), psi_mm.axes[other], epsilon2
-    )
+    frame = _chain_frame(psi, ordering)
+    psi_m = waves.fourier(frame, axis=0)
+    psi_mm = waves.fourier(psi_m, axis=1)
+    mass, mass_m, mass_mm = (w.density() * w.cell_volume() for w in (frame, psi_m, psi_mm))
+    map1_nodes, map1_edges = _conditional_maps(mass, mass_m, psi_m.axes[0], epsilon1)
+    map2_nodes, map2_edges = _conditional_maps(mass_m.T, mass_mm.T, psi_mm.axes[1], epsilon2)
     return ChainedMap2D(
         ordering=ordering,
         epsilons=(epsilon1, epsilon2),
-        first_axis=first,
         map1_nodes=map1_nodes,
         map1_edges=map1_edges,
         map2_nodes=map2_nodes,
         map2_edges=map2_edges,
-        axes=tuple(psi.axes),
+        axes=tuple(frame.axes),
         momentum_axes=tuple(psi_mm.axes),
     )
 
@@ -516,91 +522,69 @@ def _chain_labels(chain):
     return ("qq", "pq", "pp") if chain.ordering == "px" else ("qq", "qp", "pp")
 
 
-def _base_masses(chain, psi):
-    return (
-        _oriented(psi.density(), chain.first_axis)
-        * psi.axes[0].spacing
-        * psi.axes[1].spacing
-    )
-
-
-def _stage1_cell_masses(chain, psi):
-    """Push base cell masses through stage 1 onto the coarse momentum cells
-    that condition stage 2; returns (n_pfirst, n_other)."""
-    pax = chain.momentum_axes[chain.first_axis]
-    return _deposit_edge_intervals(chain.map1_edges, _base_masses(chain, psi), *_fine_bins(pax))
-
-
-def _double_fine_masses(padded0, first, factor):
-    """Cell masses of the full momentum density, fine along both axes,
-    then cell-integrated back to coarse cells along the first axis, from
-    padded0 = ``waves.padded_transform(psi, 0, factor)``.
+def _double_fine_masses(padded0):
+    """Cell masses of the full momentum density, _FINE times finer along
+    both axes, then cell-integrated back to coarse cells along axis 0, from
+    padded0 = ``waves.padded_transform(psi, 0, _FINE)``.
 
     Axis 0 is padded and transformed before axis 1 is padded, so the first
     transform runs over the n1 state columns only, not over the zero
     columns of a fully padded array."""
-    big_mm = waves.padded_transform(padded0, 1, factor)
-    fine_masses = big_mm.density() * big_mm.axes[0].spacing * big_mm.axes[1].spacing
-    oriented = _oriented(fine_masses, first)  # (p_first fine, p_other fine)
-    return _group_fine_axis(oriented, factor, axis=0)  # (p_first cells, p_other fine)
+    big_mm = waves.padded_transform(padded0, 1, _FINE)
+    return _group_fine_axis(_cell_masses(big_mm), _FINE, axis=0)  # (p0 cells, p1 fine)
 
 
 def verify_marginals_2d(chain, psi, mc_samples=0, seed=0):
     """L1 distances for the three densities a chain reproduces.
 
-    Deterministic path: source cell masses ride the map stages as exact
-    intervals into fine momentum bins; targets are transform densities on
-    oversampled grids, cell-integrated along any axis the chain resolves
-    only at coarse cells.  Monte Carlo path: seeded position samples
-    pushed through the composite point maps onto coarsened grids.
+    Deterministic path, in the chain frame: source cell masses ride the
+    map stages as exact intervals into fine momentum bins; targets are
+    transform densities on oversampled grids, cell-integrated along any
+    axis the chain resolves only at coarse cells.  Monte Carlo path:
+    seeded position samples pushed through the composite point maps onto
+    coarsened grids.
     """
     if mc_samples:
         return _verify_2d_mc(chain, psi, mc_samples, seed)
-    first = chain.first_axis
-    other = 1 - first
     labels = _chain_labels(chain)
-    distances = {labels[0]: 0.0}
-    base = _base_masses(chain, psi)
+    frame = _chain_frame(psi, chain.ordering)
+    base = _cell_masses(frame)
 
-    # middle density (p_first, x_other): per-column interval pushforward
-    fine = waves.padded_transform(psi, first, _FINE)
-    fine_ax = fine.axes[first]
-    tgt_mid = _oriented(fine.density(), first) * fine_ax.spacing * psi.axes[other].spacing
-    rep_mid = _deposit_edge_intervals(chain.map1_edges, base, *_fine_bins(fine_ax))
-    # cell-mass comparison, as in the 1-D verifier
-    distances[labels[1]] = _cell_l1(rep_mid, tgt_mid, _FINE, 0)
+    # middle density (p0, x1): per-column interval pushforward, compared
+    # on cell masses as in the 1-D verifier
+    fine = waves.padded_transform(frame, 0, _FINE)
+    rep_mid = _deposit_edge_intervals(chain.map1_edges, base, *_fine_bins(fine.axes[0]))
 
-    # final density (p_first cells, p_other fine): stage-2 pushforward of
-    # the stage-1 masses against a p_first-cell-integrated target
-    m1 = _stage1_cell_masses(chain, psi)
-    padded0 = fine if first == 0 else waves.padded_transform(psi, 0, _FINE)
-    tgt_pp = _double_fine_masses(padded0, first, _FINE)
+    # final density (p0 cells, p1 fine): stage 2 pushes the stage-1 masses on
+    # the coarse momentum cells, against a p0-cell-integrated target
+    m1 = _deposit_edge_intervals(chain.map1_edges, base, *_fine_bins(chain.momentum_axes[0]))
     rep_pp = _deposit_edge_intervals(
-        chain.map2_edges, m1.T, *_fine_bins(chain.momentum_axes[other], _FINE)
+        chain.map2_edges, m1.T, *_fine_bins(chain.momentum_axes[1], _FINE)
     ).T
-    distances[labels[2]] = _cell_l1(rep_pp, tgt_pp, _FINE, 1)
+    distances = {
+        labels[0]: 0.0,
+        labels[1]: _cell_l1(rep_mid, _cell_masses(fine), _FINE, 0),
+        labels[2]: _cell_l1(rep_pp, _double_fine_masses(fine), _FINE, 1),
+    }
     return _report(distances, "deterministic")
 
 
 def _verify_2d_mc(chain, psi, mc_samples, seed):
-    """Monte Carlo marginal check on _MC_GROUP-coarsened grids."""
+    """Monte Carlo marginal check on _MC_GROUP-coarsened grids, on psi's own axes."""
     rng = np.random.default_rng(seed)
-    first = chain.first_axis
+    first = ("px", "xp").index(chain.ordering)  # the state axis stage 1 maps
     labels = _chain_labels(chain)
     n1, n2 = psi.axes[0].n, psi.axes[1].n
 
-    base = psi.density() * psi.axes[0].spacing * psi.axes[1].spacing
+    base = _cell_masses(psi)
     idx = _sample_cells(base, mc_samples, rng)
     k1, k2 = idx // n2, idx % n2
     pm = chain.point_maps()
     p1, p2 = pm["p1"][k1, k2], pm["p2"][k1, k2]
 
-    kp1, kp2 = (_cell_index(p, pax) for p, pax in zip((p1, p2), chain.momentum_axes))
-
     psi_m = waves.fourier(psi, axis=first)
     psi_mm = waves.fourier(psi_m, axis=first ^ 1)
-    tgt_m = psi_m.density() * psi_m.axes[0].spacing * psi_m.axes[1].spacing
-    tgt_mm = psi_mm.density() * psi_mm.axes[0].spacing * psi_mm.axes[1].spacing
+    kp1, kp2 = (_cell_index(p, pax) for p, pax in zip((p1, p2), psi_mm.axes))
 
     def hist2(a, b):  # a momentum axis has as many points as its position axis
         return (np.bincount(a * n2 + b, minlength=n1 * n2) / mc_samples).reshape(n1, n2)
@@ -608,8 +592,8 @@ def _verify_2d_mc(chain, psi, mc_samples, seed):
     mid = ((kp1, k2), (k1, kp2))[first]
     distances = {
         labels[0]: _cell_l1(hist2(k1, k2), base, _MC_GROUP, 0, 1),
-        labels[1]: _cell_l1(hist2(*mid), tgt_m, _MC_GROUP, 0, 1),
-        labels[2]: _cell_l1(hist2(kp1, kp2), tgt_mm, _MC_GROUP, 0, 1),
+        labels[1]: _cell_l1(hist2(*mid), _cell_masses(psi_m), _MC_GROUP, 0, 1),
+        labels[2]: _cell_l1(hist2(kp1, kp2), _cell_masses(psi_mm), _MC_GROUP, 0, 1),
     }
     return _report(distances, "mc")
 
@@ -633,24 +617,20 @@ def ccs_distance(chain, psi, ccs):
     labels = _chain_labels(chain)
     if ccs in labels:
         return verify_marginals_2d(chain, psi)["distances"][ccs]
-    off_label = "qp" if chain.ordering == "px" else "pq"
-    if ccs != off_label:
+    if ccs not in ("pq", "qp"):
         raise DomainError("ccs must be one of qq, pq, qp, pp")
 
-    # off-chain pair (x_first, p_other): stage-2 intervals selected by each
-    # cell's stage-1 conditioning index, one deposit column per x_first row
-    first = chain.first_axis
-    other = 1 - first
-    base = _base_masses(chain, psi)
+    # off-chain pair (x0, p1) in the chain frame: stage-2 intervals selected
+    # by each cell's stage-1 conditioning index, one deposit column per x0 row
+    frame = _chain_frame(psi, chain.ordering)
+    base = _cell_masses(frame)
     idx = chain.conditioning_cells()
     rows = np.arange(base.shape[1])
     rep = _kernels.deposit_intervals(
         chain.map2_edges[rows, idx].T, chain.map2_edges[rows + 1, idx].T, base.T,
-        *_fine_bins(chain.momentum_axes[other], _FINE),
+        *_fine_bins(chain.momentum_axes[1], _FINE),
     ).T
-    fine = waves.padded_transform(psi, other, _FINE)
-    tgt = _oriented(fine.density(), first) * psi.axes[first].spacing * fine.axes[other].spacing
-    return _cell_l1(rep, tgt, _FINE, 1)
+    return _cell_l1(rep, _cell_masses(waves.padded_transform(frame, 1, _FINE)), _FINE, 1)
 
 
 # ---------------------------------------------------------------------------

@@ -384,8 +384,6 @@ def _cmd_ak_compare(args):
 
     _, var1 = record.mean_var_x1()
     _, var2 = record.mean_var_x2()
-    _, var_x = waves.mean_and_var(psi)
-    _, var_p = waves.mean_and_var(waves.fourier(psi))
     payload = {
         "sigma": args.sigma,
         "t": args.t,
@@ -400,9 +398,9 @@ def _cmd_ak_compare(args):
         "map_slope_expected": akmeas.gaussian_map_slope(args.sigma, args.t, args.mass),
         "variances": {
             "x1": var1,
-            "x1_expected": var_x + args.b**2,
+            "x1_expected": record.var_x + args.b**2,
             "x2": var2,
-            "x2_expected": var_p + 1.0 / (4.0 * args.b**2),
+            "x2_expected": record.var_p + 1.0 / (4.0 * args.b**2),
         },
         "warnings": list(record.warnings),
     }

@@ -378,21 +378,24 @@ def maximize_chsh_parity(r, search="protocol"):
     (a, b, a', b') = (d1, 0, 0, -d2) with d1, d2 >= 0, the configuration
     whose large-r optimum is 1 + 2*2^(-1/3) - 2^(-4/3).  search="full"
     optimizes four independent real displacements and can exceed the
-    protocol value; neither search can pass 2*sqrt(2).  Each search runs
-    Nelder-Mead from four seeds and keeps the best.
+    protocol value; neither search can pass 2*sqrt(2).  The optimal
+    displacements shrink like e^(-r), so each search runs Nelder-Mead on
+    u = d e^r, from four seeds (times e, so r = 1 starts at the seeds as
+    displacements) and keeps the best.
     """
     if r < 0:
         raise DomainError("squeezing parameter must be nonnegative")
+    scale = math.exp(-r)
     if search == "protocol":
 
-        def loss(v):
-            return -_protocol_value(r, abs(v[0]), abs(v[1]))
+        def loss(u):
+            return -_protocol_value(r, abs(u[0]) * scale, abs(u[1]) * scale)
 
         seeds = [(0.05, 0.05), (0.2, 0.2), (0.5, 0.5), (0.9, 0.9)]
     elif search == "full":
 
-        def loss(v):
-            return -chsh_parity(r, tuple(v))
+        def loss(u):
+            return -chsh_parity(r, tuple(u * scale))
 
         seeds = [
             (0.1, 0.0, 0.0, -0.1),
@@ -406,16 +409,16 @@ def maximize_chsh_parity(r, search="protocol"):
     best_x, best_fun = None, None
     for seed in seeds:
         x, fun = _nelder_mead(
-            loss, np.asarray(seed, dtype=float), xatol=1e-10, fatol=1e-12, maxiter=4000
+            loss, math.e * np.asarray(seed, dtype=float), xatol=1e-10, fatol=1e-12, maxiter=4000
         )
         if best_fun is None or fun < best_fun:
             best_x, best_fun = x, fun
     s_max = -float(best_fun)
+    d = best_x * scale
     if search == "protocol":
-        d1, d2 = abs(best_x[0]), abs(best_x[1])
-        displacements = (d1, 0.0, 0.0, -d2)
+        displacements = (abs(d[0]), 0.0, 0.0, -abs(d[1]))
     else:
-        displacements = tuple(float(v) for v in best_x)
+        displacements = tuple(float(v) for v in d)
     return {
         "r": float(r),
         "search": search,

@@ -93,13 +93,18 @@ def _ref_double_fine_masses(psi, first, factor):
     return causal._group_fine_axis(masses if first == 0 else masses.T, factor, axis=0)
 
 
+def _swapped(psi):
+    """psi with its two axes exchanged, as a contiguous copy."""
+    return waves.GridWavefunction(psi.axes[::-1], np.ascontiguousarray(psi.values.T), {})
+
+
 @pytest.mark.parametrize("n", [32, 64])
 def test_double_fine_masses_equal_fully_padded_transform(n):
     for psi in (_skewed_state(n, 8.0), waves.correlated_gaussian_2d(rho=0.5, n=n, xmax=8.0)):
-        for first in (0, 1):
+        for s in (psi, _swapped(psi)):
             np.testing.assert_array_equal(
-                causal._double_fine_masses(waves.padded_transform(psi, 0, 4), first, 4),
-                _ref_double_fine_masses(psi, first, 4),
+                causal._double_fine_masses(waves.padded_transform(s, 0, 4)),
+                _ref_double_fine_masses(s, 0, 4),
             )
 
 
@@ -116,13 +121,16 @@ MAP_2D_DIGESTS = {
 }
 
 
+_CHAIN_TABLES = ("map1_nodes", "map1_edges", "map2_nodes", "map2_edges")
+
+
 @pytest.mark.parametrize("n, ordering", sorted(MAP_2D_DIGESTS))
 def test_rs_map_2d_tables_pinned(n, ordering):
     psi = _skewed_state(n, 8.0 if n == 64 else 10.0)
     for (e1, e2), want in zip(itertools.product((1, -1), repeat=2), MAP_2D_DIGESTS[n, ordering]):
         chain = causal.rs_map_2d(psi, e1, e2, ordering)
         digest = hashlib.sha256()
-        for name in ("map1_nodes", "map1_edges", "map2_nodes", "map2_edges"):
+        for name in _CHAIN_TABLES:
             digest.update(getattr(chain, name).tobytes())
         assert digest.hexdigest()[:16] == want, (n, ordering, e1, e2)
 
@@ -318,9 +326,9 @@ def test_evaluate_in_cells_keeps_signed_zero_nodes(epsilon):
     assert got.tobytes() == m.evaluate(x).tobytes()
 
 
-def test_verify_2d_transforms_axis0_once_for_px(monkeypatch):
-    psi = waves.correlated_gaussian_2d(rho=0.3, sigma=0.7, n=64, xmax=10.0)
-    chain = causal.rs_map_2d(psi, ordering="px")
+def _padded_transform_calls(monkeypatch, chain, psi):
+    """(axis, factor) of every padded transform one deterministic 2-D
+    verification runs."""
     calls = []
     transform = waves.padded_transform
 
@@ -330,7 +338,39 @@ def test_verify_2d_transforms_axis0_once_for_px(monkeypatch):
 
     monkeypatch.setattr(waves, "padded_transform", counted)
     causal.verify_marginals_2d(chain, psi)
-    assert calls == [(0, causal._FINE), (1, causal._FINE)]
+    return calls
+
+
+def test_verify_2d_transforms_axis0_once_for_px(monkeypatch):
+    psi = waves.correlated_gaussian_2d(rho=0.3, sigma=0.7, n=64, xmax=10.0)
+    chain = causal.rs_map_2d(psi, ordering="px")
+    assert _padded_transform_calls(monkeypatch, chain, psi) == [(0, causal._FINE), (1, causal._FINE)]
+
+
+def test_verify_2d_transforms_each_frame_axis_once_for_xp(monkeypatch):
+    # the pp target reuses the chain frame's axis-0 transform, as for px
+    psi = _skewed_state(64, 8.0)
+    chain = causal.rs_map_2d(psi, ordering="xp")
+    assert _padded_transform_calls(monkeypatch, chain, psi) == [(0, causal._FINE), (1, causal._FINE)]
+
+
+@pytest.mark.parametrize("n, xmax", [(64, 8.0), (128, 10.0)])
+def test_xp_chain_is_px_chain_of_swapped_state(n, xmax):
+    """xp maps x2 first: its tables, verification distances and off-pair
+    distance equal, bit for bit, those of the px chain of the state with its
+    axes swapped, whose (p1, x2) pair is the xp chain's (x1, p2)."""
+    psi = _skewed_state(n, xmax)
+    swapped = _swapped(psi)
+    for e1, e2 in itertools.product((1, -1), repeat=2):
+        xp = causal.rs_map_2d(psi, e1, e2, "xp")
+        px = causal.rs_map_2d(swapped, e1, e2, "px")
+        for name in _CHAIN_TABLES:
+            assert getattr(xp, name).tobytes() == getattr(px, name).tobytes(), (name, e1, e2)
+        got = causal.verify_marginals_2d(xp, psi)["distances"]
+        want = causal.verify_marginals_2d(px, swapped)["distances"]
+        assert got == {"qq": want["qq"], "qp": want["pq"], "pp": want["pp"]}
+        for ccs, ccs_px in (("qq", "qq"), ("qp", "pq"), ("pq", "qp"), ("pp", "pp")):
+            assert causal.ccs_distance(xp, psi, ccs) == causal.ccs_distance(px, swapped, ccs_px)
 
 
 def test_chain_2d_structure_and_marginals():

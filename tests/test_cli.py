@@ -10,7 +10,7 @@ import sys
 import numpy as np
 import pytest
 
-from bellforge import cli
+from bellforge import cli, waves
 
 
 def run(capsys, *argv):
@@ -335,6 +335,43 @@ def test_parity_chsh_search(capsys):
     assert fixed["s"] > 2.0
 
 
+# sha256 prefixes of fixed-displacement stdout, recorded before the search
+# moved to rescaled displacements; the fixed path does not search
+PARITY_FIXED_DIGESTS = [
+    (("--r", "1", "--displacements", "0.175,0,0,-0.175"), "9227527aac38b6eb"),
+    (("--r", "3", "--displacements", "0.1,0.2,-0.1,-0.3"), "41a92dcb63e09431"),
+    (("--r", "354", "--displacements", "10,-10,10,10"), "f5b775a3ebb5f0a7"),
+]
+
+
+@pytest.mark.parametrize("argv, want", PARITY_FIXED_DIGESTS)
+def test_parity_chsh_fixed_displacements_stdout_pinned(capsys, argv, want):
+    code, out, err = run(capsys, "parity-chsh", *argv)
+    assert code == 0, err
+    assert hashlib.sha256(out.encode()).hexdigest()[:16] == want
+
+
+def test_ak_compare_transforms_the_state_once(capsys, monkeypatch):
+    """The handler reads the state's variances off the record, which computed
+    them for its regime warnings, instead of computing them again."""
+    fourier, mean_and_var = waves.fourier, waves.mean_and_var
+    transformed, moments = [], []
+
+    def counted_fourier(psi, axis=0):
+        transformed.append(psi.values.shape)
+        return fourier(psi, axis)
+
+    def counted_mean_and_var(psi, axis=0):
+        moments.append(psi.values.shape)
+        return mean_and_var(psi, axis)
+
+    monkeypatch.setattr(waves, "fourier", counted_fourier)
+    monkeypatch.setattr(waves, "mean_and_var", counted_mean_and_var)
+    run_json(capsys, "ak-compare", "--n", "256")
+    assert transformed.count((256,)) == 1
+    assert moments == [(256,), (256,)]
+
+
 def test_ak_compare_table(tmp_path, capsys):
     out = tmp_path / "ak.csv"
     doc = run_json(capsys, "ak-compare", "--out", str(out))
@@ -372,6 +409,8 @@ def test_bad_arguments_exit_2(capsys):
 # sha256 prefixes of the stdout of the transport commands, recorded before
 # the verifier's fine bins came from one helper (numpy 2.4, x86-64): every
 # distance is printed in full, so a bin edge moved by one ulp shows here
+# (the xp rows whose pp distance moved by ~1e-17 when xp became the px chain
+# of the axis-swapped state were re-recorded then)
 STDOUT_DIGESTS = [
     (("rs1d", "--n", "256", "--state", "gaussian", "--epsilon", "1"), "39ad25ea17cd43ab"),
     (("rs1d", "--n", "256", "--state", "gaussian", "--epsilon", "-1"), "bc6368e182e6a3cb"),
@@ -390,18 +429,18 @@ STDOUT_DIGESTS = [
     (("rs2d", "--n", "64", "--xmax", "10", "--ordering", "px", "--epsilons=1,-1"), "6f8c1e7958336ece"),
     (("rs2d", "--n", "64", "--xmax", "10", "--ordering", "px", "--epsilons=-1,1"), "f774fcee25fdb665"),
     (("rs2d", "--n", "64", "--xmax", "10", "--ordering", "px", "--epsilons=-1,-1"), "cf3466d4a022e931"),
-    (("rs2d", "--n", "64", "--xmax", "10", "--ordering", "xp", "--epsilons=1,1"), "748aa794cdf41020"),
-    (("rs2d", "--n", "64", "--xmax", "10", "--ordering", "xp", "--epsilons=1,-1"), "de0e3018e0256d39"),
-    (("rs2d", "--n", "64", "--xmax", "10", "--ordering", "xp", "--epsilons=-1,1"), "6506a9dc86ba1cdb"),
-    (("rs2d", "--n", "64", "--xmax", "10", "--ordering", "xp", "--epsilons=-1,-1"), "ff212f86cbb25b35"),
+    (("rs2d", "--n", "64", "--xmax", "10", "--ordering", "xp", "--epsilons=1,1"), "7de057bc454f7cab"),
+    (("rs2d", "--n", "64", "--xmax", "10", "--ordering", "xp", "--epsilons=1,-1"), "9fb47867421d166a"),
+    (("rs2d", "--n", "64", "--xmax", "10", "--ordering", "xp", "--epsilons=-1,1"), "de12e83b13b0a039"),
+    (("rs2d", "--n", "64", "--xmax", "10", "--ordering", "xp", "--epsilons=-1,-1"), "3ea856934e46c9d3"),
     (("rs2d", "--n", "128", "--xmax", "12", "--ordering", "px", "--epsilons=1,1"), "48b8681da708a729"),
     (("rs2d", "--n", "128", "--xmax", "12", "--ordering", "px", "--epsilons=1,-1"), "98afdd987ad40525"),
     (("rs2d", "--n", "128", "--xmax", "12", "--ordering", "px", "--epsilons=-1,1"), "5543958ffdc67317"),
     (("rs2d", "--n", "128", "--xmax", "12", "--ordering", "px", "--epsilons=-1,-1"), "7a80ecaaae6cddc9"),
-    (("rs2d", "--n", "128", "--xmax", "12", "--ordering", "xp", "--epsilons=1,1"), "29dfeca06efb46a3"),
+    (("rs2d", "--n", "128", "--xmax", "12", "--ordering", "xp", "--epsilons=1,1"), "0a37023bbd9545c4"),
     (("rs2d", "--n", "128", "--xmax", "12", "--ordering", "xp", "--epsilons=1,-1"), "476bc85be4080585"),
     (("rs2d", "--n", "128", "--xmax", "12", "--ordering", "xp", "--epsilons=-1,1"), "e88210b257756137"),
-    (("rs2d", "--n", "128", "--xmax", "12", "--ordering", "xp", "--epsilons=-1,-1"), "fc458c3d910ab903"),
+    (("rs2d", "--n", "128", "--xmax", "12", "--ordering", "xp", "--epsilons=-1,-1"), "7ec1bbd84ecf4af2"),
     (("rs2d", "--n", "64", "--xmax", "10", "--mc", "20000", "--seed", "5"), "635364cf6854e77c"),
     (("ak-compare", "--n", "256"), "916be18fadf69767"),
 ]
@@ -412,3 +451,19 @@ def test_transport_stdout_pinned(capsys, argv, want):
     code, out, err = run(capsys, *argv)
     assert code == 0, err
     assert hashlib.sha256(out.encode()).hexdigest()[:16] == want
+
+
+@pytest.mark.parametrize("argv", [
+    *(tuple(a for a in argv if a not in ("--ordering", "px"))
+      for argv, _ in STDOUT_DIGESTS if "px" in argv),
+    ("rs2d", "--rho", "0", "--sigma", "0.7", "--n", "256", "--xmax", "20"),
+])
+def test_rs2d_orderings_agree_on_swap_symmetric_state(capsys, argv):
+    """The rho-Gaussian is symmetric under x1 <-> x2, so the xp chain, the px
+    chain of the swapped state, reports what px reports, with qp for pq."""
+    docs = {o: run_json(capsys, *argv, "--ordering", o) for o in ("px", "xp")}
+    xp = docs["xp"]
+    dist = xp["verification"]["distances"]
+    dist["pq"] = dist.pop("qp")
+    xp["ordering"] = "px"
+    assert xp == docs["px"]

@@ -305,26 +305,27 @@ def _scipy_maximize(r, search):
     in-tree Nelder-Mead must reproduce bit for bit."""
     from scipy import optimize
 
+    scale = math.exp(-r)  # the search runs on u = d e^r
     if search == "protocol":
-        def loss(v):
-            return -wigner._protocol_value(r, abs(v[0]), abs(v[1]))
+        def loss(u):
+            return -wigner._protocol_value(r, abs(u[0]) * scale, abs(u[1]) * scale)
         seeds = [(0.05, 0.05), (0.2, 0.2), (0.5, 0.5), (0.9, 0.9)]
     else:
-        def loss(v):
-            return -wigner.chsh_parity(r, tuple(v))
+        def loss(u):
+            return -wigner.chsh_parity(r, tuple(u * scale))
         seeds = [(0.1, 0.0, 0.0, -0.1), (0.3, -0.05, 0.05, -0.3),
                  (0.5, 0.1, -0.1, -0.5), (0.2, 0.2, -0.2, -0.2)]
     best = None
     for seed in seeds:
         res = optimize.minimize(
-            loss, np.asarray(seed, dtype=float), method="Nelder-Mead",
+            loss, math.e * np.asarray(seed, dtype=float), method="Nelder-Mead",
             options={"xatol": 1e-10, "fatol": 1e-12, "maxiter": 4000},
         )
         if best is None or res.fun < best.fun:
             best = res
     if search == "protocol":
-        return -float(best.fun), (abs(best.x[0]), 0.0, 0.0, -abs(best.x[1]))
-    return -float(best.fun), tuple(float(v) for v in best.x)
+        return -float(best.fun), (abs(best.x[0]) * scale, 0.0, 0.0, -abs(best.x[1]) * scale)
+    return -float(best.fun), tuple(float(v) for v in best.x * scale)
 
 
 @pytest.mark.parametrize("search", ["protocol", "full"])
@@ -344,6 +345,26 @@ def test_protocol_maxima_frozen():
         assert got == pytest.approx(PROTOCOL_MAXIMA[r], abs=1e-5)
         values.append(got)
     assert all(b >= a - 1e-9 for a, b in zip(values, values[1:]))
+
+
+# the protocol optimum as r -> infinity (docstring of maximize_chsh_parity)
+PROTOCOL_LIMIT = 1.0 + 2.0 * 2.0 ** (-1.0 / 3.0) - 2.0 ** (-4.0 / 3.0)
+SQUEEZINGS = (0.0, 0.25, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0, 5.0, 6.0, 8.0, 10.0, 15.0, 20.0, 30.0, 50.0)
+
+
+@pytest.mark.parametrize("search", ["protocol", "full"])
+def test_search_follows_the_optimum_to_large_squeezing(search):
+    """The optimal displacements shrink like e^(-r); a search that does not
+    follow them stalls on the S = 1 (protocol) or S = 2 (full) plateau."""
+    values = [wigner.maximize_chsh_parity(r, search=search)["s_max"] for r in SQUEEZINGS]
+    assert all(b >= a - 1e-12 for a, b in zip(values, values[1:])), values  # rounding only
+    if search == "protocol":
+        for r, v in zip(SQUEEZINGS, values):
+            if r >= 6.0:
+                assert abs(v - PROTOCOL_LIMIT) < 1e-9, (r, v)
+    else:
+        assert values[-1] == pytest.approx(2.3244948, abs=1e-6)
+    assert max(values) < TSIRELSON
 
 
 def test_full_search_beats_protocol():
