@@ -10,10 +10,9 @@ masses pushed into a 4x oversampled histogram, as one large 1-D call
 (rs1d) and as one batched call of many short columns (rs2d).  The scan
 benchmark uses the maximizer's full correlation tables.  The Wigner rows
 time the real-FFT transform on the `wigner` command's states: the two-mode
-psi-plus grid state at n=64 (64 x1 slabs) and at n=32 (as the command runs
-it, without the rank-4 array), a 1-D two-packet state at n=1024, and the
-1-D marginal check at the command's default n=256 against its padded-FFT
-reference.  The 2-D transport rows time the three stages of one
+psi-plus grid state at n=64 (64 x1 slabs) and at n=32, a 1-D two-packet
+state at n=1024, and the 1-D marginal check at the command's default n=256
+against its padded-FFT reference.  The 2-D transport rows time the three stages of one
 deterministic `rs2d` op at the benchmark's transport shape (n=256, rho=0,
 sigma=0.7, xmax=20): the chain, its verification and the off-pair
 distance, for each ordering.  The Monte Carlo rows time the cell sampler of `rs1d --mc` and
@@ -159,7 +158,7 @@ def main(argv=None):
         ("wigner_transform (psi-plus grid, 64^2)", functools.partial(
             wigner.wigner_transform, waves.psi_marginal_state(+1, 10.0, n=64))),
         ("wigner_transform (psi-plus grid, 32^2)", functools.partial(
-            wigner.wigner_transform, waves.psi_marginal_state(+1, 10.0, n=32), store_full=False)),
+            wigner.wigner_transform, waves.psi_marginal_state(+1, 10.0, n=32))),
         ("wigner_transform (1-D, 1024)", functools.partial(
             wigner.wigner_transform, waves.two_gaussian_packet(n=1024, xmax=24.0))),
         bench_marginal_errors_1d(),

@@ -241,8 +241,7 @@ def takabayasi_gap_detailed(psi):
     and their mass reported separately.
     """
     field = debb_momentum_field(psi)
-    ax = psi.axes[0]
-    masses = psi.density() * ax.spacing
+    masses = psi.masses()
     ok = np.isfinite(field)
     excluded = float(masses[~ok].sum())
 
@@ -251,12 +250,13 @@ def takabayasi_gap_detailed(psi):
     edge_vals = np.concatenate(
         [[filled[0]], 0.5 * (filled[:-1] + filled[1:]), [filled[-1]]]
     )
-    lo = np.minimum(edge_vals[:-1], edge_vals[1:])[ok]
-    hi = np.maximum(edge_vals[:-1], edge_vals[1:])[ok]
 
     fine = waves.padded_transform(psi, 0, _FINE)
-    deposited = _kernels.deposit_intervals(lo, hi, masses[ok], *_fine_bins(fine.axes[0]))
-    gap = float(np.sum(np.abs(deposited - fine.density() * fine.axes[0].spacing)))
+    # deposit_intervals orders each cell's two edge values itself
+    deposited = _kernels.deposit_intervals(
+        edge_vals[:-1][ok], edge_vals[1:][ok], masses[ok], *_fine_bins(fine.axes[0])
+    )
+    gap = float(np.sum(np.abs(deposited - fine.masses())))
     return {"gap": gap, "excluded_mass": excluded}
 
 
@@ -297,10 +297,8 @@ def rs_map_1d(psi, epsilon=+1):
         raise ValidationError("rs_map_1d needs a 1-D state")
     ax = psi.axes[0]
     fine = waves.padded_transform(psi, 0, _FINE)
-    pax = fine.axes[0]
     p_hat, p_hat_edges = _invert_edges_and_nodes(
-        _cell_edges(pax), _cdf_edges(fine.density() * pax.spacing),
-        _cdf_edges(psi.density() * ax.spacing), epsilon,
+        _cell_edges(fine.axes[0]), _cdf_edges(fine.masses()), _cdf_edges(psi.masses()), epsilon
     )
     return MonotoneMap(
         x=ax.points(),
@@ -382,10 +380,9 @@ def verify_marginals_1d(m, psi, mc_samples=0, seed=0):
     seeded Monte Carlo histogram when mc_samples > 0.  The map must be
     tabulated on psi's grid.
     """
-    ax = psi.axes[0]
-    masses = psi.density() * ax.spacing
+    masses = psi.masses()
     fine = waves.padded_transform(psi, 0, _FINE_1D)
-    target = fine.density() * fine.axes[0].spacing
+    target = fine.masses()
     bins = _fine_bins(fine.axes[0])
 
     if mc_samples:
@@ -418,11 +415,6 @@ def _chain_frame(psi, ordering):
     return waves.GridWavefunction(psi.axes[::-1], np.ascontiguousarray(psi.values.T), psi.meta)
 
 
-def _cell_masses(w):
-    """Cell masses of a 2-D state: density times axis 0's, then axis 1's spacing."""
-    return w.density() * w.axes[0].spacing * w.axes[1].spacing
-
-
 @dataclass(frozen=True)
 class ChainedMap2D:
     """Conditional transport chain over a 2-D state, held in its chain frame
@@ -440,7 +432,6 @@ class ChainedMap2D:
     map1_edges: np.ndarray  # (n0 + 1, n1)
     map2_nodes: np.ndarray  # (n1, n_p0)
     map2_edges: np.ndarray  # (n1 + 1, n_p0)
-    axes: tuple  # frame position axes
     momentum_axes: tuple  # frame momentum axes
 
     def conditioning_cells(self):
@@ -503,6 +494,8 @@ def rs_map_2d(psi, epsilon1=+1, epsilon2=+1, ordering="px"):
     frame = _chain_frame(psi, ordering)
     psi_m = waves.fourier(frame, axis=0)
     psi_mm = waves.fourier(psi_m, axis=1)
+    # density() * cell_volume(), not masses(): the product of the spacings
+    # rounds differently, and the chain tables are pinned with this rounding
     mass, mass_m, mass_mm = (w.density() * w.cell_volume() for w in (frame, psi_m, psi_mm))
     map1_nodes, map1_edges = _conditional_maps(mass, mass_m, psi_m.axes[0], epsilon1)
     map2_nodes, map2_edges = _conditional_maps(mass_m.T, mass_mm.T, psi_mm.axes[1], epsilon2)
@@ -513,7 +506,6 @@ def rs_map_2d(psi, epsilon1=+1, epsilon2=+1, ordering="px"):
         map1_edges=map1_edges,
         map2_nodes=map2_nodes,
         map2_edges=map2_edges,
-        axes=tuple(frame.axes),
         momentum_axes=tuple(psi_mm.axes),
     )
 
@@ -531,7 +523,7 @@ def _double_fine_masses(padded0):
     transform runs over the n1 state columns only, not over the zero
     columns of a fully padded array."""
     big_mm = waves.padded_transform(padded0, 1, _FINE)
-    return _group_fine_axis(_cell_masses(big_mm), _FINE, axis=0)  # (p0 cells, p1 fine)
+    return _group_fine_axis(big_mm.masses(), _FINE, axis=0)  # (p0 cells, p1 fine)
 
 
 def verify_marginals_2d(chain, psi, mc_samples=0, seed=0):
@@ -548,7 +540,7 @@ def verify_marginals_2d(chain, psi, mc_samples=0, seed=0):
         return _verify_2d_mc(chain, psi, mc_samples, seed)
     labels = _chain_labels(chain)
     frame = _chain_frame(psi, chain.ordering)
-    base = _cell_masses(frame)
+    base = frame.masses()
 
     # middle density (p0, x1): per-column interval pushforward, compared
     # on cell masses as in the 1-D verifier
@@ -563,7 +555,7 @@ def verify_marginals_2d(chain, psi, mc_samples=0, seed=0):
     ).T
     distances = {
         labels[0]: 0.0,
-        labels[1]: _cell_l1(rep_mid, _cell_masses(fine), _FINE, 0),
+        labels[1]: _cell_l1(rep_mid, fine.masses(), _FINE, 0),
         labels[2]: _cell_l1(rep_pp, _double_fine_masses(fine), _FINE, 1),
     }
     return _report(distances, "deterministic")
@@ -576,7 +568,7 @@ def _verify_2d_mc(chain, psi, mc_samples, seed):
     labels = _chain_labels(chain)
     n1, n2 = psi.axes[0].n, psi.axes[1].n
 
-    base = _cell_masses(psi)
+    base = psi.masses()
     idx = _sample_cells(base, mc_samples, rng)
     k1, k2 = idx // n2, idx % n2
     pm = chain.point_maps()
@@ -592,8 +584,8 @@ def _verify_2d_mc(chain, psi, mc_samples, seed):
     mid = ((kp1, k2), (k1, kp2))[first]
     distances = {
         labels[0]: _cell_l1(hist2(k1, k2), base, _MC_GROUP, 0, 1),
-        labels[1]: _cell_l1(hist2(*mid), _cell_masses(psi_m), _MC_GROUP, 0, 1),
-        labels[2]: _cell_l1(hist2(kp1, kp2), _cell_masses(psi_mm), _MC_GROUP, 0, 1),
+        labels[1]: _cell_l1(hist2(*mid), psi_m.masses(), _MC_GROUP, 0, 1),
+        labels[2]: _cell_l1(hist2(kp1, kp2), psi_mm.masses(), _MC_GROUP, 0, 1),
     }
     return _report(distances, "mc")
 
@@ -623,14 +615,14 @@ def ccs_distance(chain, psi, ccs):
     # off-chain pair (x0, p1) in the chain frame: stage-2 intervals selected
     # by each cell's stage-1 conditioning index, one deposit column per x0 row
     frame = _chain_frame(psi, chain.ordering)
-    base = _cell_masses(frame)
+    base = frame.masses()
     idx = chain.conditioning_cells()
     rows = np.arange(base.shape[1])
     rep = _kernels.deposit_intervals(
         chain.map2_edges[rows, idx].T, chain.map2_edges[rows + 1, idx].T, base.T,
         *_fine_bins(chain.momentum_axes[1], _FINE),
     ).T
-    return _cell_l1(rep, _cell_masses(waves.padded_transform(frame, 1, _FINE)), _FINE, 1)
+    return _cell_l1(rep, waves.padded_transform(frame, 1, _FINE).masses(), _FINE, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -666,14 +658,13 @@ def ballistic_transport_check(
     lag = (t_prime - t) / mass
     landed_edges = m.x_edges + m.p_hat_edges * lag
 
-    ax = psi_t.axes[0]
-    edge0, width, fine_n = _fine_bins(ax, _FINE)
-    dep = _deposit_edge_intervals(landed_edges, psi_t.density() * ax.spacing, edge0, width, fine_n)
+    edge0, width, fine_n = _fine_bins(psi_t.axes[0], _FINE)
+    dep = _deposit_edge_intervals(landed_edges, psi_t.masses(), edge0, width, fine_n)
 
     psi_fine = waves.gaussian_packet(
         x0=x0, p0=p0, sigma=sigma, t=t_prime, n=fine_n, xmax=xmax, mass=mass
     )
-    tgt = psi_fine.density() * width
+    tgt = psi_fine.masses()  # its spacing is width
     covered = dep.sum()
     return {
         "l1": float(np.sum(np.abs(dep - tgt))),

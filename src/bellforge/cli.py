@@ -67,7 +67,7 @@ _positive_float = _checked(float, lambda v: 0 < v < math.inf, "a positive finite
 _count = _checked(int, lambda v: v >= 0, "a nonnegative integer")
 
 
-def _parse_floats(text, count=None, name="values"):
+def _parse_floats(text, count, name):
     try:
         vals = [float(tok) for tok in text.split(",")]
     except ValueError as exc:
@@ -213,15 +213,16 @@ def _cmd_lhv(args):
 
 def _state_1d(args):
     name = args.state
+    # each state falls back to its own default grid only when --xmax is absent
+    grid = {"n": args.n} if args.xmax is None else {"n": args.n, "xmax": args.xmax}
     if name == "gaussian":
         return waves.gaussian_packet(
-            x0=args.x0, p0=args.p0, sigma=args.sigma, t=args.t,
-            mass=args.mass, n=args.n, xmax=args.xmax,
+            x0=args.x0, p0=args.p0, sigma=args.sigma, t=args.t, mass=args.mass, **grid
         )
     if name == "two-gaussian":
-        return waves.two_gaussian_packet(t=args.t, mass=args.mass, n=args.n, xmax=args.xmax or 24.0)
+        return waves.two_gaussian_packet(t=args.t, mass=args.mass, **grid)
     if name == "excited":
-        return waves.excited_state(args.level, n=args.n, xmax=args.xmax or 16.0)
+        return waves.excited_state(args.level, **grid)
     raise ValidationError("unknown 1-D state %r" % name)
 
 
@@ -255,7 +256,7 @@ def _cmd_rs2d(args):
     )
     pm = chain.point_maps()
     pm_other = other.point_maps()
-    base = psi.density() * psi.axes[0].spacing * psi.axes[1].spacing
+    base = psi.masses()
     payload = {
         "rho": args.rho,
         "ordering": args.ordering,
@@ -307,7 +308,7 @@ def _cmd_wigner(args):
     if args.state in ("psi-plus-grid", "psi-minus-grid"):
         sign = +1 if args.state == "psi-plus-grid" else -1
         psi = waves.psi_marginal_state(sign, args.cutoff, n=args.n, xmax=args.xmax)
-        summary = wigner.wigner_transform(psi, store_full=False)
+        summary = wigner.wigner_transform(psi)
         payload.update(
             {
                 "n": args.n,
@@ -328,7 +329,7 @@ def _cmd_wigner(args):
     psi = _state_1d(args)
     grid = wigner.wigner_transform(psi)
     payload["n"] = psi.axes[0].n
-    payload.update(wigner.hudson_check(psi, grid=grid))
+    payload.update(wigner.hudson_check(psi, grid))
     payload["marginal_errors"] = wigner.marginal_errors_1d(grid, psi)
     x = grid.x_axis.points()
     p = grid.p_axis.points()
@@ -443,8 +444,8 @@ def _cmd_waves_dump(args):
 _STATES_1D = ("gaussian", "two-gaussian", "excited")
 
 
-def _add_state_1d_arguments(p, default_state="gaussian", default_n=2048, states=_STATES_1D):
-    p.add_argument("--state", default=default_state, choices=states)
+def _add_state_1d_arguments(p, default_n=2048, states=_STATES_1D):
+    p.add_argument("--state", default="gaussian", choices=states)
     p.add_argument("--sigma", type=_finite_float, default=1.0)
     p.add_argument("--t", type=_finite_float, default=0.0)
     p.add_argument("--mass", type=_finite_float, default=1.0)

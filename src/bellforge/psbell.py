@@ -70,7 +70,7 @@ def _sign_groups(masses, points, axis):
 def _quad_table(psi, ccs):
     """3x3 sign-group mass table of the mixed density selected by ccs."""
     w = _ccs_state(psi, ccs)
-    masses = w.density() * w.axes[0].spacing * w.axes[1].spacing
+    masses = w.masses()
     return _sign_groups(_sign_groups(masses, w.axes[0].points(), 0), w.axes[1].points(), 1)
 
 

@@ -39,6 +39,8 @@ TSIRELSON = 2.0 * np.sqrt(2.0)
 
 _NORM_TOL = 1e-9
 _GRID_N = 64  # scan step pi/64 per angle
+_DESCENT_TOL = 1e-10  # golden-section bracket width that ends a line search
+_DESCENT_SWEEPS = 80  # most coordinate sweeps of the refinement
 
 
 def psi_plus():
@@ -228,12 +230,12 @@ def maximize_chsh(state, kinds):
     return settings, float(value)
 
 
-def _coordinate_descent(f, x0, h, tol=1e-10, max_sweeps=80):
+def _coordinate_descent(f, x0, h):
     """Maximize f by repeated golden-section line searches per coordinate."""
     invphi = (np.sqrt(5.0) - 1.0) / 2.0
     x = np.array(x0, dtype=float)
     best = f(x)
-    for _ in range(max_sweeps):
+    for _ in range(_DESCENT_SWEEPS):
         improved = best
         for k in range(x.shape[0]):
             lo, hi = x[k] - h, x[k] + h
@@ -244,7 +246,7 @@ def _coordinate_descent(f, x0, h, tol=1e-10, max_sweeps=80):
             fc = f(xc)
             xc[k] = d
             fd = f(xc)
-            while hi - lo > tol:
+            while hi - lo > _DESCENT_TOL:
                 if fc > fd:
                     hi, d, fd = d, c, fc
                     c = hi - invphi * (hi - lo)

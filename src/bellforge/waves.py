@@ -85,10 +85,28 @@ class GridWavefunction:
     def density(self):
         return np.abs(self.values) ** 2
 
+    def masses(self):
+        """Cell masses: the density times each axis spacing, in axis order.
 
-def _norm_defect(norm2, deficit_tol=1e-6, norm2_exact=1.0):
-    """Relative defect of a sampled norm against the continuum norm; raise
-    if it exceeds deficit_tol or the norm is not a positive double."""
+        One order of multiplication for every caller, so their masses round
+        alike.
+        """
+        m = self.density()
+        for ax in self.axes:
+            m *= ax.spacing
+        return m
+
+
+def _finalize(values, axes, meta, deficit_tol=1e-6, norm2_exact=1.0):
+    """Check the sampled norm against norm2_exact, renormalize exactly, and
+    return the state with meta plus the relative defect as "norm_defect".
+
+    Raises if the defect exceeds deficit_tol or the sampled norm is not a
+    positive double.
+    """
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        vol = float(np.prod([ax.spacing for ax in axes]))
+        norm2 = float(np.sum(np.abs(values) ** 2) * vol)
     if not 0.0 < norm2 < math.inf:
         raise ValidationError("wavefunction norm on the grid is %r, not a positive double" % norm2)
     defect = abs(norm2 / norm2_exact - 1.0)
@@ -97,18 +115,7 @@ def _norm_defect(norm2, deficit_tol=1e-6, norm2_exact=1.0):
             "sampled norm deficit %.3g exceeds %.3g; enlarge or refine the grid"
             % (defect, deficit_tol)
         )
-    return defect
-
-
-def _finalize(values, axes, deficit_tol=1e-6, meta=None, norm2_exact=1.0):
-    """Check the sampled norm against norm2_exact, renormalize exactly,
-    record the defect."""
-    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        vol = float(np.prod([ax.spacing for ax in axes]))
-        norm2 = float(np.sum(np.abs(values) ** 2) * vol)
-    out_meta = dict(meta or {})
-    out_meta["norm_defect"] = _norm_defect(norm2, deficit_tol, norm2_exact)
-    return GridWavefunction(tuple(axes), values / np.sqrt(norm2), out_meta)
+    return GridWavefunction(tuple(axes), values / np.sqrt(norm2), dict(meta, norm_defect=defect))
 
 
 # ---------------------------------------------------------------------------
@@ -237,12 +244,12 @@ def gaussian_packet(x0=0.0, p0=0.0, sigma=1.0, t=0.0, mass=1.0, n=2048, xmax=Non
         # 12 spread widths: the conjugate cell width pi/xmax sets the
         # transport-map resolution, and 10 widths leaves it too coarse
         xmax = abs(center) + 12.0 * spread
+    ax = position_axis(n, xmax)  # refuses a nonpositive xmax before the range check
     _check_position_range(xmax, spread, center)
-    ax = position_axis(n, xmax)
     values = _gaussian_values(ax.points(), x0, p0, sigma, t, mass)
     _check_momentum_range(ax, p0, sigma)
     meta = {"x0": x0, "p0": p0, "sigma": sigma, "t": t, "mass": mass}
-    return _finalize(values, (ax,), meta=meta)
+    return _finalize(values, (ax,), meta)
 
 
 def superposition(components, t=0.0, mass=1.0, n=4096, xmax=16.0):
@@ -287,7 +294,7 @@ def excited_state(level, n=2048, xmax=16.0):
     values = np.pi**-0.25 * np.exp(-(x**2) / 2.0)
     for k in range(level):
         prev, values = values, math.sqrt(2.0 / (k + 1)) * x * values - math.sqrt(k / (k + 1)) * prev
-    return _finalize(values.astype(complex), (ax,), meta={"level": level})
+    return _finalize(values.astype(complex), (ax,), {"level": level})
 
 
 def correlated_gaussian_2d(rho=0.5, sigma=1.0, n=256, xmax=8.0):
@@ -304,7 +311,7 @@ def correlated_gaussian_2d(rho=0.5, sigma=1.0, n=256, xmax=8.0):
     values = np.exp(-q / (4.0 * sigma**2)).astype(complex)
     # the continuum integral of |values|^2 is 2 pi sigma^2 sqrt(1 - rho^2)
     exact = 2.0 * np.pi * sigma**2 * np.sqrt(1.0 - rho**2)
-    return _finalize(values, (ax, ax), meta={"rho": rho, "sigma": sigma}, norm2_exact=exact)
+    return _finalize(values, (ax, ax), {"rho": rho, "sigma": sigma}, norm2_exact=exact)
 
 
 def tensor(psi1, psi2):
@@ -358,7 +365,7 @@ def psi_marginal_state(sign, cutoff, n=1024, xmax=None):
     weight = np.where(quadrant == 0.0, 0.5, phase)
     values = weight * np.outer(radial, radial)
     meta = {"cutoff": float(cutoff), "sign": sgn}
-    return _finalize(values, (ax, ax), deficit_tol=1e-4, meta=meta)
+    return _finalize(values, (ax, ax), meta, deficit_tol=1e-4)
 
 
 # ---------------------------------------------------------------------------

@@ -13,11 +13,11 @@ approximation).  The p marginal approximates |psi_tilde(p_j)|^2 at the
 half-grid points, the central n points of a twice zero-padded FFT, with
 spectral accuracy.
 
-The 2-D transform never materializes the rank-4 array unless asked: it
-streams one x1 slab of conjugate lag products at a time through one real
-inverse FFT over both lags, accumulates the minimum, all four pair
-marginals and the central slice in FFT order, and shifts and scales the
-(n, n) results once at the end.
+The 2-D transform never materializes the rank-4 array: it streams one x1
+slab of conjugate lag products at a time through one real inverse FFT over
+both lags, accumulates the minimum, all four pair marginals and the central
+slice in FFT order, and shifts and scales the (n, n) results once at the
+end.
 
 The two-mode squeezed vacuum enters through closed forms: its Wigner
 function, the displaced-parity correlator E(alpha, beta) = pi^2 W at the
@@ -29,7 +29,7 @@ unrestricted search over four real displacements climbs higher.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -37,7 +37,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from . import waves
 from .errors import DomainError, ValidationError
 
-_FULL_GRID_LIMIT = 32  # largest n for which the rank-4 Wigner array is kept
+_AMPLITUDE_FLOOR = 1e-6  # gaussianity_residual fits where |psi| > this * max|psi|
 _GAUSSIAN_RESIDUAL = 1e-6  # hudson_check calls a state Gaussian below this residual
 
 
@@ -92,18 +92,15 @@ class Wigner2DSummary:
     min_w: float
     marginals: dict  # keys qq, qp, pq, pp
     central_slice: np.ndarray  # W(x1, 0, p1, 0) as (k1, j1)
-    values: np.ndarray = field(default=None, repr=False)  # (n,n,n,n) or None
 
 
-def _wigner_2d(psi, store_full=None):
+def _wigner_2d(psi):
     n = psi.axes[0].n
     if psi.axes[1].n != n:
         raise ValidationError("2-D transform expects equal axis sizes")
     dx0, dx1 = psi.axes[0].spacing, psi.axes[1].spacing
     p_axes = (_half_momentum_axis(psi.axes[0]), _half_momentum_axis(psi.axes[1]))
     dp0, dp1 = p_axes[0].spacing, p_axes[1].spacing
-    if store_full is None:
-        store_full = n <= _FULL_GRID_LIMIT
 
     a, b = _lag_windows(psi.values)  # (x1, k2, m2) views
 
@@ -114,7 +111,6 @@ def _wigner_2d(psi, store_full=None):
     pq = np.zeros((n, n))
     pp = np.zeros((n, n))
     central = np.empty((n, n))
-    full = np.empty((n, n, n, n)) if store_full else None
     slab = np.empty((n, n, n // 2 + 1), dtype=complex)
     w = np.empty((n, n, n))
 
@@ -136,8 +132,6 @@ def _wigner_2d(psi, store_full=None):
         pq += w.sum(axis=2)
         pp += w.sum(axis=1)
         central[k1] = w[:, n // 2, 0]
-        if store_full:
-            full[k1] = np.moveaxis(w, 0, 1)  # store as (k1, k2, j1, j2)
 
     scale = dx0 * dx1 / math.pi**2
     shift = np.fft.fftshift
@@ -147,12 +141,11 @@ def _wigner_2d(psi, store_full=None):
         "pq": shift(pq, axes=0) * (scale * dx0 * dp1),
         "pp": shift(pp) * (scale * dx0 * dx1),
     }
-    full = shift(full, axes=(2, 3)) * scale if store_full else None
     central = shift(central, axes=1) * scale
-    return Wigner2DSummary(tuple(psi.axes), p_axes, scale * min_w, marginals, central, full)
+    return Wigner2DSummary(tuple(psi.axes), p_axes, scale * min_w, marginals, central)
 
 
-def wigner_transform(psi, store_full=None):
+def wigner_transform(psi):
     """Wigner function of a 1-D or 2-D grid state."""
     for ax in psi.axes:
         if ax.representation != waves.POSITION:
@@ -160,7 +153,7 @@ def wigner_transform(psi, store_full=None):
     if psi.dim == 1:
         return _wigner_1d(psi)
     if psi.dim == 2:
-        return _wigner_2d(psi, store_full)
+        return _wigner_2d(psi)
     raise ValidationError("Wigner transform supports 1-D and 2-D states only")
 
 
@@ -209,32 +202,30 @@ def _quadratic_residual(x, y):
     return float(np.max(np.abs(fit - y)))
 
 
-def gaussianity_residual(psi, floor=1e-6):
+def gaussianity_residual(psi):
     """Worst quadratic-fit residual of log-magnitude and unwrapped phase.
 
-    Evaluated where |psi| exceeds floor * max|psi|.  A Gaussian (possibly
-    chirped or displaced) fits both to rounding; anything else leaves an
-    O(1) residual.
+    Evaluated where |psi| exceeds _AMPLITUDE_FLOOR * max|psi|.  A Gaussian
+    (possibly chirped or displaced) fits both to rounding; anything else
+    leaves an O(1) residual.
     """
     if psi.dim != 1:
         raise ValidationError("gaussianity check is for 1-D states")
     amp = np.abs(psi.values)
-    mask = amp > floor * amp.max()
+    mask = amp > _AMPLITUDE_FLOOR * amp.max()
     x = psi.axes[0].points()[mask]
     log_mag = np.log(amp[mask])
     phase = np.unwrap(np.angle(psi.values[mask]))
     return max(_quadratic_residual(x, log_mag), _quadratic_residual(x, phase))
 
 
-def hudson_check(psi, grid=None):
-    """Minimum Wigner value alongside a direct gaussianity flag.
+def hudson_check(psi, grid):
+    """Minimum of grid, the state's Wigner function, alongside a direct
+    gaussianity flag.
 
     For pure states the two agree: the minimum is nonnegative (to
-    rounding) exactly when the state is Gaussian.  grid is the state's
-    Wigner function if the caller has it already.
+    rounding) exactly when the state is Gaussian.
     """
-    if grid is None:
-        grid = wigner_transform(psi)
     resid = gaussianity_residual(psi)
     return {
         "min_w": float(grid.values.min()),

@@ -128,6 +128,13 @@ def test_non_finite_input_exits_2_without_output(capsys, argv):
     ("wigner", "--state", "psi-plus-grid", "--n", "0"),
     ("ak-compare", "--n", "0"),
     ("waves", "dump", "--n", "0", "--out", os.devnull),
+    ("rs1d", "--state", "excited", "--xmax", "0"),
+    ("rs1d", "--state", "two-gaussian", "--xmax", "0"),
+    ("rs1d", "--xmax", "0"),
+    ("rs1d", "--xmax", "-5"),
+    ("wigner", "--xmax", "-1"),
+    ("ak-compare", "--xmax", "-1"),
+    ("waves", "dump", "--xmax", "-2", "--out", os.devnull),
 ])
 def test_out_of_domain_counts_and_signs_exit_2(capsys, argv):
     code, out, err = run(capsys, *argv)

@@ -145,6 +145,16 @@ def test_tensor_product_marginals():
     assert np.max(np.abs(m1 - b.density())) < 1e-12
 
 
+def test_masses_multiply_the_spacings_in_axis_order():
+    psi = waves.correlated_gaussian_2d(rho=0.6, n=128, xmax=14.0)
+    s0, s1 = (ax.spacing for ax in psi.axes)
+    assert psi.masses().tobytes() == (psi.density() * s0 * s1).tobytes()
+    # the one product of both spacings rounds differently
+    assert psi.masses().tobytes() != (psi.density() * psi.cell_volume()).tobytes()
+    one = waves.two_gaussian_packet(n=256)
+    assert one.masses().tobytes() == (one.density() * one.axes[0].spacing).tobytes()
+
+
 def test_correlated_gaussian_moments():
     rho = 0.6
     psi = waves.correlated_gaussian_2d(rho=rho, sigma=1.0, n=256, xmax=8.0)

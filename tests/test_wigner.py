@@ -82,17 +82,11 @@ def test_2d_transform_matches_explicit_sum(n):
         "pq": ref.sum(axis=(0, 3)).T * x1 * p2,
         "pp": ref.sum(axis=(0, 1)) * x1 * x2,
     }
-    # the streamed summaries must not depend on whether the rank-4 array is kept
-    for store_full in (True, False):
-        summary = wigner.wigner_transform(psi, store_full=store_full)
-        if store_full:
-            assert np.max(np.abs(summary.values - ref)) < 1e-13
-        else:
-            assert summary.values is None
-        assert summary.min_w == pytest.approx(ref.min(), abs=1e-13)
-        assert np.max(np.abs(summary.central_slice - ref[:, n // 2, :, n // 2])) < 1e-13
-        for key, marginal in want.items():
-            assert np.max(np.abs(summary.marginals[key] - marginal)) < 1e-13, key
+    summary = wigner.wigner_transform(psi)
+    assert summary.min_w == pytest.approx(ref.min(), abs=1e-13)
+    assert np.max(np.abs(summary.central_slice - ref[:, n // 2, :, n // 2])) < 1e-13
+    for key, marginal in want.items():
+        assert np.max(np.abs(summary.marginals[key] - marginal)) < 1e-13, key
 
 
 @pytest.mark.parametrize("n", [8, 64, 512])
@@ -173,17 +167,15 @@ def test_excited_state_minimum():
     assert abs(grid.p_axis.points()[j]) < 1e-9
 
 
-def test_hudson_check_reuses_a_given_grid():
-    psi = waves.two_gaussian_packet(n=256)
-    grid = wigner.wigner_transform(psi)
-    assert wigner.hudson_check(psi, grid=grid) == wigner.hudson_check(psi)
+def _hudson_check(psi):
+    return wigner.hudson_check(psi, wigner.wigner_transform(psi))
 
 
 def test_hudson_criterion():
-    gauss = wigner.hudson_check(waves.gaussian_packet(p0=1.0, t=0.5, n=512, xmax=16.0))
+    gauss = _hudson_check(waves.gaussian_packet(p0=1.0, t=0.5, n=512, xmax=16.0))
     assert gauss["gaussian"]
     assert gauss["min_w"] > -1e-8
-    two = wigner.hudson_check(waves.two_gaussian_packet(n=1024, xmax=24.0))
+    two = _hudson_check(waves.two_gaussian_packet(n=1024, xmax=24.0))
     assert not two["gaussian"]
     assert two["min_w"] < -1e-3
 
@@ -197,27 +189,9 @@ def test_moving_packet_peak_location():
     assert grid.p_axis.points()[j] == pytest.approx(p0, abs=grid.p_axis.spacing)
 
 
-def test_2d_small_grid_keeps_full_array():
-    psi = waves.correlated_gaussian_2d(rho=0.4, sigma=1.0, n=32, xmax=6.0)
-    summary = wigner.wigner_transform(psi)
-    assert summary.values is not None
-    assert summary.values.shape == (32, 32, 32, 32)
-    errs = wigner.marginal_errors_2d(summary, psi)
-    assert errs["qq"] < 1e-12
-    # full array reduces to the stored marginals
-    dp = [ax.spacing for ax in summary.p_axes]
-    qq = summary.values.sum(axis=(2, 3)) * dp[0] * dp[1]
-    assert np.max(np.abs(qq - summary.marginals["qq"])) < 1e-12
-    # central slice agrees with the full array
-    n = 32
-    sl = summary.values[:, n // 2, :, n // 2]
-    assert np.max(np.abs(sl - summary.central_slice)) < 1e-12
-
-
 def test_2d_interference_state_negative():
     psi = waves.psi_marginal_state(+1, 100.0, n=64, xmax=120.0)
-    summary = wigner.wigner_transform(psi, store_full=False)
-    assert summary.values is None
+    summary = wigner.wigner_transform(psi)
     assert summary.min_w < -1e-3
     errs = wigner.marginal_errors_2d(summary, psi)
     assert errs["qq"] < 1e-12
@@ -229,6 +203,9 @@ def test_2d_gaussian_nonnegative():
     assert summary.min_w > -1e-8
     errs = wigner.marginal_errors_2d(summary, psi)
     assert max(errs.values()) < 1e-5
+    # the q marginal is exact on a coarse grid too
+    coarse = waves.correlated_gaussian_2d(rho=0.4, sigma=1.0, n=32, xmax=6.0)
+    assert wigner.marginal_errors_2d(wigner.wigner_transform(coarse), coarse)["qq"] < 1e-12
 
 
 def test_transform_validation():
