@@ -12,7 +12,9 @@ benchmark uses the maximizer's full correlation tables.  The Wigner rows
 time the real-FFT transform on the `wigner` command's states: the two-mode
 psi-plus grid state at n=64 (64 x1 slabs) and at n=32, a 1-D two-packet
 state at n=1024, and the 1-D marginal check at the command's default n=256
-against its padded-FFT reference.  The 2-D transport rows time the three stages of one
+against its padded-FFT reference.  The 1-D map row times ``rs_map_1d`` on a
+two-Gaussian state at n=4096, the largest 1-D shape of the transport
+workload.  The 2-D transport rows time the three stages of one
 deterministic `rs2d` op at the benchmark's transport shape (n=256, rho=0,
 sigma=0.7, xmax=20): the chain, its verification and the off-pair
 distance, for each ordering.  The Monte Carlo rows time the cell sampler of `rs1d --mc` and
@@ -80,6 +82,11 @@ def bench_marginal_errors_1d(n=256):
     grid = wigner.wigner_transform(psi)
     return ("marginal_errors_1d (1-D, %d)" % n,
             functools.partial(wigner.marginal_errors_1d, grid, psi))
+
+
+def bench_rs_map_1d(n=4096):
+    psi = waves.two_gaussian_packet(n=n)
+    return ("rs_map_1d (two-gaussian, %d)" % n, functools.partial(causal.rs_map_1d, psi))
 
 
 def bench_transport_2d():
@@ -162,6 +169,7 @@ def main(argv=None):
         ("wigner_transform (1-D, 1024)", functools.partial(
             wigner.wigner_transform, waves.two_gaussian_packet(n=1024, xmax=24.0))),
         bench_marginal_errors_1d(),
+        bench_rs_map_1d(),
         *bench_transport_2d(),
         *bench_monte_carlo(),
         bench_ridge(),

@@ -94,13 +94,10 @@ def _column_totals(masses):
     return np.ascontiguousarray(masses.T).sum(axis=-1)
 
 
-def _cdf_edges(masses):
-    """Cumulative mass at cell edges along axis 0, each column normalized to
-    end at exactly 1."""
-    total = _column_totals(masses)
-    if np.any(total <= 0.0):
-        raise ValidationError("cannot build a CDF from zero total mass")
-    f = np.concatenate([np.zeros((1,) + masses.shape[1:]), np.cumsum(masses, axis=0)]) / total
+def _cdf_edges(masses, total):
+    """Cumulative mass at cell edges along axis 0, each column divided by its
+    positive total (``_column_totals``) and ending at exactly 1."""
+    f = np.concatenate([np.zeros((1, masses.shape[1])), np.cumsum(masses, axis=0)]) / total
     np.clip(f, 0.0, 1.0, out=f)  # cumsum rounding can poke past 1 by an ulp
     f[-1] = 1.0
     return f
@@ -134,22 +131,20 @@ def _search_columns(f, u):
 def _cdf_inverse(edges, f, u):
     """Invert piecewise-linear CDFs on shared edges; exact plateau hits return
     the midpoint.  f holds one CDF per column and u the queries for each
-    column; a 1-D f and u are a single column."""
-    u = np.clip(np.asarray(u, dtype=float), 0.0, 1.0)
-    f2 = f if f.ndim == 2 else f[:, None]
-    u2 = u if u.ndim == 2 else u[:, None]
-    cols = np.arange(f2.shape[1])
-    lo, hi = _search_columns(f2, u2)
+    column."""
+    u = np.clip(u, 0.0, 1.0)
+    cols = np.arange(f.shape[1])
+    lo, hi = _search_columns(f, u)
     last = len(edges) - 1
     plateau = 0.5 * (edges[np.clip(lo, 0, last)] + edges[np.clip(hi - 1, 0, last)])
-    j = np.clip(lo - 1, 0, len(f2) - 2)
+    j = np.clip(lo - 1, 0, len(f) - 2)
     e_lo, e_hi = edges[j], edges[j + 1]
-    f_lo = f2[j, cols]
-    df = f2[j + 1, cols] - f_lo
+    f_lo = f[j, cols]
+    df = f[j + 1, cols] - f_lo
     rising = df > 0
-    frac = np.where(rising, (u2 - f_lo) / np.where(rising, df, 1.0), 0.5)
+    frac = np.where(rising, (u - f_lo) / np.where(rising, df, 1.0), 0.5)
     interp = e_lo + np.clip(frac, 0.0, 1.0) * (e_hi - e_lo)
-    return np.where(hi > lo, plateau, interp).reshape(u.shape)
+    return np.where(hi > lo, plateau, interp)
 
 
 def _invert_edges_and_nodes(p_edges, fp, fx, epsilon):
@@ -161,7 +156,7 @@ def _invert_edges_and_nodes(p_edges, fp, fx, epsilon):
     order is reversed for epsilon=-1, so each column's queries ascend.
     """
     u = fx if epsilon == +1 else 1.0 - fx
-    q = np.empty((2 * len(u) - 1,) + u.shape[1:])
+    q = np.empty((2 * len(u) - 1, u.shape[1]))
     q[0::2] = u
     q[1::2] = 0.5 * (u[:-1] + u[1:])
     ascending = slice(None, None, 1 if epsilon == +1 else -1)
@@ -289,7 +284,8 @@ def rs_map_1d(psi, epsilon=+1):
     The momentum CDF is tabulated on a _FINE-times-finer grid (by zero
     padding the transform); the piecewise-linear inversion error in the
     tails scales with the square of the tabulation cell width, so the
-    refinement buys accuracy exactly where the density is thinnest.
+    refinement buys accuracy exactly where the density is thinnest.  The
+    map is the one-slice case of the 2-D chain's ``_conditional_maps``.
     """
     if epsilon not in (+1, -1):
         raise DomainError("epsilon must be +1 or -1")
@@ -297,14 +293,14 @@ def rs_map_1d(psi, epsilon=+1):
         raise ValidationError("rs_map_1d needs a 1-D state")
     ax = psi.axes[0]
     fine = waves.padded_transform(psi, 0, _FINE)
-    p_hat, p_hat_edges = _invert_edges_and_nodes(
-        _cell_edges(fine.axes[0]), _cdf_edges(fine.masses()), _cdf_edges(psi.masses()), epsilon
+    p_hat, p_hat_edges = _conditional_maps(
+        psi.masses()[:, None], fine.masses()[:, None], fine.axes[0], epsilon
     )
     return MonotoneMap(
         x=ax.points(),
-        p_hat=p_hat,
+        p_hat=p_hat[:, 0],
         x_edges=_cell_edges(ax),
-        p_hat_edges=p_hat_edges,
+        p_hat_edges=p_hat_edges[:, 0],
         epsilon=epsilon,
     )
 
@@ -451,13 +447,17 @@ class ChainedMap2D:
 
 def _conditional_maps(pos_masses, mom_masses, mom_axis, epsilon):
     """CDF matching for all slices at once; slice index is the second array
-    axis.  Slices lighter than _SLICE_FLOOR keep an all-zero map."""
+    axis, and the momentum masses are cells of mom_axis.  Slices lighter
+    than _SLICE_FLOOR keep an all-zero map; if every slice is, there is no
+    mass to map."""
     n_map, n_sl = pos_masses.shape
     nodes = np.zeros((n_map, n_sl))
     edges = np.zeros((n_map + 1, n_sl))
     tot_x = _column_totals(pos_masses)
     tot_p = _column_totals(mom_masses)
     live = (tot_x >= _SLICE_FLOOR) & (tot_p >= _SLICE_FLOOR)
+    if not live.any():
+        raise ValidationError("cannot build a CDF from zero total mass")
     gap = np.abs(tot_x - tot_p)
     scale = np.maximum(tot_x, tot_p)
     bad = np.flatnonzero(live & (gap > 1e-5 * scale))
@@ -468,8 +468,8 @@ def _conditional_maps(pos_masses, mom_masses, mom_axis, epsilon):
             % (gap[k], scale[k])
         )
     nodes[:, live], edges[:, live] = _invert_edges_and_nodes(
-        _cell_edges(mom_axis), _cdf_edges(mom_masses[:, live]),
-        _cdf_edges(pos_masses[:, live]), epsilon,
+        _cell_edges(mom_axis), _cdf_edges(mom_masses[:, live], tot_p[live]),
+        _cdf_edges(pos_masses[:, live], tot_x[live]), epsilon,
     )
     return nodes, edges
 

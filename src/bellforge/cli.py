@@ -86,15 +86,9 @@ def _angles_from_args(args):
     return vals
 
 
-def _settings(angles, kinds):
-    ka, kb, kap, kbp = spinor._parse_kinds(kinds)
-    a, b, ap, bp = angles
-    return spinor.ChshSettings(
-        a=spinor.AnalyzerSetting(a, ka),
-        b=spinor.AnalyzerSetting(b, kb),
-        a_prime=spinor.AnalyzerSetting(ap, kap),
-        b_prime=spinor.AnalyzerSetting(bp, kbp),
-    )
+def _angles_rad(s):
+    """The four analyzer angles of CHSH settings, in the order a, b, a', b'."""
+    return [s.a.theta, s.b.theta, s.a_prime.theta, s.b_prime.theta]
 
 
 def _pairs(s):
@@ -118,14 +112,8 @@ def _cmd_chsh(args):
     }
     csv_settings = None
     if args.angles:
-        angles = _angles_from_args(args)
-        settings = _settings(angles, args.kinds)
-        payload["angles_rad"] = [
-            settings.a.theta,
-            settings.b.theta,
-            settings.a_prime.theta,
-            settings.b_prime.theta,
-        ]
+        settings = spinor.chsh_settings(_angles_from_args(args), args.kinds)
+        payload["angles_rad"] = _angles_rad(settings)
         payload["correlations"] = {
             name: spinor.correlation(state, x, y) for name, x, y in _pairs(settings)
         }
@@ -133,10 +121,7 @@ def _cmd_chsh(args):
         csv_settings = settings
     if args.maximize:
         best, value = spinor.maximize_chsh(state, args.kinds)
-        payload["maximize"] = {
-            "angles_rad": [best.a.theta, best.b.theta, best.a_prime.theta, best.b_prime.theta],
-            "s": value,
-        }
+        payload["maximize"] = {"angles_rad": _angles_rad(best), "s": value}
         if csv_settings is None:
             csv_settings = best
     rows = (
@@ -144,6 +129,26 @@ def _cmd_chsh(args):
         for name, x, y in _pairs(csv_settings)
     )
     return payload, (("pair", "angle_a_rad", "angle_b_rad", "kind_a", "kind_b", "correlation"), rows)
+
+
+def _piped_chsh_document():
+    """(state name, kinds, angles) of the chsh JSON document on stdin."""
+    try:
+        doc = json.load(sys.stdin)
+        angles, kinds, state_name = doc["angles_rad"], doc["kinds"], doc["state"]
+        if not (isinstance(angles, list)
+                and isinstance(kinds, str) and isinstance(state_name, str)):
+            raise TypeError("angles_rad must be a list, kinds and state strings")
+        angles = [float(v) for v in angles]
+    except (json.JSONDecodeError, KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise ValidationError(
+            "--from-state expects chsh JSON with state, kinds, angles_rad on stdin"
+        ) from exc
+    if len(angles) != 4 or not all(map(math.isfinite, angles)):
+        raise ValidationError("angles_rad must hold exactly four finite numbers")
+    if state_name not in _SPINOR_STATES:
+        raise ValidationError("unknown state %r in piped document" % state_name)
+    return state_name, kinds, angles
 
 
 def _cmd_lhv(args):
@@ -154,32 +159,16 @@ def _cmd_lhv(args):
         e = _parse_floats(args.correlators, 4, "--correlators")
         behavior = lhv.behavior_from_correlators(e)
         source = {"correlators": e}
-    elif args.from_state:
-        try:
-            doc = json.load(sys.stdin)
-            angles, kinds, state_name = doc["angles_rad"], doc["kinds"], doc["state"]
-            if not (isinstance(angles, list)
-                    and isinstance(kinds, str) and isinstance(state_name, str)):
-                raise TypeError("angles_rad must be a list, kinds and state strings")
-            angles = [float(v) for v in angles]
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise ValidationError(
-                "--from-state expects chsh JSON with state, kinds, angles_rad on stdin"
-            ) from exc
-        if len(angles) != 4 or not all(map(math.isfinite, angles)):
-            raise ValidationError("angles_rad must hold exactly four finite numbers")
-        if state_name not in _SPINOR_STATES:
-            raise ValidationError("unknown state %r in piped document" % state_name)
-        behavior = lhv.quantum_behavior(
-            _SPINOR_STATES[state_name](), _settings(angles, kinds)
-        )
-        source = {"state": state_name, "kinds": kinds, "angles_rad": angles}
     else:
-        state = _SPINOR_STATES[args.state]()
+        if args.from_state:
+            state_name, kinds, angles = _piped_chsh_document()
+            source = {"state": state_name, "kinds": kinds, "angles_rad": angles}
+        else:
+            state_name, kinds, angles = args.state, args.kinds, _angles_from_args(args)
+            source = {"state": state_name, "kinds": kinds}
         behavior = lhv.quantum_behavior(
-            state, _settings(_angles_from_args(args), args.kinds)
+            _SPINOR_STATES[state_name](), spinor.chsh_settings(angles, kinds)
         )
-        source = {"state": args.state, "kinds": args.kinds}
 
     decide = lhv.brute_force_feasible if args.brute_force else lhv.lhv_feasible
     result = decide(behavior)
@@ -303,9 +292,15 @@ def _cmd_marginal_theorem(args):
     return payload, (("cutoff", "overlap", "s_plus", "s_minus"), rows)
 
 
+_GRID_STATES = ("psi-plus-grid", "psi-minus-grid")
+
+
 def _cmd_wigner(args):
     payload = {"state": args.state}
-    if args.state in ("psi-plus-grid", "psi-minus-grid"):
+    grid_state = args.state in _GRID_STATES
+    if args.n is None:  # the 2-D transform costs O(n^4 log n) time, O(n^3) memory
+        args.n = 64 if grid_state else 256
+    if grid_state:
         sign = +1 if args.state == "psi-plus-grid" else -1
         psi = waves.psi_marginal_state(sign, args.cutoff, n=args.n, xmax=args.xmax)
         summary = wigner.wigner_transform(psi)
@@ -514,9 +509,7 @@ def build_parser():
     p.add_argument("--grid-xmax", type=_finite_float, default=None)
 
     p = _add_command(sub, "wigner", "discrete Wigner transform diagnostics")
-    _add_state_1d_arguments(
-        p, default_n=256, states=_STATES_1D + ("psi-plus-grid", "psi-minus-grid")
-    )
+    _add_state_1d_arguments(p, default_n=None, states=_STATES_1D + _GRID_STATES)
     p.add_argument("--cutoff", type=_finite_float, default=10.0)
 
     p = _add_command(sub, "parity-chsh", "displaced-parity CHSH for the squeezed vacuum")

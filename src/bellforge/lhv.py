@@ -68,28 +68,6 @@ class Behavior:
         r = np.array([1.0, -1.0])
         return np.einsum("ijrs,r,s->ij", self.p, r, r)
 
-    @classmethod
-    def from_dict(cls, data):
-        """Schema: {"p": {"11": [[p++, p+-], [p-+, p--]], "12": ..., ...}}."""
-        try:
-            tables = data["p"]
-            p = np.empty((2, 2, 2, 2))
-            for i in range(2):
-                for j in range(2):
-                    p[i, j] = np.asarray(tables["%d%d" % (i + 1, j + 1)], dtype=float)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValidationError("behavior file must map p.11..p.22 to 2x2 tables") from exc
-        return cls(p)
-
-    def to_dict(self):
-        return {
-            "p": {
-                "%d%d" % (i + 1, j + 1): self.p[i, j].tolist()
-                for i in range(2)
-                for j in range(2)
-            }
-        }
-
 
 @dataclass(frozen=True)
 class JointDistribution:

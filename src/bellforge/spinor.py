@@ -194,6 +194,19 @@ def _parse_kinds(kinds):
     return kinds
 
 
+def chsh_settings(angles, kinds):
+    """The four analyzer settings of a CHSH experiment from four angles and
+    four kinds, both in the order (a, b, a', b')."""
+    ka, kb, kap, kbp = _parse_kinds(kinds)
+    a, b, ap, bp = angles
+    return ChshSettings(
+        a=AnalyzerSetting(a, ka),
+        b=AnalyzerSetting(b, kb),
+        a_prime=AnalyzerSetting(ap, kap),
+        b_prime=AnalyzerSetting(bp, kbp),
+    )
+
+
 def maximize_chsh(state, kinds):
     """Maximize the CHSH value over analyzer angles for fixed kinds.
 
@@ -221,13 +234,7 @@ def maximize_chsh(state, kinds):
         )
 
     angles, value = _coordinate_descent(objective, angles, np.pi / _GRID_N)
-    settings = ChshSettings(
-        a=AnalyzerSetting(angles[0], ka),
-        b=AnalyzerSetting(angles[1], kb),
-        a_prime=AnalyzerSetting(angles[2], kap),
-        b_prime=AnalyzerSetting(angles[3], kbp),
-    )
-    return settings, float(value)
+    return chsh_settings(angles, kinds), float(value)
 
 
 def _coordinate_descent(f, x0, h):

@@ -11,6 +11,7 @@ grid, so position and momentum densities are registered without shifts.
 """
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -105,8 +106,7 @@ def _finalize(values, axes, meta, deficit_tol=1e-6, norm2_exact=1.0):
     positive double.
     """
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        vol = float(np.prod([ax.spacing for ax in axes]))
-        norm2 = float(np.sum(np.abs(values) ** 2) * vol)
+        norm2 = GridWavefunction(tuple(axes), values).norm2()
     if not 0.0 < norm2 < math.inf:
         raise ValidationError("wavefunction norm on the grid is %r, not a positive double" % norm2)
     defect = abs(norm2 / norm2_exact - 1.0)
@@ -265,7 +265,7 @@ def superposition(components, t=0.0, mass=1.0, n=4096, xmax=16.0):
         _check_position_range(xmax, gaussian_spread(sigma, t, mass), x0 + p0 * t / mass)
         values += weight * _gaussian_values(x, x0, p0, sigma, t, mass)
         _check_momentum_range(ax, p0, sigma)
-    norm2 = np.sum(np.abs(values) ** 2) * ax.spacing
+    norm2 = GridWavefunction((ax,), values).norm2()
     return GridWavefunction((ax,), values / np.sqrt(norm2), {"t": t, "mass": mass})
 
 
@@ -303,6 +303,8 @@ def correlated_gaussian_2d(rho=0.5, sigma=1.0, n=256, xmax=8.0):
         raise DomainError("correlation must lie in (-1, 1)")
     if not sigma > 0:
         raise DomainError("sigma must be positive")
+    if not sys.float_info.min <= sigma * sigma <= sys.float_info.max:
+        raise DomainError("sigma = %g leaves double range: sigma^2 is not a normal double" % sigma)
     ax = position_axis(n, xmax)
     x = ax.points()
     x1 = x[:, None]

@@ -10,16 +10,16 @@ from bellforge.errors import DomainError, ValidationError
 
 def test_cdf_inverse_plateau_midpoint():
     edges = np.array([0.0, 1.0, 2.0, 3.0, 4.0])
-    f = np.array([0.0, 0.5, 0.5, 0.5, 1.0])  # flat over [1, 3]
-    out = causal._cdf_inverse(edges, f, np.array([0.5]))
-    assert out[0] == pytest.approx(2.0)
+    f = np.array([[0.0, 0.5, 0.5, 0.5, 1.0]]).T  # one column, flat over [1, 3]
+    out = causal._cdf_inverse(edges, f, np.array([[0.5]]))
+    assert out[0, 0] == pytest.approx(2.0)
     # interior interpolation
-    out = causal._cdf_inverse(edges, f, np.array([0.25, 0.75]))
-    assert out[0] == pytest.approx(0.5)
-    assert out[1] == pytest.approx(3.5)
+    out = causal._cdf_inverse(edges, f, np.array([[0.25, 0.75]]).T)
+    assert out[0, 0] == pytest.approx(0.5)
+    assert out[1, 0] == pytest.approx(3.5)
     # clipping keeps out-of-range queries on the support
-    out = causal._cdf_inverse(edges, f, np.array([-0.1, 1.1]))
-    assert 0.0 <= out[0] <= 4.0 and 0.0 <= out[1] <= 4.0
+    out = causal._cdf_inverse(edges, f, np.array([[-0.1, 1.1]]).T)
+    assert 0.0 <= out[0, 0] <= 4.0 and 0.0 <= out[1, 0] <= 4.0
 
 
 def test_group_fine_axis():
@@ -133,6 +133,33 @@ def test_rs_map_2d_tables_pinned(n, ordering):
         for name in _CHAIN_TABLES:
             digest.update(getattr(chain, name).tobytes())
         assert digest.hexdigest()[:16] == want, (n, ordering, e1, e2)
+
+
+# sha256 prefixes of the map tables of rs_map_1d at n=2048 (p_hat, then
+# p_hat_edges), for epsilon 1 and -1; recorded while the 1-D map had its own
+# inversion call, which the one-column conditional map must match bit for bit
+MAP_1D_DIGESTS = {
+    "gaussian": ["c9299cc3360ac44e", "bd2f4b64955ef5e4"],
+    "two-gaussian": ["93e40cc465c3f18b", "531f2d87f42a117f"],
+    "excited": ["81208f0a9a60f572", "02ce13cfaa7f7e9a"],
+}
+
+_STATES_2048 = {
+    "gaussian": lambda: waves.gaussian_packet(n=2048),
+    "two-gaussian": lambda: waves.two_gaussian_packet(n=2048),
+    "excited": lambda: waves.excited_state(1, n=2048),
+}
+
+
+@pytest.mark.parametrize("state", sorted(MAP_1D_DIGESTS))
+def test_rs_map_1d_tables_pinned(state):
+    psi = _STATES_2048[state]()
+    for epsilon, want in zip((1, -1), MAP_1D_DIGESTS[state]):
+        m = causal.rs_map_1d(psi, epsilon)
+        digest = hashlib.sha256()
+        digest.update(m.p_hat.tobytes())
+        digest.update(m.p_hat_edges.tobytes())
+        assert digest.hexdigest()[:16] == want, (state, epsilon)
 
 
 def test_momentum_field_of_boosted_packet():

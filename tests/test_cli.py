@@ -158,6 +158,8 @@ OUT_OF_RANGE_PROBES = [
     (("ak-compare", "--b", "1e-3", "--n", "256"), 3),
     (("rs1d", "--p0", "300"), 3),
     (("rs1d", "--p0", "300", "--n", "256"), 3),
+    (("rs2d", "--sigma", "1e200", "--n", "64"), 2),
+    (("rs2d", "--sigma", "1e-200", "--n", "64"), 2),
 ]
 
 
@@ -260,6 +262,13 @@ def test_wigner_excited_minimum(capsys):
     doc = run_json(capsys, "wigner", "--state", "excited", "--level", "1", "--n", "256", "--xmax", "10")
     assert doc["min_w"] == pytest.approx(-1.0 / math.pi, abs=1e-4)
     assert not doc["gaussian"]
+
+
+def test_wigner_default_grid_depends_on_the_state(capsys):
+    """The 2-D grid states cost O(n^4 log n), so without --n they run at
+    n=64; the 1-D states keep n=256."""
+    assert run_json(capsys, "wigner", "--state", "psi-plus-grid")["n"] == 64
+    assert run_json(capsys, "wigner", "--state", "excited")["n"] == 256
 
 
 def test_wigner_high_level_on_a_wide_grid(capsys):
@@ -474,3 +483,46 @@ def test_rs2d_orderings_agree_on_swap_symmetric_state(capsys, argv):
     dist["pq"] = dist.pop("qp")
     xp["ordering"] = "px"
     assert xp == docs["px"]
+
+
+# sha256 prefixes of lhv stdout for each behavior source and both deciders,
+# recorded before the three sources resolved to one quantum_behavior call
+LHV_PIPED = {"state": "psi-minus", "kinds": "LELE", "angles_rad": [0.1, 0.5, 0.9, 1.3]}
+LHV_DIGESTS = [
+    (("--correlators", "0.3,0.3,0.3,0.3"), "97a72cfa24954a19"),
+    (("--correlators", "0.3,0.3,0.3,0.3", "--brute-force"), "44687e29dd2f9f60"),
+    (("--state", "psi-plus", "--kinds", "LLLL", "--angles", "0,22.5,45,67.5", "--degrees"),
+     "f57853027cf8c388"),
+    (("--state", "psi-plus", "--kinds", "LLLL", "--angles", "0,22.5,45,67.5", "--degrees",
+      "--brute-force"), "ff1f2653fe34345c"),
+    (("--from-state",), "c05455dc5b502c30"),
+    (("--from-state", "--brute-force"), "07b95a52c083707c"),
+]
+
+
+@pytest.mark.parametrize("argv, want", LHV_DIGESTS)
+def test_lhv_stdout_pinned(capsys, monkeypatch, argv, want):
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(LHV_PIPED)))
+    code, out, err = run(capsys, "lhv", *argv)
+    assert code == 0, err
+    assert hashlib.sha256(out.encode()).hexdigest()[:16] == want
+
+
+# sha256 prefixes of chsh stdout and of its CSV table (written to a relative
+# path, which the stdout names), recorded before one spinor function built
+# every ChshSettings
+CHSH_TABLE_DIGESTS = [
+    (("--state", "singlet", "--kinds", "LELE", "--angles", "0,22.5,45,67.5", "--degrees"),
+     "474d9f1750fc1220", "61a494002324369e"),
+    (("--state", "psi-plus", "--kinds", "EELE", "--angles", "0.1,0.7,-2.3,4.0", "--maximize"),
+     "dbd3ecf28d09c8df", "a924bebdb615fb6e"),
+]
+
+
+@pytest.mark.parametrize("argv, want_out, want_csv", CHSH_TABLE_DIGESTS)
+def test_chsh_angles_table_pinned(tmp_path, capsys, monkeypatch, argv, want_out, want_csv):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, "chsh", *argv, "--out", "chsh.csv")
+    assert code == 0, err
+    assert hashlib.sha256(out.encode()).hexdigest()[:16] == want_out
+    assert hashlib.sha256((tmp_path / "chsh.csv").read_bytes()).hexdigest()[:16] == want_csv

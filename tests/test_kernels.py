@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from bellforge import _kernels, causal, waves
-from bellforge.errors import GridResolutionError
+from bellforge.errors import GridResolutionError, ValidationError
 
 
 # ---------------------------------------------------------------------------
@@ -289,7 +289,13 @@ def _plateau_cdfs(rng, n, ncols):
     masses = rng.random((n, ncols)) ** 4
     masses[rng.random((n, ncols)) < 0.3] = 0.0  # interior plateaus
     masses[:3] = masses[-3:] = 0.0  # flat tails at exactly 0 and 1
-    return causal._cdf_edges(masses)
+    return causal._cdf_edges(masses, causal._column_totals(masses))
+
+
+def _cdf_column(masses):
+    """The CDF of one 1-D mass array, as a one-column call."""
+    col = masses[:, None]
+    return causal._cdf_edges(col, causal._column_totals(col))[:, 0]
 
 
 @pytest.mark.parametrize("descending", [False, True])
@@ -320,9 +326,9 @@ def test_cdf_edges_batched_equals_column_loop():
     # slice norms must not depend on batching: a column sums pairwise, as
     # a 1-D array does, not row after row
     masses = np.random.default_rng(5).random((256, 16)) ** 3
-    f = causal._cdf_edges(masses)
+    f = causal._cdf_edges(masses, causal._column_totals(masses))
     for k in range(masses.shape[1]):
-        np.testing.assert_array_equal(f[:, k], causal._cdf_edges(masses[:, k]))
+        np.testing.assert_array_equal(f[:, k], _cdf_column(masses[:, k]))
 
 
 def test_cdf_inverse_batched_matches_searchsorted_reference():
@@ -338,8 +344,8 @@ def test_cdf_inverse_batched_matches_searchsorted_reference():
     assert got.shape == u.shape
     for k in range(ncols):
         np.testing.assert_array_equal(got[:, k], _ref_cdf_inverse(edges, f[:, k], u[:, k]))
-    # a 1-D CDF is a single column
-    np.testing.assert_array_equal(causal._cdf_inverse(edges, f[:, 0], u[:, 0]), got[:, 0])
+    # a single column inverts as it does in the batch
+    np.testing.assert_array_equal(causal._cdf_inverse(edges, f[:, :1], u[:, :1]), got[:, :1])
 
 
 def test_conditional_maps_invert_each_live_slice():
@@ -356,8 +362,8 @@ def test_conditional_maps_invert_each_live_slice():
         if k == 2:
             assert not nodes[:, k].any() and not edges[:, k].any()
             continue
-        u = 1.0 - causal._cdf_edges(pos[:, k])
-        fp = causal._cdf_edges(mom[:, k])
+        u = 1.0 - _cdf_column(pos[:, k])
+        fp = _cdf_column(mom[:, k])
         np.testing.assert_array_equal(edges[:, k], _ref_cdf_inverse(p_edges, fp, u))
         np.testing.assert_array_equal(nodes[:, k], _ref_cdf_inverse(p_edges, fp, 0.5 * (u[:-1] + u[1:])))
 
@@ -372,3 +378,30 @@ def test_conditional_maps_raise_on_mismatched_slice():
     pos[:, 1] = 0.0  # below the slice floor, so never checked
     with pytest.raises(GridResolutionError, match="disagree by 8 of 24"):
         causal._conditional_maps(pos, mom, axis, +1)
+
+
+def test_conditional_maps_sum_each_slice_once(monkeypatch):
+    """The slice norms the guard checks are the totals the CDFs divide by:
+    one column sum per mass array, for the 1-D map and for each 2-D stage."""
+    totals = causal._column_totals
+    calls = []
+
+    def counted(masses):
+        calls.append(masses.shape)
+        return totals(masses)
+
+    monkeypatch.setattr(causal, "_column_totals", counted)
+    causal.rs_map_1d(waves.gaussian_packet(n=256))
+    assert calls == [(256, 1), (1024, 1)]
+    calls.clear()
+    causal.rs_map_2d(waves.correlated_gaussian_2d(n=32, xmax=8.0))
+    assert calls == [(32, 32)] * 4
+
+
+def test_conditional_maps_refuse_zero_mass():
+    axis = waves.Axis(16, 0.5, waves.MOMENTUM)
+    with pytest.raises(ValidationError, match="zero total mass"):
+        causal._conditional_maps(np.zeros((16, 3)), np.zeros((16, 3)), axis, +1)
+    psi = waves.GridWavefunction((waves.position_axis(16, 4.0),), np.zeros(16, complex), {})
+    with pytest.raises(ValidationError, match="zero total mass"):
+        causal.rs_map_1d(psi)

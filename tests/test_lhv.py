@@ -43,14 +43,6 @@ def test_behavior_validation():
         lhv.Behavior(p)
 
 
-def test_behavior_dict_roundtrip():
-    b = lhv.pr_box()
-    again = lhv.Behavior.from_dict(b.to_dict())
-    assert np.allclose(again.p, b.p, atol=1e-15)
-    with pytest.raises(ValidationError):
-        lhv.Behavior.from_dict({"p": {"11": [[1.0]]}})
-
-
 def test_vertex_models_are_feasible():
     rng = np.random.default_rng(0)
     for _ in range(20):
