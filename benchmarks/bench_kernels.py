@@ -80,8 +80,7 @@ def bench_deposit_intervals_2d(rng, columns=256, rows=257, nbins=1024):
 def bench_marginal_errors_1d(n=256):
     psi = waves.two_gaussian_packet(n=n)
     grid = wigner.wigner_transform(psi)
-    return ("marginal_errors_1d (1-D, %d)" % n,
-            functools.partial(wigner.marginal_errors_1d, grid, psi))
+    return ("marginal_errors_1d (1-D, %d)" % n, functools.partial(wigner.marginal_errors_1d, grid))
 
 
 def bench_rs_map_1d(n=4096):
@@ -98,9 +97,9 @@ def bench_transport_2d():
             ("rs_map_2d %s (256^2)" % ordering,
              functools.partial(causal.rs_map_2d, psi, ordering=ordering)),
             ("verify_marginals_2d %s (256^2)" % ordering,
-             functools.partial(causal.verify_marginals_2d, chain, psi)),
+             functools.partial(causal.verify_marginals_2d, chain)),
             ("ccs_distance %s %s (256^2)" % (ordering, off_pair),
-             functools.partial(causal.ccs_distance, chain, psi, off_pair)),
+             functools.partial(causal.ccs_distance, chain)),
         ]
     return rows
 
@@ -122,7 +121,7 @@ def bench_monte_carlo(draws=200_000):
     psi = waves.two_gaussian_packet(n=2048)
     m = causal.rs_map_1d(psi)
     rows.append(("verify_marginals_1d mc (2048, %.0e)" % draws, functools.partial(
-        causal.verify_marginals_1d, m, psi, mc_samples=draws, seed=7)))
+        causal.verify_marginals_1d, m, mc_samples=draws, seed=7)))
     return rows
 
 

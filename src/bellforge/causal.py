@@ -12,10 +12,10 @@ Two phase-space constructions over a base density |psi(x)|^2:
   yields a genuinely different composite map with the same marginals.
 
 The 2-D chain maps axis 0 first, in its chain frame (``_chain_frame``): the
-state itself for ordering "px", the axis-swapped state for "xp".  The maps,
-their deterministic verification and the off-pair distance are built there
-alone; ``point_maps``, the density labels and the Monte Carlo check use the
-state's own axes.
+state itself for ordering "px", the axis-swapped state for "xp".  A chain
+holds its frame, as a 1-D map its state, and every check takes the result
+alone.  The maps, the deterministic check and the off-pair distance work in
+the frame; ``point_maps`` and the Monte Carlo check on the state's own axes.
 
 Epsilon convention: epsilon=+1 matches F_p(p_hat) = F_x(x) (nondecreasing
 map); epsilon=-1 matches F_p(p_hat) = 1 - F_x(x) (nonincreasing).  The
@@ -265,11 +265,18 @@ def takabayasi_gap(psi):
 
 @dataclass(frozen=True)
 class MonotoneMap:
-    x: np.ndarray  # source nodes
+    source: waves.GridWavefunction  # the 1-D state the map was built from
     p_hat: np.ndarray  # map values at the nodes
-    x_edges: np.ndarray
     p_hat_edges: np.ndarray  # map values at cell edges, drives pushforwards
     epsilon: int
+
+    @property
+    def x(self):  # source nodes
+        return self.source.axes[0].points()
+
+    @property
+    def x_edges(self):
+        return _cell_edges(self.source.axes[0])
 
     def evaluate(self, x):
         # np.interp needs increasing ordinates; flip for the antitone branch
@@ -291,18 +298,11 @@ def rs_map_1d(psi, epsilon=+1):
         raise DomainError("epsilon must be +1 or -1")
     if psi.dim != 1:
         raise ValidationError("rs_map_1d needs a 1-D state")
-    ax = psi.axes[0]
     fine = waves.padded_transform(psi, 0, _FINE)
     p_hat, p_hat_edges = _conditional_maps(
         psi.masses()[:, None], fine.masses()[:, None], fine.axes[0], epsilon
     )
-    return MonotoneMap(
-        x=ax.points(),
-        p_hat=p_hat[:, 0],
-        x_edges=_cell_edges(ax),
-        p_hat_edges=p_hat_edges[:, 0],
-        epsilon=epsilon,
-    )
+    return MonotoneMap(psi, p_hat[:, 0], p_hat_edges[:, 0], epsilon)
 
 
 def _deposit_edge_intervals(map_edges, masses, bin_edge0, bin_width, nbins):
@@ -367,17 +367,16 @@ def _report(distances, method):
     return {"distances": distances, "method": method, "passed": bool(passed)}
 
 
-def verify_marginals_1d(m, psi, mc_samples=0, seed=0):
-    """L1 distances of the marginals reproduced by a 1-D map.
+def verify_marginals_1d(m, mc_samples=0, seed=0):
+    """L1 distances of the marginals a 1-D map reproduces for its source state.
 
     The x marginal is the base density itself, so its distance is zero by
     construction and reported as such.  The p marginal is the pushforward
     of the cell masses through the map, deterministic by default or a
-    seeded Monte Carlo histogram when mc_samples > 0.  The map must be
-    tabulated on psi's grid.
+    seeded Monte Carlo histogram when mc_samples > 0.
     """
-    masses = psi.masses()
-    fine = waves.padded_transform(psi, 0, _FINE_1D)
+    masses = m.source.masses()
+    fine = waves.padded_transform(m.source, 0, _FINE_1D)
     target = fine.masses()
     bins = _fine_bins(fine.axes[0])
 
@@ -405,7 +404,8 @@ def verify_marginals_1d(m, psi, mc_samples=0, seed=0):
 
 def _chain_frame(psi, ordering):
     """The state with the coordinate stage 1 maps on axis 0: psi itself for
-    "px", psi with its axes swapped, as a contiguous copy, for "xp"."""
+    "px", psi with its axes swapped, as a contiguous copy, for "xp".  The
+    swap is its own inverse, so the frame of a frame is the state."""
     if ordering == "px":
         return psi
     return waves.GridWavefunction(psi.axes[::-1], np.ascontiguousarray(psi.values.T), psi.meta)
@@ -413,8 +413,8 @@ def _chain_frame(psi, ordering):
 
 @dataclass(frozen=True)
 class ChainedMap2D:
-    """Conditional transport chain over a 2-D state, held in its chain frame
-    (``_chain_frame``), whose axis 0 is the coordinate mapped first.
+    """Conditional transport chain over a 2-D state, held with its chain
+    frame (``_chain_frame``), whose axis 0 is the coordinate mapped first.
 
     Stage 1 maps frame axis 0 into its conjugate momentum, one monotone map
     per cell of axis 1.  Stage 2 maps axis 1, one map per momentum cell
@@ -424,11 +424,15 @@ class ChainedMap2D:
 
     ordering: str  # "px" replaces x1 first, "xp" replaces x2 first
     epsilons: tuple
+    frame: waves.GridWavefunction  # the source state in its chain frame
     map1_nodes: np.ndarray  # (n0, n1), frame axes
     map1_edges: np.ndarray  # (n0 + 1, n1)
     map2_nodes: np.ndarray  # (n1, n_p0)
     map2_edges: np.ndarray  # (n1 + 1, n_p0)
-    momentum_axes: tuple  # frame momentum axes
+
+    @property
+    def momentum_axes(self):  # frame momentum axes
+        return tuple(ax.conjugate() for ax in self.frame.axes)
 
     def conditioning_cells(self):
         """Momentum cell index hit by each stage-1 node value."""
@@ -500,13 +504,7 @@ def rs_map_2d(psi, epsilon1=+1, epsilon2=+1, ordering="px"):
     map1_nodes, map1_edges = _conditional_maps(mass, mass_m, psi_m.axes[0], epsilon1)
     map2_nodes, map2_edges = _conditional_maps(mass_m.T, mass_mm.T, psi_mm.axes[1], epsilon2)
     return ChainedMap2D(
-        ordering=ordering,
-        epsilons=(epsilon1, epsilon2),
-        map1_nodes=map1_nodes,
-        map1_edges=map1_edges,
-        map2_nodes=map2_nodes,
-        map2_edges=map2_edges,
-        momentum_axes=tuple(psi_mm.axes),
+        ordering, (epsilon1, epsilon2), frame, map1_nodes, map1_edges, map2_nodes, map2_edges
     )
 
 
@@ -526,8 +524,8 @@ def _double_fine_masses(padded0):
     return _group_fine_axis(big_mm.masses(), _FINE, axis=0)  # (p0 cells, p1 fine)
 
 
-def verify_marginals_2d(chain, psi, mc_samples=0, seed=0):
-    """L1 distances for the three densities a chain reproduces.
+def verify_marginals_2d(chain, mc_samples=0, seed=0):
+    """L1 distances for the three densities a chain reproduces for its state.
 
     Deterministic path, in the chain frame: source cell masses ride the
     map stages as exact intervals into fine momentum bins; targets are
@@ -537,14 +535,13 @@ def verify_marginals_2d(chain, psi, mc_samples=0, seed=0):
     coarsened grids.
     """
     if mc_samples:
-        return _verify_2d_mc(chain, psi, mc_samples, seed)
+        return _verify_2d_mc(chain, mc_samples, seed)
     labels = _chain_labels(chain)
-    frame = _chain_frame(psi, chain.ordering)
-    base = frame.masses()
+    base = chain.frame.masses()
 
     # middle density (p0, x1): per-column interval pushforward, compared
     # on cell masses as in the 1-D verifier
-    fine = waves.padded_transform(frame, 0, _FINE)
+    fine = waves.padded_transform(chain.frame, 0, _FINE)
     rep_mid = _deposit_edge_intervals(chain.map1_edges, base, *_fine_bins(fine.axes[0]))
 
     # final density (p0 cells, p1 fine): stage 2 pushes the stage-1 masses on
@@ -561,8 +558,9 @@ def verify_marginals_2d(chain, psi, mc_samples=0, seed=0):
     return _report(distances, "deterministic")
 
 
-def _verify_2d_mc(chain, psi, mc_samples, seed):
-    """Monte Carlo marginal check on _MC_GROUP-coarsened grids, on psi's own axes."""
+def _verify_2d_mc(chain, mc_samples, seed):
+    """Monte Carlo marginal check on _MC_GROUP-coarsened grids, on the state's own axes."""
+    psi = _chain_frame(chain.frame, chain.ordering)
     rng = np.random.default_rng(seed)
     first = ("px", "xp").index(chain.ordering)  # the state axis stage 1 maps
     labels = _chain_labels(chain)
@@ -590,39 +588,30 @@ def _verify_2d_mc(chain, psi, mc_samples, seed):
     return _report(distances, "mc")
 
 
-def verify_marginals(m, psi, mc_samples=0, seed=0):
+def verify_marginals(m, mc_samples=0, seed=0):
     """Marginal verification report for a 1-D map or a 2-D chain."""
     if isinstance(m, MonotoneMap):
-        return verify_marginals_1d(m, psi, mc_samples=mc_samples, seed=seed)
+        return verify_marginals_1d(m, mc_samples=mc_samples, seed=seed)
     if isinstance(m, ChainedMap2D):
-        return verify_marginals_2d(m, psi, mc_samples=mc_samples, seed=seed)
+        return verify_marginals_2d(m, mc_samples=mc_samples, seed=seed)
     raise ValidationError("expected a MonotoneMap or a ChainedMap2D")
 
 
-def ccs_distance(chain, psi, ccs):
-    """L1 distance between a chain-implied density and the transform density.
-
-    For the three densities the chain reproduces this returns the
-    verification distance; for the complementary mixed pair, which the
-    chain does NOT reproduce, the distance is generically large.
-    """
-    labels = _chain_labels(chain)
-    if ccs in labels:
-        return verify_marginals_2d(chain, psi)["distances"][ccs]
-    if ccs not in ("pq", "qp"):
-        raise DomainError("ccs must be one of qq, pq, qp, pp")
-
+def ccs_distance(chain):
+    """L1 distance between the chain-implied density of the off-chain mixed
+    pair ("qp" for a "px" chain, "pq" for "xp") and its transform density.
+    The chain does NOT reproduce this pair, so the distance is generically
+    large; the pairs it does reproduce are ``verify_marginals_2d``'s."""
     # off-chain pair (x0, p1) in the chain frame: stage-2 intervals selected
     # by each cell's stage-1 conditioning index, one deposit column per x0 row
-    frame = _chain_frame(psi, chain.ordering)
-    base = frame.masses()
+    base = chain.frame.masses()
     idx = chain.conditioning_cells()
     rows = np.arange(base.shape[1])
     rep = _kernels.deposit_intervals(
         chain.map2_edges[rows, idx].T, chain.map2_edges[rows + 1, idx].T, base.T,
         *_fine_bins(chain.momentum_axes[1], _FINE),
     ).T
-    return _cell_l1(rep, waves.padded_transform(frame, 1, _FINE).masses(), _FINE, 1)
+    return _cell_l1(rep, waves.padded_transform(chain.frame, 1, _FINE).masses(), _FINE, 1)
 
 
 # ---------------------------------------------------------------------------

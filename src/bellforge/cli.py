@@ -42,13 +42,6 @@ def _json_default(obj):
     raise TypeError("not JSON serializable: %r" % type(obj))
 
 
-def _write_csv(path, header, rows):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
-
-
 def _checked(convert, accept, wanted):
     """argparse type: convert(text), refused unless it parses and accept(value)."""
     def parse(text):
@@ -218,7 +211,7 @@ def _state_1d(args):
 def _cmd_rs1d(args):
     psi = _state_1d(args)
     m = causal.rs_map_1d(psi, args.epsilon)
-    report = causal.verify_marginals(m, psi, mc_samples=args.mc, seed=args.seed)
+    report = causal.verify_marginals(m, mc_samples=args.mc, seed=args.seed)
     payload = {
         "state": args.state,
         "epsilon": args.epsilon,
@@ -239,7 +232,7 @@ def _cmd_rs2d(args):
         rho=args.rho, sigma=args.sigma, n=args.n, xmax=args.xmax
     )
     chain = causal.rs_map_2d(psi, epsilons[0], epsilons[1], ordering=args.ordering)
-    report = causal.verify_marginals(chain, psi, mc_samples=args.mc, seed=args.seed)
+    report = causal.verify_marginals(chain, mc_samples=args.mc, seed=args.seed)
     other = causal.rs_map_2d(
         psi, epsilons[0], epsilons[1], ordering="xp" if args.ordering == "px" else "px"
     )
@@ -257,9 +250,7 @@ def _cmd_rs2d(args):
             "p1": float(np.sum(base * np.abs(pm["p1"] - pm_other["p1"]))),
             "p2": float(np.sum(base * np.abs(pm["p2"] - pm_other["p2"]))),
         },
-        "off_pair_distance": causal.ccs_distance(
-            chain, psi, "qp" if args.ordering == "px" else "pq"
-        ),
+        "off_pair_distance": causal.ccs_distance(chain),
     }
     mid = args.n // 2
     x1 = psi.axes[0].points()
@@ -309,7 +300,7 @@ def _cmd_wigner(args):
                 "n": args.n,
                 "cutoff": args.cutoff,
                 "min_w": summary.min_w,
-                "marginal_errors": wigner.marginal_errors_2d(summary, psi),
+                "marginal_errors": wigner.marginal_errors_2d(summary),
             }
         )
         x1 = summary.x_axes[0].points()
@@ -324,8 +315,8 @@ def _cmd_wigner(args):
     psi = _state_1d(args)
     grid = wigner.wigner_transform(psi)
     payload["n"] = psi.axes[0].n
-    payload.update(wigner.hudson_check(psi, grid))
-    payload["marginal_errors"] = wigner.marginal_errors_1d(grid, psi)
+    payload.update(wigner.hudson_check(grid))
+    payload["marginal_errors"] = wigner.marginal_errors_1d(grid)
     x = grid.x_axis.points()
     p = grid.p_axis.points()
     rows = (
@@ -561,7 +552,15 @@ def main(argv=None):
         print("error: result is not finite JSON (%s)" % exc, file=sys.stderr)
         return 1
     if out:
-        _write_csv(out, *csv_spec)
+        try:
+            fh = open(out, "w", newline="")
+        except OSError as exc:  # a missing directory, a directory, no permission
+            print("error: cannot write --out: %s" % exc, file=sys.stderr)
+            return 2
+        with fh:
+            writer = csv.writer(fh)
+            writer.writerow(csv_spec[0])
+            writer.writerows(csv_spec[1])
     sys.stdout.write(text + "\n")
     return 0
 

@@ -193,15 +193,16 @@ def _gaussian_values(x, x0, p0, sigma, t, mass):
         phase = p0**2 * t / (2.0 * mass)
     except OverflowError:  # p0**2 left double range
         raise DomainError("p0, t and mass put the packet phase outside double range") from None
-    return (
-        (2.0 * np.pi) ** (-0.25)
-        * sigma_c ** (-0.5)
-        * np.exp(
-            -((x - center) ** 2) / (4.0 * sigma * sigma_c)
-            + 1.0j * p0 * (x - x0)
-            - 1.0j * phase
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):  # range checks refuse it
+        return (
+            (2.0 * np.pi) ** (-0.25)
+            * sigma_c ** (-0.5)
+            * np.exp(
+                -((x - center) ** 2) / (4.0 * sigma * sigma_c)
+                + 1.0j * p0 * (x - x0)
+                - 1.0j * phase
+            )
         )
-    )
 
 
 def gaussian_spread(sigma, t, mass):
@@ -291,9 +292,10 @@ def excited_state(level, n=2048, xmax=16.0):
     ax = position_axis(n, xmax)
     x = ax.points()
     prev = np.zeros_like(x)
-    values = np.pi**-0.25 * np.exp(-(x**2) / 2.0)
-    for k in range(level):
-        prev, values = values, math.sqrt(2.0 / (k + 1)) * x * values - math.sqrt(k / (k + 1)) * prev
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):  # _finalize refuses the norm
+        values = np.pi**-0.25 * np.exp(-(x**2) / 2.0)
+        for k in range(level):
+            prev, values = values, math.sqrt(2.0 / (k + 1)) * x * values - math.sqrt(k / (k + 1)) * prev
     return _finalize(values.astype(complex), (ax,), {"level": level})
 
 
@@ -309,8 +311,9 @@ def correlated_gaussian_2d(rho=0.5, sigma=1.0, n=256, xmax=8.0):
     x = ax.points()
     x1 = x[:, None]
     x2 = x[None, :]
-    q = (x1**2 + x2**2 - 2.0 * rho * x1 * x2) / (1.0 - rho**2)
-    values = np.exp(-q / (4.0 * sigma**2)).astype(complex)
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):  # _finalize refuses the norm
+        q = (x1**2 + x2**2 - 2.0 * rho * x1 * x2) / (1.0 - rho**2)
+        values = np.exp(-q / (4.0 * sigma**2)).astype(complex)
     # the continuum integral of |values|^2 is 2 pi sigma^2 sqrt(1 - rho^2)
     exact = 2.0 * np.pi * sigma**2 * np.sqrt(1.0 - rho**2)
     return _finalize(values, (ax, ax), {"rho": rho, "sigma": sigma}, norm2_exact=exact)

@@ -13,11 +13,12 @@ approximation).  The p marginal approximates |psi_tilde(p_j)|^2 at the
 half-grid points, the central n points of a twice zero-padded FFT, with
 spectral accuracy.
 
-The 2-D transform never materializes the rank-4 array: it streams one x1
-slab of conjugate lag products at a time through one real inverse FFT over
-both lags, accumulates the minimum, all four pair marginals and the central
-slice in FFT order, and shifts and scales the (n, n) results once at the
-end.
+Each result carries the state it was transformed from, so the marginal
+checks and Hudson's criterion take the result alone.  The 2-D transform
+never materializes the rank-4 array: it streams one x1 slab of conjugate
+lag products at a time through one real inverse FFT over both lags,
+accumulates the minimum, all four pair marginals and the central slice in
+FFT order, and shifts and scales the (n, n) results once at the end.
 
 The two-mode squeezed vacuum enters through closed forms: its Wigner
 function, the displaced-parity correlator E(alpha, beta) = pi^2 W at the
@@ -51,9 +52,13 @@ def _half_momentum_axis(axis):
 
 @dataclass(frozen=True)
 class WignerGrid:
-    x_axis: waves.Axis
+    source: waves.GridWavefunction  # the 1-D state transformed
     p_axis: waves.Axis
     values: np.ndarray  # (n_x, n_p)
+
+    @property
+    def x_axis(self):
+        return self.source.axes[0]
 
     def q_marginal(self):
         return self.values.sum(axis=1) * self.p_axis.spacing
@@ -82,16 +87,20 @@ def _wigner_1d(psi):
     # the real inverse transform over lags m = 0..n/2 is sum_m C[m] e^{-2 pi i jm/n}
     w = np.fft.fftshift(np.fft.irfft(a * b, ax.n, norm="forward"), axes=-1)
     w *= ax.spacing / math.pi
-    return WignerGrid(ax, _half_momentum_axis(ax), w)
+    return WignerGrid(psi, _half_momentum_axis(ax), w)
 
 
 @dataclass(frozen=True)
 class Wigner2DSummary:
-    x_axes: tuple
+    source: waves.GridWavefunction  # the 2-D state transformed
     p_axes: tuple
     min_w: float
     marginals: dict  # keys qq, qp, pq, pp
     central_slice: np.ndarray  # W(x1, 0, p1, 0) as (k1, j1)
+
+    @property
+    def x_axes(self):
+        return tuple(self.source.axes)
 
 
 def _wigner_2d(psi):
@@ -142,7 +151,7 @@ def _wigner_2d(psi):
         "pp": shift(pp) * (scale * dx0 * dx1),
     }
     central = shift(central, axes=1) * scale
-    return Wigner2DSummary(tuple(psi.axes), p_axes, scale * min_w, marginals, central)
+    return Wigner2DSummary(psi, p_axes, scale * min_w, marginals, central)
 
 
 def wigner_transform(psi):
@@ -169,25 +178,25 @@ def _half_grid_transform(psi, axes):
     return psi.values[tuple(sl)]
 
 
-def marginal_errors_1d(grid, psi):
+def marginal_errors_1d(grid):
     """Max-norm errors of the Wigner marginals against transform densities.
 
     The q marginal is exact by construction; the p marginal is checked
-    against the transform evaluated on the half-spacing grid.
+    against the source state's transform on the half-spacing grid.
     """
-    q_err = float(np.max(np.abs(grid.q_marginal() - psi.density())))
-    tilde = _half_grid_transform(psi, (0,))
+    q_err = float(np.max(np.abs(grid.q_marginal() - grid.source.density())))
+    tilde = _half_grid_transform(grid.source, (0,))
     p_err = float(np.max(np.abs(grid.p_marginal() - np.abs(tilde) ** 2)))
     return {"q": q_err, "p": p_err}
 
 
-def marginal_errors_2d(summary, psi):
+def marginal_errors_2d(summary):
     """Max-norm errors of all four pair marginals of a 2-D Wigner function."""
     refs = {
-        "qq": psi.density(),
-        "qp": np.abs(_half_grid_transform(psi, (1,))) ** 2,  # (x1, p2)
-        "pq": np.abs(_half_grid_transform(psi, (0,))) ** 2,  # (p1, x2)
-        "pp": np.abs(_half_grid_transform(psi, (0, 1))) ** 2,
+        "qq": summary.source.density(),
+        "qp": np.abs(_half_grid_transform(summary.source, (1,))) ** 2,  # (x1, p2)
+        "pq": np.abs(_half_grid_transform(summary.source, (0,))) ** 2,  # (p1, x2)
+        "pp": np.abs(_half_grid_transform(summary.source, (0, 1))) ** 2,
     }
     return {k: float(np.max(np.abs(summary.marginals[k] - ref))) for k, ref in refs.items()}
 
@@ -219,14 +228,14 @@ def gaussianity_residual(psi):
     return max(_quadratic_residual(x, log_mag), _quadratic_residual(x, phase))
 
 
-def hudson_check(psi, grid):
-    """Minimum of grid, the state's Wigner function, alongside a direct
-    gaussianity flag.
+def hudson_check(grid):
+    """Minimum of a 1-D Wigner grid alongside a direct gaussianity flag of
+    its source state.
 
     For pure states the two agree: the minimum is nonnegative (to
     rounding) exactly when the state is Gaussian.
     """
-    resid = gaussianity_residual(psi)
+    resid = gaussianity_residual(grid.source)
     return {
         "min_w": float(grid.values.min()),
         "gaussian": bool(resid < _GAUSSIAN_RESIDUAL),

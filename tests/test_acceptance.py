@@ -156,7 +156,7 @@ def test_c06_transport_1d_marginals():
         ("two-gaussian", waves.two_gaussian_packet(n=4096)),
     ):
         t0 = time.perf_counter()
-        rep = causal.verify_marginals(causal.rs_map_1d(psi), psi)
+        rep = causal.verify_marginals(causal.rs_map_1d(psi))
         elapsed = time.perf_counter() - t0
         results.append((name, rep["distances"]["p"], elapsed))
     ok = all(d < 5e-3 and dt < 5.0 for _, d, dt in results)
@@ -169,9 +169,9 @@ def test_c06_transport_1d_marginals():
 def test_c07_transport_2d_contexts():
     psi = waves.correlated_gaussian_2d(rho=0.5, sigma=1.0, n=512, xmax=20.0)
     chain = causal.rs_map_2d(psi, ordering="px")
-    rep = causal.verify_marginals(chain, psi)
+    rep = causal.verify_marginals(chain)
     chain_swap = causal.rs_map_2d(psi, ordering="xp")
-    rep_swap = causal.verify_marginals(chain_swap, psi)
+    rep_swap = causal.verify_marginals(chain_swap)
     pm, pm_swap = chain.point_maps(), chain_swap.point_maps()
     table_diff = max(
         float(np.max(np.abs(pm["p1"] - pm_swap["p1"]))),
@@ -232,11 +232,11 @@ def test_c10_wigner_gaussian_and_excited():
     ):
         grid = wigner.wigner_transform(psi)
         worst_min = min(worst_min, float(grid.values.min()))
-        worst_marg = max(worst_marg, max(wigner.marginal_errors_1d(grid, psi).values()))
+        worst_marg = max(worst_marg, max(wigner.marginal_errors_1d(grid).values()))
     psi2 = waves.correlated_gaussian_2d(rho=0.5, sigma=1.0, n=64, xmax=8.0)
     summary = wigner.wigner_transform(psi2)
     worst_min = min(worst_min, summary.min_w)
-    worst_marg = max(worst_marg, max(wigner.marginal_errors_2d(summary, psi2).values()))
+    worst_marg = max(worst_marg, max(wigner.marginal_errors_2d(summary).values()))
 
     grid1 = wigner.wigner_transform(waves.excited_state(1, n=256, xmax=10.0))
     w_origin = float(grid1.values[128, 128])

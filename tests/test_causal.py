@@ -183,7 +183,7 @@ def test_map_validation():
     with pytest.raises(DomainError):
         causal.rs_map_2d(psi2, epsilon1=2)
     with pytest.raises(ValidationError):
-        causal.verify_marginals(object(), psi)
+        causal.verify_marginals(object())
 
 
 def test_map_monotone_and_edge_consistent():
@@ -223,7 +223,7 @@ def test_gaussian_map_converges_to_linear():
 def test_verify_1d_deterministic():
     for psi in (waves.gaussian_packet(), waves.two_gaussian_packet(), waves.excited_state(2)):
         m = causal.rs_map_1d(psi)
-        rep = causal.verify_marginals(m, psi)
+        rep = causal.verify_marginals(m)
         assert rep["method"] == "deterministic"
         assert rep["distances"]["x"] == 0.0
         assert rep["passed"], rep["distances"]
@@ -232,10 +232,10 @@ def test_verify_1d_deterministic():
 def test_verify_1d_monte_carlo():
     psi = waves.gaussian_packet()
     m = causal.rs_map_1d(psi)
-    rep = causal.verify_marginals(m, psi, mc_samples=200_000, seed=1)
+    rep = causal.verify_marginals(m, mc_samples=200_000, seed=1)
     assert rep["method"] == "mc"
     assert rep["passed"], rep["distances"]
-    again = causal.verify_marginals(m, psi, mc_samples=200_000, seed=1)
+    again = causal.verify_marginals(m, mc_samples=200_000, seed=1)
     assert again["distances"] == rep["distances"]  # seeded, reproducible
 
 
@@ -343,17 +343,17 @@ def test_evaluate_in_cells_equals_evaluate_bitwise(state, epsilon):
 @pytest.mark.parametrize("epsilon", [+1, -1])
 def test_evaluate_in_cells_keeps_signed_zero_nodes(epsilon):
     # a node value of zero keeps its sign only through np.interp's node rule
-    edges = np.array([-1.5, -0.5, 0.5, 1.5])
-    p_edges = np.array([-2.0, -0.0, 1.0, 3.0]) * epsilon  # -0.0 on the +1 side, 0.0 on -1
-    m = causal.MonotoneMap(np.array([-1.0, 0.0, 1.0]), 0.5 * (p_edges[:-1] + p_edges[1:]),
-                           edges, p_edges, epsilon)
-    x = np.array([-1.5, -0.5, -0.5, 0.0, 0.5, 1.5, 1.5])
-    cells = np.array([0, 0, 1, 1, 1, 2, 2])
+    psi = waves.GridWavefunction((waves.Axis(4, 1.0),), np.ones(4, dtype=complex))
+    p_edges = np.array([-3.0, -2.0, -0.0, 1.0, 3.0]) * epsilon  # -0.0 on the +1 side, 0.0 on -1
+    m = causal.MonotoneMap(psi, 0.5 * (p_edges[:-1] + p_edges[1:]), p_edges, epsilon)
+    assert m.x_edges.tolist() == [-2.5, -1.5, -0.5, 0.5, 1.5]
+    x = np.array([-2.5, -1.5, -1.5, -0.5, -0.5, 0.0, 0.5, 1.5, 1.5])
+    cells = np.array([0, 0, 1, 1, 2, 2, 2, 3, 3])
     got = causal._evaluate_in_cells(m, x, cells)
     assert got.tobytes() == m.evaluate(x).tobytes()
 
 
-def _padded_transform_calls(monkeypatch, chain, psi):
+def _padded_transform_calls(monkeypatch, chain):
     """(axis, factor) of every padded transform one deterministic 2-D
     verification runs."""
     calls = []
@@ -364,21 +364,21 @@ def _padded_transform_calls(monkeypatch, chain, psi):
         return transform(state, axis, factor)
 
     monkeypatch.setattr(waves, "padded_transform", counted)
-    causal.verify_marginals_2d(chain, psi)
+    causal.verify_marginals_2d(chain)
     return calls
 
 
 def test_verify_2d_transforms_axis0_once_for_px(monkeypatch):
     psi = waves.correlated_gaussian_2d(rho=0.3, sigma=0.7, n=64, xmax=10.0)
     chain = causal.rs_map_2d(psi, ordering="px")
-    assert _padded_transform_calls(monkeypatch, chain, psi) == [(0, causal._FINE), (1, causal._FINE)]
+    assert _padded_transform_calls(monkeypatch, chain) == [(0, causal._FINE), (1, causal._FINE)]
 
 
 def test_verify_2d_transforms_each_frame_axis_once_for_xp(monkeypatch):
     # the pp target reuses the chain frame's axis-0 transform, as for px
     psi = _skewed_state(64, 8.0)
     chain = causal.rs_map_2d(psi, ordering="xp")
-    assert _padded_transform_calls(monkeypatch, chain, psi) == [(0, causal._FINE), (1, causal._FINE)]
+    assert _padded_transform_calls(monkeypatch, chain) == [(0, causal._FINE), (1, causal._FINE)]
 
 
 @pytest.mark.parametrize("n, xmax", [(64, 8.0), (128, 10.0)])
@@ -393,23 +393,22 @@ def test_xp_chain_is_px_chain_of_swapped_state(n, xmax):
         px = causal.rs_map_2d(swapped, e1, e2, "px")
         for name in _CHAIN_TABLES:
             assert getattr(xp, name).tobytes() == getattr(px, name).tobytes(), (name, e1, e2)
-        got = causal.verify_marginals_2d(xp, psi)["distances"]
-        want = causal.verify_marginals_2d(px, swapped)["distances"]
+        got = causal.verify_marginals_2d(xp)["distances"]
+        want = causal.verify_marginals_2d(px)["distances"]
         assert got == {"qq": want["qq"], "qp": want["pq"], "pp": want["pp"]}
-        for ccs, ccs_px in (("qq", "qq"), ("qp", "pq"), ("pq", "qp"), ("pp", "pp")):
-            assert causal.ccs_distance(xp, psi, ccs) == causal.ccs_distance(px, swapped, ccs_px)
+        assert causal.ccs_distance(xp) == causal.ccs_distance(px)
 
 
 def test_chain_2d_structure_and_marginals():
     psi = waves.correlated_gaussian_2d(rho=0.5, sigma=1.0, n=256, xmax=12.0)
     chain = causal.rs_map_2d(psi, ordering="px")
-    rep = causal.verify_marginals(chain, psi)
+    rep = causal.verify_marginals(chain)
     assert set(rep["distances"]) == {"qq", "pq", "pp"}
     assert rep["distances"]["qq"] == 0.0
     assert rep["distances"]["pq"] < 5e-3
     assert rep["distances"]["pp"] < 2e-2  # tightens with n, see acceptance run
     chain_xp = causal.rs_map_2d(psi, ordering="xp")
-    rep_xp = causal.verify_marginals(chain_xp, psi)
+    rep_xp = causal.verify_marginals(chain_xp)
     assert set(rep_xp["distances"]) == {"qq", "qp", "pp"}
     assert rep_xp["distances"]["qp"] < 5e-3
 
@@ -423,7 +422,7 @@ def test_chain_2d_structure_and_marginals():
 def test_chain_2d_monte_carlo():
     psi = waves.correlated_gaussian_2d(rho=0.5, sigma=1.0, n=128, xmax=10.0)
     chain = causal.rs_map_2d(psi, ordering="px")
-    rep = causal.verify_marginals(chain, psi, mc_samples=300_000, seed=7)
+    rep = causal.verify_marginals(chain, mc_samples=300_000, seed=7)
     assert rep["method"] == "mc"
     assert rep["passed"], rep["distances"]
 
@@ -431,10 +430,7 @@ def test_chain_2d_monte_carlo():
 def test_off_pair_density_not_reproduced():
     psi = waves.correlated_gaussian_2d(rho=0.5, sigma=1.0, n=256, xmax=12.0)
     chain = causal.rs_map_2d(psi, ordering="px")
-    assert causal.ccs_distance(chain, psi, "pq") < 5e-3
-    assert causal.ccs_distance(chain, psi, "qp") > 0.05
-    with pytest.raises(DomainError):
-        causal.ccs_distance(chain, psi, "zz")
+    assert causal.ccs_distance(chain) > 0.05
 
 
 def test_takabayasi_gap_shrinks_under_spreading():
@@ -470,10 +466,10 @@ def test_every_verifier_reads_the_thresholds(monkeypatch, threshold, passed):
     psi2 = waves.correlated_gaussian_2d(rho=0.0, n=64, xmax=8.0)
     monkeypatch.setattr(causal, "_THRESHOLDS", {"deterministic": threshold, "mc": threshold})
     reports = [
-        causal.verify_marginals(causal.rs_map_1d(psi1), psi1),
-        causal.verify_marginals(causal.rs_map_1d(psi1), psi1, mc_samples=20_000),
-        causal.verify_marginals(causal.rs_map_2d(psi2), psi2),
-        causal.verify_marginals(causal.rs_map_2d(psi2), psi2, mc_samples=20_000),
+        causal.verify_marginals(causal.rs_map_1d(psi1)),
+        causal.verify_marginals(causal.rs_map_1d(psi1), mc_samples=20_000),
+        causal.verify_marginals(causal.rs_map_2d(psi2)),
+        causal.verify_marginals(causal.rs_map_2d(psi2), mc_samples=20_000),
     ]
     assert [r["method"] for r in reports] == ["deterministic", "mc"] * 2
     assert [r["passed"] for r in reports] == [passed] * 4

@@ -6,11 +6,12 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
 
-from bellforge import cli, waves
+from bellforge import causal, cli, waves
 
 
 def run(capsys, *argv):
@@ -169,6 +170,38 @@ def test_out_of_range_states_exit_without_output(capsys, argv, want):
     assert code == want
     assert out == ""
     assert err.count("error:") == 1 and "Traceback" not in err
+
+
+# grids so wide that the squares in the closed-form states overflow; each
+# exits as before, and no numpy warning is printed ahead of its error line
+HUGE_XMAX_PROBES = [
+    (("rs1d", "--xmax", "1e300"), 3),
+    (("rs1d", "--xmax", "1e200", "--state", "excited"), 2),
+    (("rs1d", "--xmax", "1e200", "--state", "two-gaussian"), 3),
+    (("wigner", "--xmax", "1e200"), 3),
+    (("ak-compare", "--xmax", "1e200"), 3),
+    (("waves", "dump", "--out", os.devnull, "--xmax", "1e200"), 3),
+    (("rs2d", "--n", "64", "--xmax", "1e160"), 2),
+]
+
+
+@pytest.mark.parametrize("argv, want", HUGE_XMAX_PROBES)
+def test_huge_xmax_exits_without_numpy_warnings(capsys, argv, want):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # pytest would capture a warning otherwise
+        code, out, err = run(capsys, *argv)
+    assert code == want
+    assert out == ""
+    assert err.count("error:") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("where", ["missing directory", "a directory"])
+def test_unwritable_out_path_exits_2_without_output(tmp_path, capsys, where):
+    path = tmp_path / "missing" / "x.csv" if where == "missing directory" else tmp_path
+    code, out, err = run(capsys, "rs1d", "--n", "64", "--out", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.count("error:") == 1 and "--out" in err and "Traceback" not in err
 
 
 def test_non_finite_result_is_refused(tmp_path, capsys, monkeypatch):
@@ -459,6 +492,9 @@ STDOUT_DIGESTS = [
     (("rs2d", "--n", "128", "--xmax", "12", "--ordering", "xp", "--epsilons=-1,-1"), "7ec1bbd84ecf4af2"),
     (("rs2d", "--n", "64", "--xmax", "10", "--mc", "20000", "--seed", "5"), "635364cf6854e77c"),
     (("ak-compare", "--n", "256"), "916be18fadf69767"),
+    # recorded before a chain held its frame, which the xp Monte Carlo check swaps back
+    (("rs2d", "--n", "64", "--xmax", "10", "--ordering", "xp", "--mc", "20000", "--seed", "5"),
+     "91bae5db3a3ff2a4"),
 ]
 
 
@@ -467,6 +503,22 @@ def test_transport_stdout_pinned(capsys, argv, want):
     code, out, err = run(capsys, *argv)
     assert code == 0, err
     assert hashlib.sha256(out.encode()).hexdigest()[:16] == want
+
+
+@pytest.mark.parametrize("ordering", ["px", "xp"])
+def test_rs2d_builds_one_chain_frame_per_chain(capsys, monkeypatch, ordering):
+    """Each chain holds its frame, so its verification and off-pair distance
+    reuse it: one frame for the chain and one for the other ordering's."""
+    calls = []
+    chain_frame = causal._chain_frame
+
+    def counted(psi, o):
+        calls.append(o)
+        return chain_frame(psi, o)
+
+    monkeypatch.setattr(causal, "_chain_frame", counted)
+    run_json(capsys, "rs2d", "--n", "64", "--xmax", "10", "--ordering", ordering)
+    assert sorted(calls) == ["px", "xp"]
 
 
 @pytest.mark.parametrize("argv", [
@@ -526,3 +578,24 @@ def test_chsh_angles_table_pinned(tmp_path, capsys, monkeypatch, argv, want_out,
     assert code == 0, err
     assert hashlib.sha256(out.encode()).hexdigest()[:16] == want_out
     assert hashlib.sha256((tmp_path / "chsh.csv").read_bytes()).hexdigest()[:16] == want_csv
+
+
+# sha256 prefixes of wigner stdout, and of the CSV of a 2-D grid state
+# (written to a relative path, which the stdout names), recorded before the
+# Wigner results carried their source state
+WIGNER_DIGESTS = [
+    (("--n", "256", "--state", "gaussian"), "2d4a71722f4ec3c2", None),
+    (("--n", "256", "--state", "excited"), "e38927e3ac4251ec", None),
+    (("--state", "psi-plus-grid", "--n", "16", "--out", "wigner.csv"),
+     "c895be72dde257f9", "2e951a35945ceba3"),
+]
+
+
+@pytest.mark.parametrize("argv, want_out, want_csv", WIGNER_DIGESTS)
+def test_wigner_stdout_pinned(tmp_path, capsys, monkeypatch, argv, want_out, want_csv):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, "wigner", *argv)
+    assert code == 0, err
+    assert hashlib.sha256(out.encode()).hexdigest()[:16] == want_out
+    if want_csv is not None:
+        assert hashlib.sha256((tmp_path / "wigner.csv").read_bytes()).hexdigest()[:16] == want_csv

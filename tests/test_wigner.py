@@ -144,7 +144,7 @@ def test_1d_marginals_exact():
     for psi in (waves.gaussian_packet(x0=0.5, p0=-0.8, sigma=0.9, n=512, xmax=12.0),
                 waves.excited_state(2, n=512, xmax=12.0)):
         grid = wigner.wigner_transform(psi)
-        errs = wigner.marginal_errors_1d(grid, psi)
+        errs = wigner.marginal_errors_1d(grid)
         assert errs["q"] < 1e-10
         assert errs["p"] < 1e-10
 
@@ -168,7 +168,7 @@ def test_excited_state_minimum():
 
 
 def _hudson_check(psi):
-    return wigner.hudson_check(psi, wigner.wigner_transform(psi))
+    return wigner.hudson_check(wigner.wigner_transform(psi))
 
 
 def test_hudson_criterion():
@@ -193,7 +193,7 @@ def test_2d_interference_state_negative():
     psi = waves.psi_marginal_state(+1, 100.0, n=64, xmax=120.0)
     summary = wigner.wigner_transform(psi)
     assert summary.min_w < -1e-3
-    errs = wigner.marginal_errors_2d(summary, psi)
+    errs = wigner.marginal_errors_2d(summary)
     assert errs["qq"] < 1e-12
 
 
@@ -201,11 +201,11 @@ def test_2d_gaussian_nonnegative():
     psi = waves.correlated_gaussian_2d(rho=0.5, sigma=1.0, n=64, xmax=8.0)
     summary = wigner.wigner_transform(psi)
     assert summary.min_w > -1e-8
-    errs = wigner.marginal_errors_2d(summary, psi)
+    errs = wigner.marginal_errors_2d(summary)
     assert max(errs.values()) < 1e-5
     # the q marginal is exact on a coarse grid too
     coarse = waves.correlated_gaussian_2d(rho=0.4, sigma=1.0, n=32, xmax=6.0)
-    assert wigner.marginal_errors_2d(wigner.wigner_transform(coarse), coarse)["qq"] < 1e-12
+    assert wigner.marginal_errors_2d(wigner.wigner_transform(coarse))["qq"] < 1e-12
 
 
 def test_transform_validation():
