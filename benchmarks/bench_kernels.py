@@ -23,9 +23,11 @@ the 256^2 cells of the transport shape, each next to the
 `Generator.choice` call whose draws it reproduces, and one 1-D Monte
 Carlo verification at n=2048.  The ridge row times the joint record and
 its conditional ridge (``ak_distribution`` then ``momentum_peaks``) at the
-`ak-compare` defaults (n=1024, b=0.5).  The last two rows time the per-call CLI
+`ak-compare` defaults (n=1024, b=0.5).  The last rows time the per-call CLI
 layer: building the argument parser, and one warm in-process `cli.main`
-call of an `lhv` op, which reuses the parser built by the first call.
+call, which reuses the parser built by the first call, of an `lhv` op and
+of an `rs2d` op at the transport shape, deterministic and with
+`--mc 200000`; the `rs2d` rows hold the whole op, state to JSON.
 """
 
 import argparse
@@ -131,18 +133,23 @@ def bench_ridge(n=1024, b=0.5):
             lambda: akmeas.momentum_peaks(akmeas.ak_distribution(psi, b)))
 
 
+_RS2D_TRANSPORT = ["rs2d", "--rho", "0", "--sigma", "0.7", "--n", "256", "--xmax", "20"]
+
+
 def bench_cli():
-    argv = ["lhv", "--correlators=0.7071,-0.7071,0.7071,0.7071"]
+    rows = [("cli.build_parser()", cli.build_parser)]
+    for label, argv in (
+        ("lhv --correlators", ["lhv", "--correlators=0.7071,-0.7071,0.7071,0.7071"]),
+        ("rs2d 256^2", _RS2D_TRANSPORT),
+        ("rs2d 256^2 --mc 2e5", _RS2D_TRANSPORT + ["--mc", "200000"]),
+    ):
+        def call(argv=argv):
+            with contextlib.redirect_stdout(io.StringIO()):
+                cli.main(list(argv))
 
-    def call():
-        with contextlib.redirect_stdout(io.StringIO()):
-            cli.main(list(argv))
-
-    call()
-    return [
-        ("cli.build_parser()", cli.build_parser),
-        ("cli.main(lhv --correlators), warm", call),
-    ]
+        call()
+        rows.append(("cli.main(%s), warm" % label, call))
+    return rows
 
 
 def main(argv=None):

@@ -423,7 +423,6 @@ class ChainedMap2D:
     """
 
     ordering: str  # "px" replaces x1 first, "xp" replaces x2 first
-    epsilons: tuple
     frame: waves.GridWavefunction  # the source state in its chain frame
     map1_nodes: np.ndarray  # (n0, n1), frame axes
     map1_edges: np.ndarray  # (n0 + 1, n1)
@@ -503,9 +502,7 @@ def rs_map_2d(psi, epsilon1=+1, epsilon2=+1, ordering="px"):
     mass, mass_m, mass_mm = (w.density() * w.cell_volume() for w in (frame, psi_m, psi_mm))
     map1_nodes, map1_edges = _conditional_maps(mass, mass_m, psi_m.axes[0], epsilon1)
     map2_nodes, map2_edges = _conditional_maps(mass_m.T, mass_mm.T, psi_mm.axes[1], epsilon2)
-    return ChainedMap2D(
-        ordering, (epsilon1, epsilon2), frame, map1_nodes, map1_edges, map2_nodes, map2_edges
-    )
+    return ChainedMap2D(ordering, frame, map1_nodes, map1_edges, map2_nodes, map2_edges)
 
 
 def _chain_labels(chain):

@@ -17,6 +17,7 @@ import csv
 import functools
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -233,11 +234,10 @@ def _cmd_rs2d(args):
     )
     chain = causal.rs_map_2d(psi, epsilons[0], epsilons[1], ordering=args.ordering)
     report = causal.verify_marginals(chain, mc_samples=args.mc, seed=args.seed)
-    other = causal.rs_map_2d(
-        psi, epsilons[0], epsilons[1], ordering="xp" if args.ordering == "px" else "px"
-    )
     pm = chain.point_maps()
-    pm_other = other.point_maps()
+    # the state equals its transpose bit for bit, so the other ordering builds
+    # this chain in this frame: its (p1, p2) point maps are (p2, p1) transposed
+    pm_other = {"p1": pm["p2"].T, "p2": pm["p1"].T}
     base = psi.masses()
     payload = {
         "rho": args.rho,
@@ -530,39 +530,66 @@ def build_parser():
 _parser = functools.cache(build_parser)
 
 
-def main(argv=None):
-    args = _parser().parse_args(argv)
-    words = [args.command] + ([args.subcommand] if "subcommand" in args else [])
-    # looked up per call, so a handler replaced on the module is the one that runs
-    handler = globals()["_cmd_" + "_".join(words).replace("-", "_")]
+def _open_out(target):
+    """(file, temporary path) for --out, opened before the work: a new or
+    regular file is written beside itself and renamed over on success, so a
+    failure leaves no partial CSV; a device (/dev/null) is written in place."""
+    if os.path.exists(target) and not os.path.isfile(target):  # refuses a directory
+        return open(target, "w", newline=""), None
+    if os.path.exists(target):
+        open(target, "a").close()  # refuses a file without write permission
+    head, tail = os.path.split(target)
+    tmp = os.path.join(head, ".%s.%d.tmp" % (tail, os.getpid()))
+    return open(tmp, "w", newline=""), tmp
+
+
+def _run(handler, args, command, fh):
+    """(exit code, stdout text) of one command; its CSV goes to fh, if any."""
     try:
         payload, csv_spec = handler(args)
     except BellforgeError as exc:
         print("error: %s" % exc, file=sys.stderr)
-        return exc.exit_code
-    payload.update(schema_version=SCHEMA_VERSION, command=" ".join(words))
-    out = args.out
-    if out:
-        payload["csv"] = out
+        return exc.exit_code, ""
+    payload.update(schema_version=SCHEMA_VERSION, command=command)
+    if fh is not None:
+        payload["csv"] = args.out
     try:
         text = json.dumps(
             payload, default=_json_default, indent=2, sort_keys=True, allow_nan=False
         )
     except ValueError as exc:
         print("error: result is not finite JSON (%s)" % exc, file=sys.stderr)
-        return 1
-    if out:
-        try:
-            fh = open(out, "w", newline="")
-        except OSError as exc:  # a missing directory, a directory, no permission
-            print("error: cannot write --out: %s" % exc, file=sys.stderr)
-            return 2
-        with fh:
-            writer = csv.writer(fh)
-            writer.writerow(csv_spec[0])
-            writer.writerows(csv_spec[1])
-    sys.stdout.write(text + "\n")
-    return 0
+        return 1, ""
+    if fh is not None:
+        writer = csv.writer(fh)
+        writer.writerow(csv_spec[0])
+        writer.writerows(csv_spec[1])
+    return 0, text + "\n"
+
+
+def main(argv=None):
+    args = _parser().parse_args(argv)
+    words = [args.command] + ([args.subcommand] if "subcommand" in args else [])
+    # looked up per call, so a handler replaced on the module is the one that runs
+    handler = globals()["_cmd_" + "_".join(words).replace("-", "_")]
+    target = os.path.realpath(args.out) if args.out else None  # through a symlink, as open()
+    try:
+        fh, tmp = _open_out(target) if target else (None, None)
+    except OSError as exc:  # a missing directory, a directory, no permission
+        print("error: cannot write --out: %s" % exc, file=sys.stderr)
+        return 2
+    code, text = 1, ""
+    try:
+        code, text = _run(handler, args, " ".join(words), fh)
+    finally:
+        if fh is not None:
+            fh.close()
+        if tmp is not None and code == 0:
+            os.replace(tmp, target)
+        elif tmp is not None:
+            os.remove(tmp)
+    sys.stdout.write(text)
+    return code
 
 
 if __name__ == "__main__":

@@ -313,6 +313,8 @@ def correlated_gaussian_2d(rho=0.5, sigma=1.0, n=256, xmax=8.0):
     x2 = x[None, :]
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):  # _finalize refuses the norm
         q = (x1**2 + x2**2 - 2.0 * rho * x1 * x2) / (1.0 - rho**2)
+        # (2 rho x_i) x_j and (2 rho x_j) x_i may round apart: mirror one triangle
+        q = np.triu(q) + np.triu(q, 1).T
         values = np.exp(-q / (4.0 * sigma**2)).astype(complex)
     # the continuum integral of |values|^2 is 2 pi sigma^2 sqrt(1 - rho^2)
     exact = 2.0 * np.pi * sigma**2 * np.sqrt(1.0 - rho**2)

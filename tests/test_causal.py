@@ -399,6 +399,27 @@ def test_xp_chain_is_px_chain_of_swapped_state(n, xmax):
         assert causal.ccs_distance(xp) == causal.ccs_distance(px)
 
 
+# rho, sigma of the 2-D Gaussian states, as in test_waves' exact-symmetry check
+SYMMETRIC_GAUSSIANS = [(rho, sigma) for rho in (-0.9, -0.7, 0.0, 0.3, 0.5, 0.6, 0.8)
+                       for sigma in (0.7, 1.0)]
+
+
+@pytest.mark.parametrize("n", [64, 128, 256])
+def test_other_ordering_point_maps_are_the_swapped_transpose(n):
+    """rs2d takes the other ordering's point maps from one chain, as its
+    (p2, p1) transposed: the rho-Gaussian equals its transpose bit for bit,
+    so both orderings build the chain in the same frame.  Checked against
+    the other chain built in full."""
+    for rho, sigma in SYMMETRIC_GAUSSIANS:
+        psi = waves.correlated_gaussian_2d(rho=rho, sigma=sigma, n=n, xmax=8.0)
+        for e1, e2 in itertools.product((1, -1), repeat=2):
+            pm = {o: causal.rs_map_2d(psi, e1, e2, o).point_maps() for o in ("px", "xp")}
+            for o, other in (("px", "xp"), ("xp", "px")):
+                for k, swapped in (("p1", "p2"), ("p2", "p1")):
+                    got, want = pm[other][k], np.ascontiguousarray(pm[o][swapped].T)
+                    assert got.tobytes() == want.tobytes(), (rho, sigma, e1, e2, o, k)
+
+
 def test_chain_2d_structure_and_marginals():
     psi = waves.correlated_gaussian_2d(rho=0.5, sigma=1.0, n=256, xmax=12.0)
     chain = causal.rs_map_2d(psi, ordering="px")

@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import stat
 import subprocess
 import sys
 import warnings
@@ -12,6 +13,7 @@ import numpy as np
 import pytest
 
 from bellforge import causal, cli, waves
+from bellforge.errors import ValidationError
 
 
 def run(capsys, *argv):
@@ -195,13 +197,65 @@ def test_huge_xmax_exits_without_numpy_warnings(capsys, argv, want):
     assert err.count("error:") == 1 and "Traceback" not in err
 
 
-@pytest.mark.parametrize("where", ["missing directory", "a directory"])
-def test_unwritable_out_path_exits_2_without_output(tmp_path, capsys, where):
+@pytest.mark.parametrize("where", ["missing directory", "a directory", "no permission"])
+def test_unwritable_out_path_exits_2_without_output(tmp_path, capsys, monkeypatch, where):
+    """Refused before the command runs: the handler is never called."""
+    def never(args):
+        raise AssertionError("rs2d ran before its --out was refused")
+
+    monkeypatch.setattr(cli, "_cmd_rs2d", never)
     path = tmp_path / "missing" / "x.csv" if where == "missing directory" else tmp_path
-    code, out, err = run(capsys, "rs1d", "--n", "64", "--out", str(path))
+    if where == "no permission":  # faked: the suite may run as root, which bypasses modes
+        path = tmp_path / "x.csv"
+        path.write_text("kept")
+
+        def refuse(file, *args, **kwargs):
+            raise PermissionError(13, "Permission denied", file)
+
+        monkeypatch.setattr(cli, "open", refuse, raising=False)
+    code, out, err = run(capsys, "rs2d", "--n", "512", "--out", str(path))
     assert code == 2
     assert out == ""
     assert err.count("error:") == 1 and "--out" in err and "Traceback" not in err
+    if where == "no permission":
+        assert os.listdir(tmp_path) == ["x.csv"] and path.read_text() == "kept"
+
+
+@pytest.mark.parametrize("error", [ValidationError("refused"), RuntimeError("broken")])
+def test_failing_command_leaves_no_out_file(tmp_path, capsys, monkeypatch, error):
+    """The CSV goes to a temporary file beside the target, removed when the
+    command fails, whether it fails as documented or not."""
+    def fail(args):
+        assert len(os.listdir(tmp_path)) == 1  # the temporary file is open
+        raise error
+
+    monkeypatch.setattr(cli, "_cmd_rs2d", fail)
+    argv = ("rs2d", "--out", str(tmp_path / "x.csv"))
+    if isinstance(error, RuntimeError):
+        with pytest.raises(RuntimeError):
+            cli.main(list(argv))
+    else:
+        assert run(capsys, *argv)[:2] == (2, "")
+    assert os.listdir(tmp_path) == []
+
+
+def test_failing_command_keeps_an_existing_out_file(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "x.csv"
+    path.write_text("kept")
+    monkeypatch.setattr(
+        cli, "_cmd_chsh", lambda args: ({"s": float("nan")}, (("s",), iter([(1.0,)])))
+    )
+    code, out, _ = run(capsys, "chsh", "--angles", "0,0,0,0", "--out", str(path))
+    assert (code, out) == (1, "")
+    assert os.listdir(tmp_path) == ["x.csv"] and path.read_text() == "kept"
+
+
+def test_out_to_a_device_writes_in_place(capsys):
+    """A device is opened as is, never replaced by a renamed file."""
+    code, out, err = run(capsys, "rs1d", "--n", "64", "--xmax", "10", "--out", os.devnull)
+    assert code == 0, err
+    assert json.loads(out)["csv"] == os.devnull
+    assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
 
 
 def test_non_finite_result_is_refused(tmp_path, capsys, monkeypatch):
@@ -272,6 +326,7 @@ def test_rs1d_csv(tmp_path, capsys):
         rows = list(csv.reader(fh))
     assert rows[0] == ["x", "p_hat"]
     assert len(rows) == 257
+    assert os.listdir(tmp_path) == ["map.csv"]  # the temporary file was renamed over it
 
 
 def test_rs2d_report(capsys):
@@ -507,8 +562,9 @@ def test_transport_stdout_pinned(capsys, argv, want):
 
 @pytest.mark.parametrize("ordering", ["px", "xp"])
 def test_rs2d_builds_one_chain_frame_per_chain(capsys, monkeypatch, ordering):
-    """Each chain holds its frame, so its verification and off-pair distance
-    reuse it: one frame for the chain and one for the other ordering's."""
+    """The chain holds its frame, so its verification and off-pair distance
+    reuse it, and the state's exact swap symmetry gives the other ordering's
+    point maps without a second chain: one frame in all."""
     calls = []
     chain_frame = causal._chain_frame
 
@@ -518,17 +574,20 @@ def test_rs2d_builds_one_chain_frame_per_chain(capsys, monkeypatch, ordering):
 
     monkeypatch.setattr(causal, "_chain_frame", counted)
     run_json(capsys, "rs2d", "--n", "64", "--xmax", "10", "--ordering", ordering)
-    assert sorted(calls) == ["px", "xp"]
+    assert calls == [ordering]
 
 
 @pytest.mark.parametrize("argv", [
     *(tuple(a for a in argv if a not in ("--ordering", "px"))
       for argv, _ in STDOUT_DIGESTS if "px" in argv),
     ("rs2d", "--rho", "0", "--sigma", "0.7", "--n", "256", "--xmax", "20"),
+    # states whose products 2 rho x1 x2 round apart under the swap
+    *(("rs2d", "--rho", rho, "--sigma", "0.7", "--n", "128", "--xmax", "14")
+      for rho in ("0.6", "-0.7", "0.3")),
 ])
 def test_rs2d_orderings_agree_on_swap_symmetric_state(capsys, argv):
-    """The rho-Gaussian is symmetric under x1 <-> x2, so the xp chain, the px
-    chain of the swapped state, reports what px reports, with qp for pq."""
+    """The rho-Gaussian equals its transpose bit for bit, so the xp chain, the
+    px chain of the swapped state, reports what px reports, with qp for pq."""
     docs = {o: run_json(capsys, *argv, "--ordering", o) for o in ("px", "xp")}
     xp = docs["xp"]
     dist = xp["verification"]["distances"]

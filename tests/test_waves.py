@@ -155,6 +155,20 @@ def test_masses_multiply_the_spacings_in_axis_order():
     assert one.masses().tobytes() == (one.density() * one.axes[0].spacing).tobytes()
 
 
+# rho, sigma of the 2-D Gaussian states checked for the exact x1 <-> x2 symmetry
+SYMMETRIC_GAUSSIANS = [(rho, sigma) for rho in (-0.9, -0.7, 0.0, 0.3, 0.5, 0.6, 0.8)
+                       for sigma in (0.7, 1.0)]
+
+
+@pytest.mark.parametrize("n", [64, 128, 256])
+def test_correlated_gaussian_equals_its_transpose(n):
+    """(2 rho x_i) x_j and (2 rho x_j) x_i round apart at many (rho, n); the
+    state is built from one triangle, so the swap x1 <-> x2 is exact."""
+    for rho, sigma in SYMMETRIC_GAUSSIANS:
+        v = waves.correlated_gaussian_2d(rho=rho, sigma=sigma, n=n, xmax=8.0).values
+        assert v.tobytes() == np.ascontiguousarray(v.T).tobytes(), (rho, sigma)
+
+
 def test_correlated_gaussian_moments():
     rho = 0.6
     psi = waves.correlated_gaussian_2d(rho=rho, sigma=1.0, n=256, xmax=8.0)
