@@ -2,8 +2,8 @@
 
 Run from the repository root:
 
-    python3 benchmarks/bench_kernels.py
-    python3 benchmarks/bench_kernels.py --grid 128 --points 2000000 --repeat 5
+    PYTHONPATH=src python3 benchmarks/bench_kernels.py
+    PYTHONPATH=src python3 benchmarks/bench_kernels.py --grid 128 --points 2000000 --repeat 5
 
 The deposit benchmarks mirror the transport verifier's workload: cell
 masses pushed into a 4x oversampled histogram, as one large 1-D call

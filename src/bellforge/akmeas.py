@@ -7,7 +7,8 @@ b is the density
     g_b(u) = (2 pi b^2)^(-1/4) exp(-u^2 / (4 b^2)),
 
 with F the unitary transform and g_b normalized in L2, so P integrates
-to 1 for any state.  Exact identities used as cross-checks:
+to 1 for any state.  It obeys exact identities, each of which the tests
+check against a reference computed apart from the record:
 
 * x1 marginal = |psi|^2 convolved with g_b^2,
 * x2 marginal = |psi_tilde|^2 convolved with a Gaussian of std 1/(2b),
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import waves, wigner
+from . import waves
 from .errors import DomainError, ValidationError
 
 # x1 rows transformed per block.  At n = 1024 a block of 128 rows keeps each
@@ -46,12 +47,6 @@ class AkDistribution:
     warnings: tuple
     var_x: float  # position and momentum variances of the state
     var_p: float
-
-    def cell(self):
-        return self.x1_axis.spacing * self.x2_axis.spacing
-
-    def total_mass(self):
-        return float(self.joint.sum() * self.cell())
 
     def marginal_x1(self):
         return self.joint.sum(axis=1) * self.x2_axis.spacing
@@ -129,53 +124,6 @@ def ak_distribution(psi, b):
     _, var_p = waves.mean_and_var(waves.fourier(psi))
     warnings = _regime_warnings(var_x, var_p, b, ax, pax)
     return AkDistribution(ax, pax, joint, float(b), warnings, var_x, var_p)
-
-
-# ---------------------------------------------------------------------------
-# smoothed references
-
-
-def _convolve_centered(density, kernel, n):
-    # mode="same" centers even-length kernels at (n-1)//2; our grids put
-    # the origin at n//2, so slice the full convolution explicitly
-    return np.convolve(density, kernel, mode="full")[n // 2 : n // 2 + n]
-
-
-def smoothed_position_density(psi, b):
-    """|psi|^2 convolved with g_b^2 on the state's grid."""
-    ax = psi.axes[0]
-    kernel = window_profile(ax.points(), b) ** 2
-    return _convolve_centered(psi.density(), kernel, ax.n) * ax.spacing
-
-
-def smoothed_momentum_density(psi, b):
-    """|psi_tilde|^2 convolved with the 1/(2b)-wide momentum blur."""
-    tilde = waves.fourier(psi)
-    pax = tilde.axes[0]
-    p = pax.points()
-    s = 1.0 / (2.0 * b)
-    kernel = np.exp(-(p * p) / (2.0 * s * s)) / (s * math.sqrt(2.0 * math.pi))
-    return _convolve_centered(tilde.density(), kernel, pax.n) * pax.spacing
-
-
-def wigner_smoothed(psi, b):
-    """Wigner function smeared by the window Gaussians, on the record grids.
-
-    Equals the joint record density up to grid discretization; the p
-    smear resamples the half-spacing Wigner momentum grid onto the
-    record's x2 grid.
-    """
-    grid = wigner.wigner_transform(psi)
-    x = grid.x_axis.points()
-    pw = grid.p_axis.points()
-    x2 = psi.axes[0].conjugate().points()
-    gx = np.exp(-((x[:, None] - x[None, :]) ** 2) / (2.0 * b * b))
-    gx /= b * math.sqrt(2.0 * math.pi)
-    sp = 1.0 / (2.0 * b)
-    gp = np.exp(-((pw[:, None] - x2[None, :]) ** 2) / (2.0 * sp * sp))
-    gp /= sp * math.sqrt(2.0 * math.pi)
-    smeared = gx @ grid.values @ gp * grid.x_axis.spacing * grid.p_axis.spacing
-    return smeared
 
 
 # ---------------------------------------------------------------------------

@@ -99,9 +99,6 @@ class Certificate:
     value: float
     bound: float
 
-    def evaluate(self, behavior):
-        return float(np.sum(self.coeffs * behavior.correlators()))
-
 
 @dataclass(frozen=True)
 class LhvResult:

@@ -38,17 +38,7 @@ _CCS = ("qq", "qp", "pq", "pp")
 # quadrant mass tables and correlators on grid states
 
 
-def _require_position_2d(psi):
-    if psi.dim != 2:
-        raise ValidationError("quadrant analysis needs a 2-D state")
-    for ax in psi.axes:
-        if ax.representation != waves.POSITION:
-            raise ValidationError("state must be given in the position representation")
-
-
 def _ccs_state(psi, ccs):
-    if ccs not in _CCS:
-        raise DomainError("ccs must be one of qq, qp, pq, pp")
     work = psi
     if ccs[0] == "p":
         work = waves.fourier(work, axis=0)
@@ -81,18 +71,16 @@ def quad_densities(psi):
     indexed by the sign groups (-, 0, +) of the two coordinates.  Each
     table sums to the state's total mass (1 after normalization).
     """
-    _require_position_2d(psi)
+    if psi.dim != 2:
+        raise ValidationError("quadrant analysis needs a 2-D state")
+    for ax in psi.axes:
+        if ax.representation != waves.POSITION:
+            raise ValidationError("state must be given in the position representation")
     return {ccs: _quad_table(psi, ccs) for ccs in _CCS}
 
 
 def _table_correlator(table):
     return float(table[2, 2] + table[0, 0] - table[0, 2] - table[2, 0])
-
-
-def quadrant_correlator(psi, ccs):
-    """E_ab = <sgn(a) sgn(b)> on the mixed density selected by ccs."""
-    _require_position_2d(psi)
-    return _table_correlator(_quad_table(psi, ccs))
 
 
 def s_functional(psi):
@@ -180,19 +168,6 @@ def overlap_integral(cutoff):
     f = _inner_v(np.concatenate([w_lo, w_hi]), big_m)
     total = float(np.dot(np.concatenate([wt_lo, wt_hi]), f))
     return 8.0 * total / (math.pi * math.log(cutoff + 1.0))
-
-
-def family_correlators(cutoff, sign=+1):
-    """Closed-form quadrant correlators of the psi_(+/-) family."""
-    s = waves._parse_sign(sign)
-    i_val = overlap_integral(cutoff)
-    rt2 = math.sqrt(2.0)
-    return {
-        "qq": s * rt2 / 2.0,
-        "qp": s * rt2 / 4.0 * i_val,
-        "pq": s * rt2 / 4.0 * i_val,
-        "pp": -s * rt2 / 8.0 * i_val * i_val,
-    }
 
 
 def _s_of_overlap(i_val):

@@ -106,13 +106,6 @@ def analyzer_ket(s):
     return np.array([c, 1.0j * sn], dtype=complex)
 
 
-def observable_from_setting(s):
-    """The +/-1-valued observable |theta><theta| - |theta+pi/2><theta+pi/2|."""
-    k = analyzer_ket(s)
-    k_perp = analyzer_ket(AnalyzerSetting(s.theta + np.pi / 2.0, s.kind))
-    return np.outer(k, k.conj()) - np.outer(k_perp, k_perp.conj())
-
-
 def _correlation_tensor(state):
     """T[mu, nu] = <state| sigma_mu (x) sigma_nu |state> of a checked state."""
     psi = state.reshape(2, 2)
@@ -133,18 +126,6 @@ def correlation(state, sa, sb):
     t = _correlation_tensor(check_state(state))
     ua, ub = _axes(sa, sb)
     return float(ua @ t @ ub)
-
-
-def singlet_correlation(a_vec, b_vec):
-    """Spin correlation <sigma.a (x) sigma.b> on the singlet; equals -a.b."""
-    a_vec = np.asarray(a_vec, dtype=float)
-    b_vec = np.asarray(b_vec, dtype=float)
-    for v in (a_vec, b_vec):
-        if v.shape != (3,) or abs(np.dot(v, v) - 1.0) > 1e-9:
-            raise DomainError("direction must be a unit 3-vector (within 1e-9)")
-    u = np.zeros((2, 4))
-    u[:, [2, 3, 1]] = a_vec, b_vec  # x, y, z go to the X, Y, Z slots
-    return float(u[0] @ _correlation_tensor(singlet_state()) @ u[1])
 
 
 def chsh_value(state, settings):

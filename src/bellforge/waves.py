@@ -45,10 +45,6 @@ class Axis:
     def points(self):
         return (np.arange(self.n) - self.n // 2) * self.spacing
 
-    @property
-    def extent(self):
-        return self.n * self.spacing / 2.0
-
     def conjugate(self):
         rep = MOMENTUM if self.representation == POSITION else POSITION
         return Axis(self.n, 2.0 * np.pi / (self.n * self.spacing), rep)
@@ -321,12 +317,6 @@ def correlated_gaussian_2d(rho=0.5, sigma=1.0, n=256, xmax=8.0):
     return _finalize(values, (ax, ax), {"rho": rho, "sigma": sigma}, norm2_exact=exact)
 
 
-def tensor(psi1, psi2):
-    """Product state psi1(x1) psi2(x2) on the combined grid."""
-    values = np.multiply.outer(psi1.values, psi2.values)
-    return GridWavefunction(tuple(psi1.axes) + tuple(psi2.axes), values, {})
-
-
 # ---------------------------------------------------------------------------
 # cutoff interference states
 
@@ -376,15 +366,7 @@ def psi_marginal_state(sign, cutoff, n=1024, xmax=None):
 
 
 # ---------------------------------------------------------------------------
-# moments and marginals
-
-
-def marginal_density(psi, axis):
-    """1-D density of |psi|^2 along one axis (others integrated out)."""
-    dens = psi.density()
-    others = tuple(k for k in range(psi.dim) if k != axis)
-    vol = float(np.prod([psi.axes[k].spacing for k in others])) if others else 1.0
-    return dens.sum(axis=others) * vol if others else dens
+# moments
 
 
 def moments(ax, rho):
@@ -397,5 +379,6 @@ def moments(ax, rho):
     return mean, var
 
 
-def mean_and_var(psi, axis=0):
-    return moments(psi.axes[axis], marginal_density(psi, axis))
+def mean_and_var(psi):
+    """Mean and variance of position (or momentum) for a 1-D state."""
+    return moments(psi.axes[0], psi.density())

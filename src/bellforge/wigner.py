@@ -20,9 +20,9 @@ lag products at a time through one real inverse FFT over both lags,
 accumulates the minimum, all four pair marginals and the central slice in
 FFT order, and shifts and scales the (n, n) results once at the end.
 
-The two-mode squeezed vacuum enters through closed forms: its Wigner
-function, the displaced-parity correlator E(alpha, beta) = pi^2 W at the
-displaced phase-space point, and the CHSH combination
+The two-mode squeezed vacuum enters through closed forms: the
+displaced-parity correlator E(alpha, beta), pi^2 times its Wigner function
+at the displaced phase-space point, and the CHSH combination
 S = E(a,b) - E(a,b') + E(a',b) + E(a',b').  E factorizes over a
 two-displacement protocol (a = d1, b = 0, a' = 0, b' = -d2), whose
 optimum approaches 1 + 2*2^(-1/3) - 2^(-4/3) ~ 2.19055 as r grows; an
@@ -253,14 +253,6 @@ def _cosh_sinh_2r(r):
         return math.cosh(2.0 * r), math.sinh(2.0 * r)
     except OverflowError:
         raise DomainError("squeezing r = %g overflows cosh(2r); keep |r| below 355" % r) from None
-
-
-def tmsv_wigner(r, q1, q2, p1, p2):
-    """Wigner function of the two-mode squeezed vacuum (hbar = 1 quadratures)."""
-    c, s = _cosh_sinh_2r(r)
-    q1, q2, p1, p2 = np.broadcast_arrays(q1, q2, p1, p2)
-    quad = c * (q1**2 + q2**2 + p1**2 + p2**2) - 2.0 * s * (q1 * q2 - p1 * p2)
-    return np.exp(-quad) / math.pi**2
 
 
 def parity_correlation(r, alpha, beta):

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from bellforge import akmeas, causal, waves
+from bellforge import akmeas, causal, waves, wigner
 from bellforge.errors import DomainError, ValidationError
 
 
@@ -37,24 +37,71 @@ def test_variance_identities():
             _, var_x = waves.mean_and_var(psi)
             _, var_p = waves.mean_and_var(waves.fourier(psi))
             record = akmeas.ak_distribution(psi, b)
-            assert record.total_mass() == pytest.approx(1.0, abs=1e-9)
+            cell = record.x1_axis.spacing * record.x2_axis.spacing
+            assert float(record.joint.sum() * cell) == pytest.approx(1.0, abs=1e-9)
             _, v1 = record.mean_var_x1()
             _, v2 = record.mean_var_x2()
             assert v1 == pytest.approx(var_x + b * b, rel=1e-10)
             assert v2 == pytest.approx(var_p + 1.0 / (4.0 * b * b), rel=1e-10)
 
 
+# ---------------------------------------------------------------------------
+# smoothed references: the record's identities computed apart from the record
+
+
+def _convolve_centered(density, kernel, n):
+    # mode="same" centers even-length kernels at (n-1)//2; our grids put
+    # the origin at n//2, so slice the full convolution explicitly
+    return np.convolve(density, kernel, mode="full")[n // 2 : n // 2 + n]
+
+
+def _smoothed_position_density(psi, b):
+    """|psi|^2 convolved with g_b^2 on the state's grid."""
+    ax = psi.axes[0]
+    kernel = akmeas.window_profile(ax.points(), b) ** 2
+    return _convolve_centered(psi.density(), kernel, ax.n) * ax.spacing
+
+
+def _smoothed_momentum_density(psi, b):
+    """|psi_tilde|^2 convolved with the 1/(2b)-wide momentum blur."""
+    tilde = waves.fourier(psi)
+    pax = tilde.axes[0]
+    p = pax.points()
+    s = 1.0 / (2.0 * b)
+    kernel = np.exp(-(p * p) / (2.0 * s * s)) / (s * math.sqrt(2.0 * math.pi))
+    return _convolve_centered(tilde.density(), kernel, pax.n) * pax.spacing
+
+
+def _wigner_smoothed(psi, b):
+    """Wigner function smeared by the window Gaussians, on the record grids.
+
+    Equals the joint record density up to grid discretization; the p
+    smear resamples the half-spacing Wigner momentum grid onto the
+    record's x2 grid.
+    """
+    grid = wigner.wigner_transform(psi)
+    x = grid.x_axis.points()
+    pw = grid.p_axis.points()
+    x2 = psi.axes[0].conjugate().points()
+    gx = np.exp(-((x[:, None] - x[None, :]) ** 2) / (2.0 * b * b))
+    gx /= b * math.sqrt(2.0 * math.pi)
+    sp = 1.0 / (2.0 * b)
+    gp = np.exp(-((pw[:, None] - x2[None, :]) ** 2) / (2.0 * sp * sp))
+    gp /= sp * math.sqrt(2.0 * math.pi)
+    return gx @ grid.values @ gp * grid.x_axis.spacing * grid.p_axis.spacing
+
+
 def test_marginal_identities():
     psi = waves.gaussian_packet(x0=0.4, p0=0.6, sigma=0.9, n=512, xmax=12.0)
     record = akmeas.ak_distribution(psi, 0.8)
-    assert np.max(np.abs(record.marginal_x1() - akmeas.smoothed_position_density(psi, 0.8))) < 1e-12
-    assert np.max(np.abs(record.marginal_x2() - akmeas.smoothed_momentum_density(psi, 0.8))) < 1e-12
+    assert np.max(np.abs(record.marginal_x1() - _smoothed_position_density(psi, 0.8))) < 1e-12
+    assert np.max(np.abs(record.marginal_x2() - _smoothed_momentum_density(psi, 0.8))) < 1e-12
 
 
 def test_record_equals_smoothed_wigner():
     psi = waves.two_gaussian_packet(n=512, xmax=24.0)
     record = akmeas.ak_distribution(psi, 1.0)
-    smeared = akmeas.wigner_smoothed(psi, 1.0)
+    smeared = _wigner_smoothed(psi, 1.0)
     assert np.max(np.abs(record.joint - smeared)) < 1e-10
 
 

@@ -463,14 +463,6 @@ def test_takabayasi_gap_shrinks_under_spreading():
     assert detail["excluded_mass"] < 1e-12
 
 
-def test_ballistic_transport():
-    rep = causal.ballistic_transport_check()
-    assert rep["l1"] < 1e-2
-    assert rep["mass_in_range"] == pytest.approx(1.0, abs=1e-6)
-    with pytest.raises(DomainError):
-        causal.ballistic_transport_check(t=2.0, t_prime=1.0)
-
-
 def test_pass_thresholds_pinned():
     assert causal._THRESHOLDS == {"deterministic": 5e-3, "mc": 5e-2}
     for method, threshold in causal._THRESHOLDS.items():

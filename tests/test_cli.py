@@ -465,9 +465,9 @@ def test_ak_compare_transforms_the_state_once(capsys, monkeypatch):
         transformed.append(psi.values.shape)
         return fourier(psi, axis)
 
-    def counted_mean_and_var(psi, axis=0):
+    def counted_mean_and_var(psi):
         moments.append(psi.values.shape)
-        return mean_and_var(psi, axis)
+        return mean_and_var(psi)
 
     monkeypatch.setattr(waves, "fourier", counted_fourier)
     monkeypatch.setattr(waves, "mean_and_var", counted_mean_and_var)

@@ -75,12 +75,6 @@ def test_family_s_frozen_and_antisymmetric():
         assert psbell.family_s(cutoff) < psbell.TSIRELSON + 1e-6
 
 
-def test_family_correlators_consistent_with_s():
-    e = psbell.family_correlators(100.0)
-    s = e["qq"] + e["qp"] + e["pq"] - e["pp"]
-    assert s == pytest.approx(psbell.family_s(100.0), abs=1e-12)
-
-
 def test_demo_report():
     rep = psbell.marginal_theorem_demo()
     assert rep["exceeds_2_at"] == 100.0
@@ -113,27 +107,27 @@ def test_quad_densities_are_distributions():
         assert t.sum() == pytest.approx(1.0, abs=1e-9)
 
 
+def _sign_correlator(table):
+    """<sgn(a) sgn(b)> of a 3x3 table over the sign groups (-, 0, +)."""
+    signs = np.array([-1.0, 0.0, 1.0])
+    return float(signs @ table @ signs)
+
+
 def test_quadrant_correlator_signs():
     psi = waves.psi_marginal_state(+1, 10.0, n=256, xmax=12.0)
-    e_qq = psbell.quadrant_correlator(psi, "qq")
+    e_qq = _sign_correlator(psbell.quad_densities(psi)["qq"])
     # quadrant phase weighting puts more mass on equal signs for psi_plus
     assert e_qq > 0.5
     minus = waves.psi_marginal_state(-1, 10.0, n=256, xmax=12.0)
-    assert psbell.quadrant_correlator(minus, "qq") == pytest.approx(-e_qq, abs=1e-9)
-    with pytest.raises(DomainError):
-        psbell.quadrant_correlator(psi, "xx")
+    assert _sign_correlator(psbell.quad_densities(minus)["qq"]) == pytest.approx(-e_qq, abs=1e-9)
     with pytest.raises(ValidationError):
-        psbell.quadrant_correlator(waves.gaussian_packet(), "qq")
+        psbell.quad_densities(waves.gaussian_packet())
 
 
 def test_s_functional_matches_correlator_sum():
     psi = waves.psi_marginal_state(+1, 10.0, n=256, xmax=12.0)
-    total = (
-        psbell.quadrant_correlator(psi, "qq")
-        + psbell.quadrant_correlator(psi, "qp")
-        + psbell.quadrant_correlator(psi, "pq")
-        - psbell.quadrant_correlator(psi, "pp")
-    )
+    e = {ccs: _sign_correlator(t) for ccs, t in psbell.quad_densities(psi).items()}
+    total = e["qq"] + e["qp"] + e["pq"] - e["pp"]
     assert psbell.s_functional(psi) == pytest.approx(total, abs=1e-12)
 
 

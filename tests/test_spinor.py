@@ -46,9 +46,16 @@ def test_analyzer_setting_wraps_angle_and_validates_kind():
             AnalyzerSetting(bad, "L")
 
 
+def _observable_from_setting(s):
+    """The +/-1-valued observable |theta><theta| - |theta+pi/2><theta+pi/2|."""
+    k = spinor.analyzer_ket(s)
+    k_perp = spinor.analyzer_ket(AnalyzerSetting(s.theta + np.pi / 2.0, s.kind))
+    return np.outer(k, k.conj()) - np.outer(k_perp, k_perp.conj())
+
+
 def test_analyzer_observable_is_involutive():
     for kind in "LE":
-        obs = spinor.observable_from_setting(AnalyzerSetting(0.37, kind))
+        obs = _observable_from_setting(AnalyzerSetting(0.37, kind))
         assert np.allclose(obs @ obs, np.eye(2), atol=1e-12)
         assert np.allclose(obs, obs.conj().T, atol=1e-12)
 
@@ -120,18 +127,6 @@ def test_random_states_never_beat_tsirelson():
         assert spinor.chsh_value(state, s) <= spinor.TSIRELSON + 1e-9
 
 
-def test_singlet_correlation_rotational_invariance():
-    rng = np.random.default_rng(7)
-    for _ in range(50):
-        a = rng.normal(size=3)
-        a /= np.linalg.norm(a)
-        b = rng.normal(size=3)
-        b /= np.linalg.norm(b)
-        assert spinor.singlet_correlation(a, b) == pytest.approx(-np.dot(a, b), abs=1e-12)
-    with pytest.raises(DomainError):
-        spinor.singlet_correlation([1.0, 0.0, 0.0], [2.0, 0.0, 0.0])
-
-
 def test_parse_kinds_validation():
     assert spinor._parse_kinds("LLEE") == ("L", "L", "E", "E")
     assert spinor._parse_kinds(("L", "E", "L", "E")) == ("L", "E", "L", "E")
@@ -149,7 +144,7 @@ KINDS = ["".join(k) for k in itertools.product("LE", repeat=4)]
 
 
 def _kron_correlation(state, sa, sb):
-    op = np.kron(spinor.observable_from_setting(sa), spinor.observable_from_setting(sb))
+    op = np.kron(_observable_from_setting(sa), _observable_from_setting(sb))
     return np.vdot(state, op @ state).real
 
 
@@ -157,14 +152,6 @@ def _kron_chsh(state, s):
     p = [_kron_correlation(state, x, y)
          for x, y in ((s.a, s.b), (s.a, s.b_prime), (s.a_prime, s.b), (s.a_prime, s.b_prime))]
     return abs(p[0] - p[1]) + abs(p[2] + p[3])
-
-
-def _kron_singlet(a, b):
-    def sigma(v):
-        return v[0] * spinor.PAULI_X + v[1] * spinor.PAULI_Y + v[2] * spinor.PAULI_Z
-
-    psi = spinor.singlet_state()
-    return np.vdot(psi, np.kron(sigma(a), sigma(b)) @ psi).real
 
 
 def test_tensor_closed_forms_match_kron_reference():
@@ -177,9 +164,6 @@ def test_tensor_closed_forms_match_kron_reference():
             for x, y in ((s.a, s.b), (s.a_prime, s.b_prime), (s.b, s.a)):
                 assert abs(spinor.correlation(state, x, y) - _kron_correlation(state, x, y)) < 1e-12
             assert abs(spinor.chsh_value(state, s) - _kron_chsh(state, s)) < 1e-12
-    for _ in range(100):
-        a, b = (v / np.linalg.norm(v) for v in rng.normal(size=(2, 3)))
-        assert abs(spinor.singlet_correlation(a, b) - _kron_singlet(a, b)) < 1e-12
 
 
 # sha256 prefixes of ``chsh --state S --kinds K --maximize`` stdout, K in

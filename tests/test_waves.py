@@ -23,7 +23,6 @@ def test_axis_geometry():
     pts = ax.points()
     assert pts[ax.n // 2] == 0.0
     assert pts[0] == -8.0
-    assert ax.extent == pytest.approx(8.0)
     conj = ax.conjugate()
     assert conj.representation == "p"
     assert conj.spacing == pytest.approx(2.0 * np.pi / (ax.n * ax.spacing))
@@ -132,17 +131,6 @@ def test_dft_matches_fft_on_grid():
     phi = waves.fourier(psi)
     direct = waves.dft_at(psi, phi.axes[0].points())
     assert np.max(np.abs(direct - phi.values)) < 1e-10
-
-
-def test_tensor_product_marginals():
-    a = waves.gaussian_packet(x0=-0.5, sigma=0.7, n=256, xmax=8.0)
-    b = waves.gaussian_packet(x0=0.9, sigma=1.1, n=256, xmax=10.0)
-    prod = waves.tensor(a, b)
-    assert prod.norm2() == pytest.approx(1.0, abs=1e-12)
-    m0 = waves.marginal_density(prod, 0)
-    m1 = waves.marginal_density(prod, 1)
-    assert np.max(np.abs(m0 - a.density())) < 1e-12
-    assert np.max(np.abs(m1 - b.density())) < 1e-12
 
 
 def test_masses_multiply_the_spacings_in_axis_order():

