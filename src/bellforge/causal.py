@@ -8,14 +8,13 @@ Two phase-space constructions over a base density |psi(x)|^2:
 * monotone transport maps p_hat(x) defined by matching cumulative
   distribution functions, which reproduce the momentum marginal by
   construction.  In 2-D the maps chain conditionally and reproduce three
-  mixed position/momentum densities at once; swapping the chaining order
-  yields a genuinely different composite map with the same marginals.
+  mixed position/momentum densities at once.
 
-The 2-D chain maps axis 0 first, in its chain frame (``_chain_frame``): the
-state itself for ordering "px", the axis-swapped state for "xp".  A chain
-holds its frame, as a 1-D map its state, and every check takes the result
-alone.  The maps, the deterministic check and the off-pair distance work in
-the frame; ``point_maps`` and the Monte Carlo check on the state's own axes.
+The 2-D chain maps its state's axis 0 first.  The other conditioning order
+is the chain of the state with its axes swapped, which in general realizes
+a different composite map with the same marginals.  A chain holds its
+source state, as a 1-D map does, and every check takes the result alone
+and works on the chain's own axes.
 
 Epsilon convention: epsilon=+1 matches F_p(p_hat) = F_x(x) (nondecreasing
 map); epsilon=-1 matches F_p(p_hat) = 1 - F_x(x) (nonincreasing).  The
@@ -402,50 +401,36 @@ def verify_marginals_1d(m, mc_samples=0, seed=0):
 # 2-D chained transport
 
 
-def _chain_frame(psi, ordering):
-    """The state with the coordinate stage 1 maps on axis 0: psi itself for
-    "px", psi with its axes swapped, as a contiguous copy, for "xp".  The
-    swap is its own inverse, so the frame of a frame is the state."""
-    if ordering == "px":
-        return psi
-    return waves.GridWavefunction(psi.axes[::-1], np.ascontiguousarray(psi.values.T), psi.meta)
-
-
 @dataclass(frozen=True)
 class ChainedMap2D:
-    """Conditional transport chain over a 2-D state, held with its chain
-    frame (``_chain_frame``), whose axis 0 is the coordinate mapped first.
+    """Conditional transport chain over a 2-D state, axis 0 mapped first.
 
-    Stage 1 maps frame axis 0 into its conjugate momentum, one monotone map
-    per cell of axis 1.  Stage 2 maps axis 1, one map per momentum cell
+    Stage 1 maps axis 0 into its conjugate momentum, one monotone map per
+    cell of axis 1.  Stage 2 maps axis 1, one map per momentum cell
     produced by stage 1.  Tables hold map values at source nodes and at
     source cell edges; the edge tables drive mass-preserving pushforwards.
     """
 
-    ordering: str  # "px" replaces x1 first, "xp" replaces x2 first
-    frame: waves.GridWavefunction  # the source state in its chain frame
-    map1_nodes: np.ndarray  # (n0, n1), frame axes
+    source: waves.GridWavefunction  # the 2-D state the chain was built from
+    map1_nodes: np.ndarray  # (n0, n1)
     map1_edges: np.ndarray  # (n0 + 1, n1)
     map2_nodes: np.ndarray  # (n1, n_p0)
     map2_edges: np.ndarray  # (n1 + 1, n_p0)
 
     @property
-    def momentum_axes(self):  # frame momentum axes
-        return tuple(ax.conjugate() for ax in self.frame.axes)
+    def momentum_axes(self):
+        return tuple(ax.conjugate() for ax in self.source.axes)
 
     def conditioning_cells(self):
         """Momentum cell index hit by each stage-1 node value."""
         return _cell_index(self.map1_nodes, self.momentum_axes[0])
 
     def point_maps(self):
-        """Composite momenta (p1, p2) of every cell (k1, k2) on the state's own axes."""
+        """Composite momenta (p1, p2) of every cell (k1, k2)."""
         idx = self.conditioning_cells()
         n1 = self.map2_nodes.shape[0]
-        # out[k0, k1] = stage-2 node value at (k1 | stage-1 cell)
-        out = self.map2_nodes[np.arange(n1)[None, :], idx]
-        if self.ordering == "px":
-            return {"p1": self.map1_nodes, "p2": out}
-        return {"p1": out.T, "p2": self.map1_nodes.T}
+        # p2[k0, k1] = stage-2 node value at (k1 | stage-1 cell)
+        return {"p1": self.map1_nodes, "p2": self.map2_nodes[np.arange(n1)[None, :], idx]}
 
 
 def _conditional_maps(pos_masses, mom_masses, mom_axis, epsilon):
@@ -477,36 +462,29 @@ def _conditional_maps(pos_masses, mom_masses, mom_axis, epsilon):
     return nodes, edges
 
 
-def rs_map_2d(psi, epsilon1=+1, epsilon2=+1, ordering="px"):
-    """Chained conditional transport for a 2-D state.
+def rs_map_2d(psi, epsilon1=+1, epsilon2=+1):
+    """Chained conditional transport for a 2-D state, axis 0 mapped first.
 
-    ordering "px" builds p_hat_1(x1 | x2) against the (p1, x2) density and
-    then p_hat_2(x2 | p1) against the (p1, p2) density; ordering "xp" is
-    the same chain on the axis-swapped state.  Per-slice norms of the
-    position and momentum conditionals must agree (a transform along the
-    mapped axis preserves them exactly); mismatch beyond 1e-5 raises
+    Builds p_hat_1(x1 | x2) against the (p1, x2) density and then
+    p_hat_2(x2 | p1) against the (p1, p2) density; to map x2 first, chain
+    the state with its axes swapped.  Per-slice norms of the position and
+    momentum conditionals must agree (a transform along the mapped axis
+    preserves them exactly); mismatch beyond 1e-5 raises
     GridResolutionError.
     """
-    if ordering not in ("px", "xp"):
-        raise ValidationError("ordering must be 'px' or 'xp'")
     for e in (epsilon1, epsilon2):
         if e not in (+1, -1):
             raise DomainError("epsilons must be +1 or -1")
     if psi.dim != 2:
         raise ValidationError("rs_map_2d needs a 2-D state")
-    frame = _chain_frame(psi, ordering)
-    psi_m = waves.fourier(frame, axis=0)
+    psi_m = waves.fourier(psi, axis=0)
     psi_mm = waves.fourier(psi_m, axis=1)
     # density() * cell_volume(), not masses(): the product of the spacings
     # rounds differently, and the chain tables are pinned with this rounding
-    mass, mass_m, mass_mm = (w.density() * w.cell_volume() for w in (frame, psi_m, psi_mm))
+    mass, mass_m, mass_mm = (w.density() * w.cell_volume() for w in (psi, psi_m, psi_mm))
     map1_nodes, map1_edges = _conditional_maps(mass, mass_m, psi_m.axes[0], epsilon1)
     map2_nodes, map2_edges = _conditional_maps(mass_m.T, mass_mm.T, psi_mm.axes[1], epsilon2)
-    return ChainedMap2D(ordering, frame, map1_nodes, map1_edges, map2_nodes, map2_edges)
-
-
-def _chain_labels(chain):
-    return ("qq", "pq", "pp") if chain.ordering == "px" else ("qq", "qp", "pp")
+    return ChainedMap2D(psi, map1_nodes, map1_edges, map2_nodes, map2_edges)
 
 
 def _double_fine_masses(padded0):
@@ -524,21 +502,19 @@ def _double_fine_masses(padded0):
 def verify_marginals_2d(chain, mc_samples=0, seed=0):
     """L1 distances for the three densities a chain reproduces for its state.
 
-    Deterministic path, in the chain frame: source cell masses ride the
-    map stages as exact intervals into fine momentum bins; targets are
-    transform densities on oversampled grids, cell-integrated along any
-    axis the chain resolves only at coarse cells.  Monte Carlo path:
-    seeded position samples pushed through the composite point maps onto
-    coarsened grids.
+    Deterministic path: source cell masses ride the map stages as exact
+    intervals into fine momentum bins; targets are transform densities on
+    oversampled grids, cell-integrated along any axis the chain resolves
+    only at coarse cells.  Monte Carlo path: seeded position samples pushed
+    through the composite point maps onto coarsened grids.
     """
     if mc_samples:
         return _verify_2d_mc(chain, mc_samples, seed)
-    labels = _chain_labels(chain)
-    base = chain.frame.masses()
+    base = chain.source.masses()
 
     # middle density (p0, x1): per-column interval pushforward, compared
     # on cell masses as in the 1-D verifier
-    fine = waves.padded_transform(chain.frame, 0, _FINE)
+    fine = waves.padded_transform(chain.source, 0, _FINE)
     rep_mid = _deposit_edge_intervals(chain.map1_edges, base, *_fine_bins(fine.axes[0]))
 
     # final density (p0 cells, p1 fine): stage 2 pushes the stage-1 masses on
@@ -548,19 +524,17 @@ def verify_marginals_2d(chain, mc_samples=0, seed=0):
         chain.map2_edges, m1.T, *_fine_bins(chain.momentum_axes[1], _FINE)
     ).T
     distances = {
-        labels[0]: 0.0,
-        labels[1]: _cell_l1(rep_mid, fine.masses(), _FINE, 0),
-        labels[2]: _cell_l1(rep_pp, _double_fine_masses(fine), _FINE, 1),
+        "qq": 0.0,
+        "pq": _cell_l1(rep_mid, fine.masses(), _FINE, 0),
+        "pp": _cell_l1(rep_pp, _double_fine_masses(fine), _FINE, 1),
     }
     return _report(distances, "deterministic")
 
 
 def _verify_2d_mc(chain, mc_samples, seed):
-    """Monte Carlo marginal check on _MC_GROUP-coarsened grids, on the state's own axes."""
-    psi = _chain_frame(chain.frame, chain.ordering)
+    """Monte Carlo marginal check on _MC_GROUP-coarsened grids."""
+    psi = chain.source
     rng = np.random.default_rng(seed)
-    first = ("px", "xp").index(chain.ordering)  # the state axis stage 1 maps
-    labels = _chain_labels(chain)
     n1, n2 = psi.axes[0].n, psi.axes[1].n
 
     base = psi.masses()
@@ -569,18 +543,17 @@ def _verify_2d_mc(chain, mc_samples, seed):
     pm = chain.point_maps()
     p1, p2 = pm["p1"][k1, k2], pm["p2"][k1, k2]
 
-    psi_m = waves.fourier(psi, axis=first)
-    psi_mm = waves.fourier(psi_m, axis=first ^ 1)
+    psi_m = waves.fourier(psi, axis=0)
+    psi_mm = waves.fourier(psi_m, axis=1)
     kp1, kp2 = (_cell_index(p, pax) for p, pax in zip((p1, p2), psi_mm.axes))
 
     def hist2(a, b):  # a momentum axis has as many points as its position axis
         return (np.bincount(a * n2 + b, minlength=n1 * n2) / mc_samples).reshape(n1, n2)
 
-    mid = ((kp1, k2), (k1, kp2))[first]
     distances = {
-        labels[0]: _cell_l1(hist2(k1, k2), base, _MC_GROUP, 0, 1),
-        labels[1]: _cell_l1(hist2(*mid), psi_m.masses(), _MC_GROUP, 0, 1),
-        labels[2]: _cell_l1(hist2(kp1, kp2), psi_mm.masses(), _MC_GROUP, 0, 1),
+        "qq": _cell_l1(hist2(k1, k2), base, _MC_GROUP, 0, 1),
+        "pq": _cell_l1(hist2(kp1, k2), psi_m.masses(), _MC_GROUP, 0, 1),
+        "pp": _cell_l1(hist2(kp1, kp2), psi_mm.masses(), _MC_GROUP, 0, 1),
     }
     return _report(distances, "mc")
 
@@ -596,22 +569,22 @@ def verify_marginals(m, mc_samples=0, seed=0):
 
 def ccs_distance(chain):
     """L1 distance between the chain-implied density of the off-chain mixed
-    pair ("qp" for a "px" chain, "pq" for "xp") and its transform density.
-    The pairs the chain reproduces by construction are
-    ``verify_marginals_2d``'s; this one it need not reproduce.  For the
-    correlated Gaussian, the only state ``rs2d`` offers, the continuum chain
-    does reproduce it: at rho = 0.5, sigma = 1, n = 256, xmax = 12 the exact
-    composite map p = Sigma^-1 x / 2 scores 1.35e-3 where this distance reads
-    0.23.  On that state the distance measures the grid's stage-2
-    conditioning at cell nodes, not the construction (ROADMAP item 8)."""
-    # off-chain pair (x0, p1) in the chain frame: stage-2 intervals selected
-    # by each cell's stage-1 conditioning index, one deposit column per x0 row
-    base = chain.frame.masses()
+    pair (x1, p2) and its transform density.  The pairs the chain reproduces
+    by construction are ``verify_marginals_2d``'s; this one it need not
+    reproduce.  For the correlated Gaussian, the only state ``rs2d`` offers,
+    the continuum chain does reproduce it: at rho = 0.5, sigma = 1, n = 256,
+    xmax = 12 the exact composite map p = Sigma^-1 x / 2 scores 1.35e-3
+    where this distance reads 0.23.  On that state the distance measures the
+    grid's stage-2 conditioning at cell nodes, not the construction (ROADMAP
+    item 8)."""
+    # off-chain pair (x1, p2): stage-2 intervals selected by each cell's
+    # stage-1 conditioning index, one deposit column per x1 row
+    base = chain.source.masses()
     idx = chain.conditioning_cells()
     rows = np.arange(base.shape[1])
     rep = _kernels.deposit_intervals(
         chain.map2_edges[rows, idx].T, chain.map2_edges[rows + 1, idx].T, base.T,
         *_fine_bins(chain.momentum_axes[1], _FINE),
     ).T
-    return _cell_l1(rep, waves.padded_transform(chain.frame, 1, _FINE).masses(), _FINE, 1)
+    return _cell_l1(rep, waves.padded_transform(chain.source, 1, _FINE).masses(), _FINE, 1)
 

@@ -232,12 +232,17 @@ def _cmd_rs2d(args):
     psi = waves.correlated_gaussian_2d(
         rho=args.rho, sigma=args.sigma, n=args.n, xmax=args.xmax
     )
-    chain = causal.rs_map_2d(psi, epsilons[0], epsilons[1], ordering=args.ordering)
+    chain = causal.rs_map_2d(psi, epsilons[0], epsilons[1])
     report = causal.verify_marginals(chain, mc_samples=args.mc, seed=args.seed)
     pm = chain.point_maps()
-    # the state equals its transpose bit for bit, so the other ordering builds
-    # this chain in this frame: its (p1, p2) point maps are (p2, p1) transposed
+    # the xp chain maps x2 first: the chain of the axis-swapped state, which
+    # is this state bit for bit (test_correlated_gaussian_equals_its_transpose
+    # in test_waves), so this chain with (p1, p2) read as (p2, p1) transposed
+    # and pq as qp; swap_difference compares the two readings
     pm_other = {"p1": pm["p2"].T, "p2": pm["p1"].T}
+    if args.ordering == "xp":
+        pm, pm_other = pm_other, pm
+        report["distances"]["qp"] = report["distances"].pop("pq")
     base = psi.masses()
     payload = {
         "rho": args.rho,

@@ -168,11 +168,16 @@ def test_c06_transport_1d_marginals():
 
 def test_c07_transport_2d_contexts():
     psi = waves.correlated_gaussian_2d(rho=0.5, sigma=1.0, n=512, xmax=20.0)
-    chain = causal.rs_map_2d(psi, ordering="px")
+    chain = causal.rs_map_2d(psi)
     rep = causal.verify_marginals(chain)
-    chain_swap = causal.rs_map_2d(psi, ordering="xp")
+    # the xp ordering maps x2 first: the chain of the axis-swapped state,
+    # whose pq pair is the state's qp and whose point maps are transposed
+    swapped = waves.GridWavefunction(psi.axes[::-1], np.ascontiguousarray(psi.values.T), {})
+    chain_swap = causal.rs_map_2d(swapped)
     rep_swap = causal.verify_marginals(chain_swap)
-    pm, pm_swap = chain.point_maps(), chain_swap.point_maps()
+    rep_swap["distances"]["qp"] = rep_swap["distances"].pop("pq")
+    pm, pm_s = chain.point_maps(), chain_swap.point_maps()
+    pm_swap = {"p1": pm_s["p2"].T, "p2": pm_s["p1"].T}
     table_diff = max(
         float(np.max(np.abs(pm["p1"] - pm_swap["p1"]))),
         float(np.max(np.abs(pm["p2"] - pm_swap["p2"]))),

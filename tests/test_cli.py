@@ -514,7 +514,10 @@ def test_bad_arguments_exit_2(capsys):
 # the verifier's fine bins came from one helper (numpy 2.4, x86-64): every
 # distance is printed in full, so a bin edge moved by one ulp shows here
 # (the xp rows whose pp distance moved by ~1e-17 when xp became the px chain
-# of the axis-swapped state were re-recorded then)
+# of the axis-swapped state were re-recorded then).  The xp --mc row was
+# re-recorded when rs2d began to read xp off its one px chain: the Monte
+# Carlo check draws its samples on the chain's own axes, not on the axis
+# order the user asked for, so xp prints the px report with qp for pq
 STDOUT_DIGESTS = [
     (("rs1d", "--n", "256", "--state", "gaussian", "--epsilon", "1"), "39ad25ea17cd43ab"),
     (("rs1d", "--n", "256", "--state", "gaussian", "--epsilon", "-1"), "bc6368e182e6a3cb"),
@@ -547,9 +550,8 @@ STDOUT_DIGESTS = [
     (("rs2d", "--n", "128", "--xmax", "12", "--ordering", "xp", "--epsilons=-1,-1"), "7ec1bbd84ecf4af2"),
     (("rs2d", "--n", "64", "--xmax", "10", "--mc", "20000", "--seed", "5"), "635364cf6854e77c"),
     (("ak-compare", "--n", "256"), "916be18fadf69767"),
-    # recorded before a chain held its frame, which the xp Monte Carlo check swaps back
     (("rs2d", "--n", "64", "--xmax", "10", "--ordering", "xp", "--mc", "20000", "--seed", "5"),
-     "91bae5db3a3ff2a4"),
+     "0a3a0b5a228d54dd"),
 ]
 
 
@@ -562,19 +564,19 @@ def test_transport_stdout_pinned(capsys, argv, want):
 
 @pytest.mark.parametrize("ordering", ["px", "xp"])
 def test_rs2d_builds_one_chain_frame_per_chain(capsys, monkeypatch, ordering):
-    """The chain holds its frame, so its verification and off-pair distance
-    reuse it, and the state's exact swap symmetry gives the other ordering's
-    point maps without a second chain: one frame in all."""
+    """One rs_map_2d call per op for either ordering: the state's exact swap
+    symmetry gives the xp chain and the other ordering's point maps without
+    a second chain."""
     calls = []
-    chain_frame = causal._chain_frame
+    rs_map_2d = causal.rs_map_2d
 
-    def counted(psi, o):
-        calls.append(o)
-        return chain_frame(psi, o)
+    def counted(*args):
+        calls.append(args)
+        return rs_map_2d(*args)
 
-    monkeypatch.setattr(causal, "_chain_frame", counted)
+    monkeypatch.setattr(causal, "rs_map_2d", counted)
     run_json(capsys, "rs2d", "--n", "64", "--xmax", "10", "--ordering", ordering)
-    assert calls == [ordering]
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("argv", [
@@ -584,10 +586,16 @@ def test_rs2d_builds_one_chain_frame_per_chain(capsys, monkeypatch, ordering):
     # states whose products 2 rho x1 x2 round apart under the swap
     *(("rs2d", "--rho", rho, "--sigma", "0.7", "--n", "128", "--xmax", "14")
       for rho in ("0.6", "-0.7", "0.3")),
+    # the Monte Carlo check, as pinned above and at a rho whose products round
+    # apart under the swap
+    ("rs2d", "--n", "64", "--xmax", "10", "--mc", "20000", "--seed", "5"),
+    ("rs2d", "--rho", "0.6", "--sigma", "0.7", "--n", "128", "--xmax", "14",
+     "--mc", "50000", "--seed", "2"),
 ])
 def test_rs2d_orderings_agree_on_swap_symmetric_state(capsys, argv):
     """The rho-Gaussian equals its transpose bit for bit, so the xp chain, the
-    px chain of the swapped state, reports what px reports, with qp for pq."""
+    px chain of the swapped state, reports what px reports, with qp for pq,
+    in the deterministic and the Monte Carlo check alike."""
     docs = {o: run_json(capsys, *argv, "--ordering", o) for o in ("px", "xp")}
     xp = docs["xp"]
     dist = xp["verification"]["distances"]
