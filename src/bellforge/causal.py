@@ -4,7 +4,7 @@ Two phase-space constructions over a base density |psi(x)|^2:
 
 * the gradient-of-phase momentum field Im(psi'/psi), whose pushforward of
   the position density generally fails to reproduce |psi_tilde(p)|^2
-  (``takabayasi_gap`` measures the miss in L1), and
+  (``takabayasi_gap_detailed`` measures the miss in L1), and
 * monotone transport maps p_hat(x) defined by matching cumulative
   distribution functions, which reproduce the momentum marginal by
   construction.  In 2-D the maps chain conditionally and reproduce three
@@ -12,9 +12,9 @@ Two phase-space constructions over a base density |psi(x)|^2:
 
 The 2-D chain maps its state's axis 0 first.  The other conditioning order
 is the chain of the state with its axes swapped, which in general realizes
-a different composite map with the same marginals.  A chain holds its
-source state, as a 1-D map does, and every check takes the result alone
-and works on the chain's own axes.
+a different composite map with the same marginals.  A result holds its
+source and the momentum states it matched; every check takes the result
+alone, reads those states, and works on the chain's own axes.
 
 Epsilon convention: epsilon=+1 matches F_p(p_hat) = F_x(x) (nondecreasing
 map); epsilon=-1 matches F_p(p_hat) = 1 - F_x(x) (nonincreasing).  The
@@ -226,16 +226,17 @@ def _cell_l1(rep, tgt, factor, *axes):
     return float(np.sum(np.abs(rep - tgt)))
 
 
-def takabayasi_gap_detailed(psi):
-    """L1 gap between the field-pushforward of |psi|^2 and |psi_tilde|^2.
+def takabayasi_gap_detailed(m):
+    """L1 gap between the field-pushforward of |psi|^2 and |psi_tilde|^2 for
+    the source of the 1-D map m, against the padded state m matched.
 
     Each position cell's mass rides the momentum field into the interval
     spanned by the field values at the cell edges (degenerate where the
     field is locally constant).  Cells with undefined field are excluded
     and their mass reported separately.
     """
-    field = debb_momentum_field(psi)
-    masses = psi.masses()
+    field = debb_momentum_field(m.source)
+    masses = m.source.masses()
     ok = np.isfinite(field)
     excluded = float(masses[~ok].sum())
 
@@ -245,17 +246,12 @@ def takabayasi_gap_detailed(psi):
         [[filled[0]], 0.5 * (filled[:-1] + filled[1:]), [filled[-1]]]
     )
 
-    fine = waves.padded_transform(psi, 0, _FINE)
     # deposit_intervals orders each cell's two edge values itself
     deposited = _kernels.deposit_intervals(
-        edge_vals[:-1][ok], edge_vals[1:][ok], masses[ok], *_fine_bins(fine.axes[0])
+        edge_vals[:-1][ok], edge_vals[1:][ok], masses[ok], *_fine_bins(m.target.axes[0])
     )
-    gap = float(np.sum(np.abs(deposited - fine.masses())))
+    gap = float(np.sum(np.abs(deposited - m.target.masses())))
     return {"gap": gap, "excluded_mass": excluded}
-
-
-def takabayasi_gap(psi):
-    return takabayasi_gap_detailed(psi)["gap"]
 
 
 # ---------------------------------------------------------------------------
@@ -265,6 +261,7 @@ def takabayasi_gap(psi):
 @dataclass(frozen=True)
 class MonotoneMap:
     source: waves.GridWavefunction  # the 1-D state the map was built from
+    target: waves.GridWavefunction  # its _FINE-times padded transform, which the map matches
     p_hat: np.ndarray  # map values at the nodes
     p_hat_edges: np.ndarray  # map values at cell edges, drives pushforwards
     epsilon: int
@@ -301,7 +298,7 @@ def rs_map_1d(psi, epsilon=+1):
     p_hat, p_hat_edges = _conditional_maps(
         psi.masses()[:, None], fine.masses()[:, None], fine.axes[0], epsilon
     )
-    return MonotoneMap(psi, p_hat[:, 0], p_hat_edges[:, 0], epsilon)
+    return MonotoneMap(psi, fine, p_hat[:, 0], p_hat_edges[:, 0], epsilon)
 
 
 def _deposit_edge_intervals(map_edges, masses, bin_edge0, bin_width, nbins):
@@ -412,18 +409,16 @@ class ChainedMap2D:
     """
 
     source: waves.GridWavefunction  # the 2-D state the chain was built from
+    mixed: waves.GridWavefunction  # source transformed along axis 0: (p1, x2)
+    momentum: waves.GridWavefunction  # mixed transformed along axis 1: (p1, p2)
     map1_nodes: np.ndarray  # (n0, n1)
     map1_edges: np.ndarray  # (n0 + 1, n1)
     map2_nodes: np.ndarray  # (n1, n_p0)
     map2_edges: np.ndarray  # (n1 + 1, n_p0)
 
-    @property
-    def momentum_axes(self):
-        return tuple(ax.conjugate() for ax in self.source.axes)
-
     def conditioning_cells(self):
         """Momentum cell index hit by each stage-1 node value."""
-        return _cell_index(self.map1_nodes, self.momentum_axes[0])
+        return _cell_index(self.map1_nodes, self.momentum.axes[0])
 
     def point_maps(self):
         """Composite momenta (p1, p2) of every cell (k1, k2)."""
@@ -484,7 +479,7 @@ def rs_map_2d(psi, epsilon1=+1, epsilon2=+1):
     mass, mass_m, mass_mm = (w.density() * w.cell_volume() for w in (psi, psi_m, psi_mm))
     map1_nodes, map1_edges = _conditional_maps(mass, mass_m, psi_m.axes[0], epsilon1)
     map2_nodes, map2_edges = _conditional_maps(mass_m.T, mass_mm.T, psi_mm.axes[1], epsilon2)
-    return ChainedMap2D(psi, map1_nodes, map1_edges, map2_nodes, map2_edges)
+    return ChainedMap2D(psi, psi_m, psi_mm, map1_nodes, map1_edges, map2_nodes, map2_edges)
 
 
 def _double_fine_masses(padded0):
@@ -519,9 +514,9 @@ def verify_marginals_2d(chain, mc_samples=0, seed=0):
 
     # final density (p0 cells, p1 fine): stage 2 pushes the stage-1 masses on
     # the coarse momentum cells, against a p0-cell-integrated target
-    m1 = _deposit_edge_intervals(chain.map1_edges, base, *_fine_bins(chain.momentum_axes[0]))
+    m1 = _deposit_edge_intervals(chain.map1_edges, base, *_fine_bins(chain.momentum.axes[0]))
     rep_pp = _deposit_edge_intervals(
-        chain.map2_edges, m1.T, *_fine_bins(chain.momentum_axes[1], _FINE)
+        chain.map2_edges, m1.T, *_fine_bins(chain.momentum.axes[1], _FINE)
     ).T
     distances = {
         "qq": 0.0,
@@ -543,17 +538,15 @@ def _verify_2d_mc(chain, mc_samples, seed):
     pm = chain.point_maps()
     p1, p2 = pm["p1"][k1, k2], pm["p2"][k1, k2]
 
-    psi_m = waves.fourier(psi, axis=0)
-    psi_mm = waves.fourier(psi_m, axis=1)
-    kp1, kp2 = (_cell_index(p, pax) for p, pax in zip((p1, p2), psi_mm.axes))
+    kp1, kp2 = (_cell_index(p, pax) for p, pax in zip((p1, p2), chain.momentum.axes))
 
     def hist2(a, b):  # a momentum axis has as many points as its position axis
         return (np.bincount(a * n2 + b, minlength=n1 * n2) / mc_samples).reshape(n1, n2)
 
     distances = {
         "qq": _cell_l1(hist2(k1, k2), base, _MC_GROUP, 0, 1),
-        "pq": _cell_l1(hist2(kp1, k2), psi_m.masses(), _MC_GROUP, 0, 1),
-        "pp": _cell_l1(hist2(kp1, kp2), psi_mm.masses(), _MC_GROUP, 0, 1),
+        "pq": _cell_l1(hist2(kp1, k2), chain.mixed.masses(), _MC_GROUP, 0, 1),
+        "pp": _cell_l1(hist2(kp1, kp2), chain.momentum.masses(), _MC_GROUP, 0, 1),
     }
     return _report(distances, "mc")
 
@@ -584,7 +577,7 @@ def ccs_distance(chain):
     rows = np.arange(base.shape[1])
     rep = _kernels.deposit_intervals(
         chain.map2_edges[rows, idx].T, chain.map2_edges[rows + 1, idx].T, base.T,
-        *_fine_bins(chain.momentum_axes[1], _FINE),
+        *_fine_bins(chain.momentum.axes[1], _FINE),
     ).T
     return _cell_l1(rep, waves.padded_transform(chain.source, 1, _FINE).masses(), _FINE, 1)
 

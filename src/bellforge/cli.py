@@ -218,7 +218,7 @@ def _cmd_rs1d(args):
         "epsilon": args.epsilon,
         "n": psi.axes[0].n,
         "verification": report,
-        "takabayasi": causal.takabayasi_gap_detailed(psi),
+        "takabayasi": causal.takabayasi_gap_detailed(m),
     }
     rows = zip(m.x, m.p_hat)
     return payload, (("x", "p_hat"), rows)

@@ -31,20 +31,10 @@ from . import waves
 from .errors import DomainError, ValidationError
 
 TSIRELSON = 2.0 * math.sqrt(2.0)
-_CCS = ("qq", "qp", "pq", "pp")
 
 
 # ---------------------------------------------------------------------------
 # quadrant mass tables and correlators on grid states
-
-
-def _ccs_state(psi, ccs):
-    work = psi
-    if ccs[0] == "p":
-        work = waves.fourier(work, axis=0)
-    if ccs[1] == "p":
-        work = waves.fourier(work, axis=1)
-    return work
 
 
 def _sign_groups(masses, points, axis):
@@ -57,11 +47,9 @@ def _sign_groups(masses, points, axis):
     return np.moveaxis(grouped, 0, axis)
 
 
-def _quad_table(psi, ccs):
-    """3x3 sign-group mass table of the mixed density selected by ccs."""
-    w = _ccs_state(psi, ccs)
-    masses = w.masses()
-    return _sign_groups(_sign_groups(masses, w.axes[0].points(), 0), w.axes[1].points(), 1)
+def _quad_table(w):
+    """3x3 sign-group mass table of a 2-D state in any mix of representations."""
+    return _sign_groups(_sign_groups(w.masses(), w.axes[0].points(), 0), w.axes[1].points(), 1)
 
 
 def quad_densities(psi):
@@ -76,7 +64,10 @@ def quad_densities(psi):
     for ax in psi.axes:
         if ax.representation != waves.POSITION:
             raise ValidationError("state must be given in the position representation")
-    return {ccs: _quad_table(psi, ccs) for ccs in _CCS}
+    pq = waves.fourier(psi, axis=0)
+    states = {"qq": psi, "qp": waves.fourier(psi, axis=1), "pq": pq,
+              "pp": waves.fourier(pq, axis=1)}
+    return {ccs: _quad_table(w) for ccs, w in states.items()}
 
 
 def _table_correlator(table):
@@ -155,11 +146,14 @@ def overlap_integral(cutoff):
     The inner integral is analytic; the outer is a fixed tanh-sinh rule
     (225 nodes) on each side of w = sqrt(2), where the integrand switches
     branch (the w -> 1 endpoint carries an integrable log singularity).
-    It agrees with adaptive quadrature to 1e-13 for L from 1.01 to 1e10.
+    It agrees with adaptive quadrature to 1e-13 for L from 1.01 to 1e10,
+    and a larger L is refused: past it the error grows, to 8.5e-4 at 1e43.
     I is increasing in L with limit 2.
     """
     if cutoff <= 0:
         raise DomainError("cutoff must be positive")
+    if cutoff > 1e10:
+        raise DomainError("cutoff %g exceeds 1e10, the largest the quadrature is checked to" % cutoff)
     big_m = math.sqrt(cutoff + 1.0)
     if big_m <= _SQRT2:
         raise DomainError("cutoff too small: the integration square is degenerate")

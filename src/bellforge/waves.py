@@ -203,6 +203,8 @@ def _gaussian_values(x, x0, p0, sigma, t, mass):
 
 def gaussian_spread(sigma, t, mass):
     """Position standard deviation of the freely evolved Gaussian."""
+    if sigma <= 0 or mass <= 0:
+        raise DomainError("sigma and mass must be positive")
     try:
         return float(np.sqrt(sigma**2 + t**2 / (4.0 * sigma**2 * mass**2)))
     except (OverflowError, ZeroDivisionError):  # a square left double range
@@ -233,8 +235,6 @@ def gaussian_packet(x0=0.0, p0=0.0, sigma=1.0, t=0.0, mass=1.0, n=2048, xmax=Non
     at time t, and its momentum range at least 8 momentum widths 1/(2 sigma)
     around p0; otherwise the lost tail mass raises a truncation error.
     """
-    if sigma <= 0 or mass <= 0:
-        raise DomainError("sigma and mass must be positive")
     spread = gaussian_spread(sigma, t, mass)
     center = x0 + p0 * t / mass
     if xmax is None:

@@ -166,16 +166,13 @@ def wigner_transform(psi):
     raise ValidationError("Wigner transform supports 1-D and 2-D states only")
 
 
-def _half_grid_transform(psi, axes):
-    """psi_tilde on the half-spacing momentum grid of each listed axis: the
-    central n points of the 2n-point conjugate grid of a twice zero-padded
-    transform."""
-    sl = [slice(None)] * psi.dim
-    for axis in axes:
-        n = psi.axes[axis].n
-        psi = waves.padded_transform(psi, axis, 2)
-        sl[axis] = slice(n // 2, n // 2 + n)
-    return psi.values[tuple(sl)]
+def _half_grid(padded):
+    """psi_tilde on the half-spacing momentum grid of each momentum axis of a
+    twice zero-padded transform: the central half of its conjugate grid."""
+    return padded.values[tuple(
+        slice(ax.n // 4, ax.n // 4 + ax.n // 2) if ax.representation == waves.MOMENTUM
+        else slice(None) for ax in padded.axes
+    )]
 
 
 def marginal_errors_1d(grid):
@@ -185,18 +182,20 @@ def marginal_errors_1d(grid):
     against the source state's transform on the half-spacing grid.
     """
     q_err = float(np.max(np.abs(grid.q_marginal() - grid.source.density())))
-    tilde = _half_grid_transform(grid.source, (0,))
+    tilde = _half_grid(waves.padded_transform(grid.source, 0, 2))
     p_err = float(np.max(np.abs(grid.p_marginal() - np.abs(tilde) ** 2)))
     return {"q": q_err, "p": p_err}
 
 
 def marginal_errors_2d(summary):
     """Max-norm errors of all four pair marginals of a 2-D Wigner function."""
+    psi = summary.source
+    pq = waves.padded_transform(psi, 0, 2)  # (p1, x2), padded again along axis 1 for pp
     refs = {
-        "qq": summary.source.density(),
-        "qp": np.abs(_half_grid_transform(summary.source, (1,))) ** 2,  # (x1, p2)
-        "pq": np.abs(_half_grid_transform(summary.source, (0,))) ** 2,  # (p1, x2)
-        "pp": np.abs(_half_grid_transform(summary.source, (0, 1))) ** 2,
+        "qq": psi.density(),
+        "qp": np.abs(_half_grid(waves.padded_transform(psi, 1, 2))) ** 2,  # (x1, p2)
+        "pq": np.abs(_half_grid(pq)) ** 2,
+        "pp": np.abs(_half_grid(waves.padded_transform(pq, 1, 2))) ** 2,
     }
     return {k: float(np.max(np.abs(summary.marginals[k] - ref))) for k, ref in refs.items()}
 

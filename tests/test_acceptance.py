@@ -196,7 +196,7 @@ def test_c07_transport_2d_contexts():
 
 def test_c08_field_pushforward_gap_decays():
     gaps = [
-        causal.takabayasi_gap(waves.gaussian_packet(sigma=1.0, t=t))
+        causal.takabayasi_gap_detailed(causal.rs_map_1d(waves.gaussian_packet(t=t)))["gap"]
         for t in (0.0, 1.0, 2.0, 4.0)
     ]
     ok = gaps[0] > 1.5 and all(b < a for a, b in zip(gaps, gaps[1:]))

@@ -344,12 +344,30 @@ def test_evaluate_in_cells_keeps_signed_zero_nodes(epsilon):
     # a node value of zero keeps its sign only through np.interp's node rule
     psi = waves.GridWavefunction((waves.Axis(4, 1.0),), np.ones(4, dtype=complex))
     p_edges = np.array([-3.0, -2.0, -0.0, 1.0, 3.0]) * epsilon  # -0.0 on the +1 side, 0.0 on -1
-    m = causal.MonotoneMap(psi, 0.5 * (p_edges[:-1] + p_edges[1:]), p_edges, epsilon)
+    target = waves.padded_transform(psi, 0, causal._FINE)
+    m = causal.MonotoneMap(psi, target, 0.5 * (p_edges[:-1] + p_edges[1:]), p_edges, epsilon)
     assert m.x_edges.tolist() == [-2.5, -1.5, -0.5, 0.5, 1.5]
     x = np.array([-2.5, -1.5, -1.5, -0.5, -0.5, 0.0, 0.5, 1.5, 1.5])
     cells = np.array([0, 0, 1, 1, 2, 2, 2, 3, 3])
     got = causal._evaluate_in_cells(m, x, cells)
     assert got.tobytes() == m.evaluate(x).tobytes()
+
+
+@pytest.mark.parametrize("n", [256, 2048, 4096])
+def test_map_keeps_the_padded_state_it_matched(n):
+    psi = waves.two_gaussian_packet(n=n)
+    got = causal.rs_map_1d(psi).target
+    want = waves.padded_transform(psi, 0, causal._FINE)
+    assert got.axes == want.axes and got.values.tobytes() == want.values.tobytes()
+
+
+@pytest.mark.parametrize("n, xmax", [(64, 10.0), (256, 20.0)])
+def test_chain_keeps_the_states_it_matched(n, xmax):
+    psi = waves.correlated_gaussian_2d(rho=0.5, sigma=0.7, n=n, xmax=xmax)
+    chain = causal.rs_map_2d(psi)
+    mixed = waves.fourier(psi, axis=0)
+    for got, want in ((chain.mixed, mixed), (chain.momentum, waves.fourier(mixed, axis=1))):
+        assert got.axes == want.axes and got.values.tobytes() == want.values.tobytes()
 
 
 def _padded_transform_calls(monkeypatch, chain):
@@ -449,16 +467,18 @@ def _exact_gaussian_chain(psi, rho, sigma, e1=+1, e2=+1):
     map1 = [e1 * (x1[:, None] - rho * x2) / s1 for x1 in (ax1.points(), causal._cell_edges(ax1))]
     map2 = [-rho * p1 + e2 * x[:, None] / (2.0 * sigma**2)
             for x in (ax2.points(), causal._cell_edges(ax2))]
-    return causal.ChainedMap2D(psi, map1[0], map1[1], map2[0], map2[1])
+    mixed = waves.fourier(psi, axis=0)
+    momentum = waves.fourier(mixed, axis=1)
+    return causal.ChainedMap2D(psi, mixed, momentum, map1[0], map1[1], map2[0], map2[1])
 
 
 def _table_errors(chain, exact):
     """Mass-weighted mean |grid - exact| of each stage's node table, in
     momentum cells: stage 1 weighted by the position masses, stage 2 by the
     (p1, x2) masses whose slices its maps transport."""
-    p1_axis, p2_axis = chain.momentum_axes
+    p1_axis, p2_axis = chain.momentum.axes
     stage1 = np.sum(chain.source.masses() * np.abs(chain.map1_nodes - exact.map1_nodes))
-    mixed = waves.fourier(chain.source, axis=0).masses().T  # (x2, p1)
+    mixed = chain.mixed.masses().T  # (x2, p1)
     stage2 = np.sum(mixed * np.abs(chain.map2_nodes - exact.map2_nodes))
     return stage1 / p1_axis.spacing, stage2 / p2_axis.spacing
 
@@ -621,11 +641,13 @@ def test_gaussian_continuum_chain_reproduces_off_pair(rho):
 
 
 def test_takabayasi_gap_shrinks_under_spreading():
-    gap0 = causal.takabayasi_gap(waves.gaussian_packet(sigma=1.0, t=0.0))
-    gap4 = causal.takabayasi_gap(waves.gaussian_packet(sigma=1.0, t=4.0))
+    gap0, gap4 = (
+        causal.takabayasi_gap_detailed(causal.rs_map_1d(waves.gaussian_packet(t=t)))["gap"]
+        for t in (0.0, 4.0)
+    )
     assert gap0 > 1.5  # field is identically zero, pushforward sits at p = 0
     assert gap4 < gap0
-    detail = causal.takabayasi_gap_detailed(waves.gaussian_packet())
+    detail = causal.takabayasi_gap_detailed(causal.rs_map_1d(waves.gaussian_packet()))
     assert detail["excluded_mass"] < 1e-12
 
 

@@ -138,6 +138,11 @@ def test_non_finite_input_exits_2_without_output(capsys, argv):
     ("wigner", "--xmax", "-1"),
     ("ak-compare", "--xmax", "-1"),
     ("waves", "dump", "--xmax", "-2", "--out", os.devnull),
+    ("rs1d", "--state", "two-gaussian", "--mass", "-1", "--t", "1"),
+    ("wigner", "--state", "two-gaussian", "--mass", "-1", "--t", "1"),
+    ("waves", "dump", "--state", "two-gaussian", "--mass", "-1", "--t", "1", "--out", os.devnull),
+    ("rs1d", "--state", "two-gaussian", "--mass", "0", "--t", "1"),
+    ("marginal-theorem", "--cutoffs", "10,1e11"),
 ])
 def test_out_of_domain_counts_and_signs_exit_2(capsys, argv):
     code, out, err = run(capsys, *argv)
@@ -474,6 +479,37 @@ def test_ak_compare_transforms_the_state_once(capsys, monkeypatch):
     run_json(capsys, "ak-compare", "--n", "256")
     assert transformed.count((256,)) == 1
     assert moments == [(256,), (256,)]
+
+
+@pytest.mark.parametrize("argv", [
+    ("rs1d", "--n", "256"),
+    ("rs1d", "--n", "256", "--state", "two-gaussian", "--mc", "20000"),
+    ("rs2d", "--n", "64", "--xmax", "10"),
+    ("rs2d", "--n", "64", "--xmax", "10", "--ordering", "xp", "--mc", "20000"),
+    ("marginal-theorem", "--grid", "64", "--grid-xmax", "12"),
+    ("wigner", "--n", "64"),
+    ("wigner", "--state", "psi-plus-grid", "--n", "16"),
+    ("ak-compare", "--n", "256"),
+    ("waves", "dump", "--rep", "p", "--n", "256", "--out", os.devnull),
+])
+def test_no_command_transforms_the_same_array_twice(capsys, monkeypatch, argv):
+    """Each transform of an op sees a different (shape, axis, values): a
+    result keeps the states it was built against, and the checks read them
+    instead of transforming the source again.  Zero padding goes through
+    ``waves.fourier`` too, so a state padded twice shows here."""
+    fourier = waves.fourier
+    seen = []
+
+    def recorded(psi, axis=0):
+        digest = hashlib.sha256(np.ascontiguousarray(psi.values).tobytes()).hexdigest()
+        seen.append((psi.values.shape, axis, digest))
+        return fourier(psi, axis)
+
+    monkeypatch.setattr(waves, "fourier", recorded)
+    run_json(capsys, *argv)
+    repeated = [(shape, axis) for shape, axis, digest in set(seen)
+                if seen.count((shape, axis, digest)) > 1]
+    assert seen and not repeated
 
 
 def test_ak_compare_table(tmp_path, capsys):

@@ -24,6 +24,10 @@ def test_overlap_integral_frozen_values():
         psbell.overlap_integral(-1.0)
     with pytest.raises(DomainError):
         psbell.overlap_integral(0.5)
+    # past 1e10 the quadrature is unchecked, and by 1e43 it is off by 8.5e-4
+    for cutoff in (math.nextafter(1e10, math.inf), 1e40):
+        with pytest.raises(DomainError, match="exceeds 1e10"):
+            psbell.overlap_integral(cutoff)
 
 
 def _quad_overlap(cutoff):

@@ -71,6 +71,11 @@ def test_truncation_guard():
         waves.superposition([(1.0, 12.0, 0.0, 1.0)], xmax=16.0)
     with pytest.raises(DomainError):
         waves.gaussian_packet(sigma=-1.0)
+    # every Gaussian, two-gaussian components included, refuses a mass that
+    # is not positive: a negative one would evolve the state backwards
+    for mass in (-1.0, 0.0):
+        with pytest.raises(DomainError, match="sigma and mass must be positive"):
+            waves.two_gaussian_packet(t=1.0, mass=mass, n=256)
 
 
 def test_momentum_range_guard():

@@ -93,7 +93,7 @@ def test_2d_transform_matches_explicit_sum(n):
 def test_half_grid_transform_matches_explicit_sum_1d(n):
     psi = _random_state(n, 1, seed=n + 2)
     p = wigner._half_momentum_axis(psi.axes[0]).points()
-    got = wigner._half_grid_transform(psi, (0,))
+    got = wigner._half_grid(waves.padded_transform(psi, 0, 2))
     assert np.max(np.abs(got - waves.dft_at(psi, p))) < 1e-13
 
 
@@ -102,11 +102,12 @@ def test_half_grid_transform_matches_explicit_sum_2d():
     p1, p2 = (wigner._half_momentum_axis(ax).points() for ax in psi.axes)
     along0 = waves.dft_at(psi, p1, axis=0)  # (x2, p1)
     along1 = waves.dft_at(psi, p2, axis=1)  # (x1, p2)
-    assert np.max(np.abs(wigner._half_grid_transform(psi, (0,)) - along0.T)) < 1e-13
-    assert np.max(np.abs(wigner._half_grid_transform(psi, (1,)) - along1)) < 1e-13
+    padded0 = waves.padded_transform(psi, 0, 2)
+    assert np.max(np.abs(wigner._half_grid(padded0) - along0.T)) < 1e-13
+    assert np.max(np.abs(wigner._half_grid(waves.padded_transform(psi, 1, 2)) - along1)) < 1e-13
     # both axes: the explicit sum over x2 of the axis-0 transform
     both = waves.dft_at(waves.GridWavefunction(psi.axes, along0.T), p2, axis=1)
-    assert np.max(np.abs(wigner._half_grid_transform(psi, (0, 1)) - both)) < 1e-13
+    assert np.max(np.abs(wigner._half_grid(waves.padded_transform(padded0, 1, 2)) - both)) < 1e-13
 
 
 def _wigner_csv(tmp_path, capsys, *argv):
