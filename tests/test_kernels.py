@@ -173,6 +173,40 @@ def test_deposit_intervals_batched_equals_column_loop():
         np.testing.assert_array_equal(got[:, k], col)
 
 
+def _digest(a):
+    return hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()[:16]
+
+
+def _pin_intervals(shape, seed):
+    """``_random_intervals`` of the given shape, with NaN endpoints and
+    endpoints at +-1e300 mixed in (grid [-1, 1])."""
+    rng = np.random.default_rng(seed)
+    m = int(np.prod(shape))
+    lo, hi, w = _random_intervals(rng, m)
+    lo[3:6] = [np.nan, 0.2, -1e300]
+    hi[3:6] = [0.4, np.nan, 1e300]
+    return tuple(a.reshape(shape) for a in (lo, hi, w))
+
+
+# sha256 prefixes of deposit_intervals output bytes for (shape, seed,
+# nbins) on the grid [-1, 1], recorded before the difference array was
+# summed in place
+DEPOSIT_INTERVALS_PINS = {
+    ((3000,), 20, 64): "3b3f08580cffacfd",
+    ((3000,), 21, 1): "5cbfe9bee52854ac",
+    ((40, 75), 22, 37): "7f53053bb7aa1efc",
+    ((257, 16), 23, 1024): "3b8f6b13d79c9790",
+}
+
+
+@pytest.mark.parametrize("case", list(DEPOSIT_INTERVALS_PINS))
+def test_deposit_intervals_bits_pinned(case):
+    shape, seed, nbins = case
+    out = _kernels.deposit_intervals(*_pin_intervals(shape, seed), -1.0, 2.0 / nbins, nbins)
+    assert out.shape == (nbins,) + shape[1:]
+    assert _digest(out) == DEPOSIT_INTERVALS_PINS[case]
+
+
 # ---------------------------------------------------------------------------
 # deposit_points and chsh_scan
 
@@ -346,6 +380,66 @@ def test_cdf_inverse_batched_matches_searchsorted_reference():
         np.testing.assert_array_equal(got[:, k], _ref_cdf_inverse(edges, f[:, k], u[:, k]))
     # a single column inverts as it does in the batch
     np.testing.assert_array_equal(causal._cdf_inverse(edges, f[:, :1], u[:, :1]), got[:, :1])
+
+
+def _pin_cdf_queries(n, ncols, seed):
+    """Plateau CDFs on uneven edges, queried at their own values (plateaus
+    included), at 0 and 1, outside [0, 1] and in between."""
+    rng = np.random.default_rng(seed)
+    edges = np.cumsum(rng.uniform(0.5, 1.5, n + 1)) - n / 2.0
+    f = _plateau_cdfs(rng, n, ncols)
+    u = np.concatenate([f[rng.integers(0, n + 1, n // 2), np.arange(ncols)[:, None]].T,
+                        np.zeros((2, ncols)), np.ones((2, ncols)),
+                        rng.uniform(-0.1, 1.1, (n, ncols))])
+    return edges, f, np.sort(u, axis=0)
+
+
+# sha256 prefixes of _cdf_inverse output bytes for (n, ncols, seed),
+# recorded before the inversion gathered by flat index
+CDF_INVERSE_PINS = {
+    (40, 12, 30): "4996e690a3d0ee8c",
+    (256, 1, 31): "d9fa0dd866ad6986",
+    (128, 64, 32): "868228ffd2c3c164",
+}
+
+
+@pytest.mark.parametrize("case", list(CDF_INVERSE_PINS))
+def test_cdf_inverse_bits_pinned(case):
+    assert _digest(causal._cdf_inverse(*_pin_cdf_queries(*case))) == CDF_INVERSE_PINS[case]
+
+
+def _complex_state(shape, reps, seed):
+    rng = np.random.default_rng(seed)
+    axes = tuple(waves.Axis(n, 0.25, rep) for n, rep in zip(shape, reps))
+    return waves.GridWavefunction(axes, rng.normal(size=shape) + 1j * rng.normal(size=shape), {})
+
+
+# (function, argument builder): each call's array arguments must come back
+# unchanged; complex values are the case an in-place pass could alias
+UNTOUCHED_CASES = {
+    "fourier-x": (waves.fourier, lambda: (_complex_state((64,), "x", 40), 0)),
+    "fourier-p-axis1": (waves.fourier, lambda: (_complex_state((16, 32), "pp", 41), 1)),
+    "padded_transform-axis0": (waves.padded_transform, lambda: (_complex_state((16, 8), "xx", 42), 0, 4)),
+    "padded_transform-axis1": (waves.padded_transform, lambda: (_complex_state((16, 8), "px", 43), 1, 2)),
+    "density": (waves.GridWavefunction.density, lambda: (_complex_state((16, 8), "xp", 44),)),
+    "masses": (waves.GridWavefunction.masses, lambda: (_complex_state((16, 8), "xp", 45),)),
+    "deposit_intervals": (_kernels.deposit_intervals, lambda: _pin_intervals((300,), 46) + (-1.0, 0.1, 20)),
+    "deposit_intervals-batched": (_kernels.deposit_intervals,
+                                  lambda: _pin_intervals((30, 7), 47) + (-1.0, 0.1, 20)),
+    "cdf_inverse": (causal._cdf_inverse, lambda: _pin_cdf_queries(40, 6, 48)),
+}
+
+
+@pytest.mark.parametrize("name", list(UNTOUCHED_CASES))
+def test_kernels_leave_their_inputs_unchanged(name):
+    fn, build = UNTOUCHED_CASES[name]
+    args = build()
+    arrays = [a.values if isinstance(a, waves.GridWavefunction) else a
+              for a in args if isinstance(a, (waves.GridWavefunction, np.ndarray))]
+    before = [a.copy() for a in arrays]
+    fn(*args)
+    for a, b in zip(arrays, before):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 def test_conditional_maps_invert_each_live_slice():
