@@ -18,7 +18,10 @@ workload.  The 2-D transport rows time the three stages of one
 deterministic `rs2d` op at the benchmark's transport shape (n=256, rho=0,
 sigma=0.7, xmax=20): the chain, its verification and the off-pair
 distance.  Both orderings build this one chain, since the state equals its
-transpose.  The Monte Carlo rows time the cell sampler of `rs1d --mc` and
+transpose.  The transform rows time, at the same shape, the largest array
+the verifier transforms: the (4n)^2 padded transform of the axis-0 padded
+state along axis 1, and a plain ``fourier`` of that (4n)^2 result.  The
+Monte Carlo rows time the cell sampler of `rs1d --mc` and
 `rs2d --mc` at 2e5 draws over the 4096 cells of a two-Gaussian state and
 the 256^2 cells of the transport shape, each next to the
 `Generator.choice` call whose draws it reproduces, and one 1-D Monte
@@ -101,6 +104,18 @@ def bench_transport_2d():
     ]
 
 
+def bench_transforms(n=256):
+    psi = waves.correlated_gaussian_2d(rho=0.0, sigma=0.7, n=n, xmax=20.0)
+    padded0 = waves.padded_transform(psi, 0, causal._FINE)
+    big = waves.padded_transform(padded0, 1, causal._FINE)
+    m = causal._FINE * n
+    return [
+        ("fourier (%d^2, axis 1)" % m, functools.partial(waves.fourier, big, 1)),
+        ("padded_transform (%dx%d -> %d^2)" % (m, n, m),
+         functools.partial(waves.padded_transform, padded0, 1, causal._FINE)),
+    ]
+
+
 def bench_monte_carlo(draws=200_000):
     psi = waves.two_gaussian_packet(n=4096)
     psi2 = waves.correlated_gaussian_2d(rho=0.0, sigma=0.7, n=256, xmax=20.0)
@@ -172,6 +187,7 @@ def main(argv=None):
         bench_marginal_errors_1d(),
         bench_rs_map_1d(),
         *bench_transport_2d(),
+        *bench_transforms(),
         *bench_monte_carlo(),
         bench_ridge(),
         *bench_cli(),

@@ -110,19 +110,21 @@ def deposit_intervals(lo, hi, w, x0, dx, nbins):
     tail = np.where(kb > ka, share(kb), 0.0)
     middle = np.where(kb > ka + 1, w * (dx / width), 0.0)
 
-    # flat index k * ncols + column; bin nbins is the spill bin
-    col = np.arange(ncols)
-    ka = (ka * ncols + col).ravel()
-    kb = (kb * ncols + col).ravel()
-    size = (nbins + 1) * ncols
-    direct = np.bincount(
+    # flat index column * (nbins + 2) + k, so each column's bins are
+    # contiguous; bin nbins is the spill bin, and the difference array's
+    # -rate at kb = nbins reaches slot nbins + 1
+    stride = nbins + 2
+    col = np.arange(ncols) * stride
+    ka = (ka + col).ravel()
+    kb = (kb + col).ravel()
+    size = ncols * stride
+    out = np.bincount(
         np.concatenate([ka, kb]), np.concatenate([head.ravel(), tail.ravel()]), size
-    )
+    ).reshape(ncols, stride)
     # middle bins ka+1 .. kb-1: +rate at ka+1, -rate at kb, then cumsum
     middle = middle.ravel()
-    diff = np.bincount(
-        np.concatenate([ka + ncols, kb]), np.concatenate([middle, -middle]), size + ncols
-    )
-    out = direct.reshape(nbins + 1, ncols) + np.cumsum(diff.reshape(nbins + 2, ncols), axis=0)[:-1]
-    out = out[:nbins]  # drop the spill bin
-    return out[:, 0] if lo.ndim == 1 else out
+    diff = np.bincount(np.concatenate([ka + 1, kb]), np.concatenate([middle, -middle]), size)
+    diff = diff.reshape(ncols, stride)
+    out += np.cumsum(diff, axis=1, out=diff)
+    out = out[:, :nbins]  # drop the spill bins
+    return out[0] if lo.ndim == 1 else np.ascontiguousarray(out.T)

@@ -132,18 +132,25 @@ def _cdf_inverse(edges, f, u):
     the midpoint.  f holds one CDF per column and u the queries for each
     column."""
     u = np.clip(u, 0.0, 1.0)
-    cols = np.arange(f.shape[1])
-    lo, hi = _search_columns(f, u)
-    last = len(edges) - 1
-    plateau = 0.5 * (edges[np.clip(lo, 0, last)] + edges[np.clip(hi - 1, 0, last)])
-    j = np.clip(lo - 1, 0, len(f) - 2)
-    e_lo, e_hi = edges[j], edges[j + 1]
-    f_lo = f[j, cols]
-    df = f[j + 1, cols] - f_lo
-    rising = df > 0
-    frac = np.where(rising, (u - f_lo) / np.where(rising, df, 1.0), 0.5)
-    interp = e_lo + np.clip(frac, 0.0, 1.0) * (e_hi - e_lo)
-    return np.where(hi > lo, plateau, interp)
+    lo, hi = (a.T for a in _search_columns(f, u))  # (column, query), C order
+    nf, ncols = f.shape
+    j = np.clip(lo - 1, 0, nf - 2)
+    e_lo = edges[j]
+    # f[j, column] by flat index; the interpolation runs in one buffer
+    at = j * ncols + np.arange(ncols)[:, None]
+    f_lo = f.take(at)
+    t = f.take(at + ncols)
+    t -= f_lo
+    rising = t > 0
+    np.divide(np.subtract(u.T, f_lo, out=f_lo), t, out=t, where=rising)
+    t[~rising] = 0.5
+    np.clip(t, 0.0, 1.0, out=t)
+    t *= edges[j + 1] - e_lo
+    t += e_lo
+    # on a plateau lo < hi, so lo and hi - 1 are both CDF rows
+    plateau = hi > lo
+    t[plateau] = 0.5 * (edges[lo[plateau]] + edges[hi[plateau] - 1])
+    return t.T
 
 
 def _invert_edges_and_nodes(p_edges, fp, fx, epsilon):

@@ -77,10 +77,11 @@ class GridWavefunction:
         return float(np.prod([ax.spacing for ax in self.axes]))
 
     def norm2(self):
-        return float(np.sum(np.abs(self.values) ** 2) * self.cell_volume())
+        return float(np.sum(self.density()) * self.cell_volume())
 
     def density(self):
-        return np.abs(self.values) ** 2
+        d = np.abs(self.values)
+        return np.square(d, out=d)
 
     def masses(self):
         """Cell masses: the density times each axis spacing, in axis order.
@@ -126,40 +127,47 @@ def fourier(psi, axis=0):
     """
     if not 0 <= axis < psi.dim:
         raise ValidationError("axis index out of range")
-    ax = psi.axes[axis]
-    n = ax.n
-    shape = [1] * psi.dim
-    shape[axis] = n
-    alt = ((-1.0) ** np.arange(n)).reshape(shape)
-    front = (-1.0) ** (n // 2)
-    if ax.representation == POSITION:
-        spec = np.fft.fft(psi.values * alt, axis=axis)
-        new_values = spec * alt * (front * ax.spacing / np.sqrt(2.0 * np.pi))
-    else:
-        spec = np.fft.ifft(psi.values * alt, axis=axis)
-        new_values = spec * alt * (front * n * ax.spacing / np.sqrt(2.0 * np.pi))
-    axes = list(psi.axes)
-    axes[axis] = ax.conjugate()
-    return GridWavefunction(tuple(axes), new_values, dict(psi.meta))
+    return _transform(psi, axis, 1)
 
 
 def padded_transform(psi, axis, factor):
     """Transform of one position axis onto a factor-times-finer momentum
     grid, by zero padding that axis; the values are ``dft_at``'s there."""
-    ax = psi.axes[axis]
-    if ax.representation != POSITION:
+    if psi.axes[axis].representation != POSITION:
         raise ValidationError("can only oversample a position-representation axis")
-    pad_n = factor * ax.n
+    return _transform(psi, axis, factor)
+
+
+def _transform(psi, axis, factor):
+    """``fourier`` of psi zero padded to factor times its length along axis,
+    in one fresh array that is written, transformed and scaled in place.
+
+    Only the source rows are multiplied by the sign pattern alt; the zero
+    rows need no multiply.  Scaling by the product alt * c is exact:
+    alt * c = +-c, so (spec alt) c and spec (alt c) round alike.
+    """
+    ax = psi.axes[axis]
+    n = factor * ax.n
     shape = list(psi.values.shape)
-    shape[axis] = pad_n
-    padded = np.zeros(shape, dtype=complex)
+    shape[axis] = n
+    values = (np.zeros if factor > 1 else np.empty)(shape, dtype=complex)
     start = (factor - 1) * ax.n // 2
-    sl = [slice(None)] * psi.values.ndim
-    sl[axis] = slice(start, start + ax.n)
-    padded[tuple(sl)] = psi.values
+    rows = [slice(None)] * psi.dim
+    rows[axis] = slice(start, start + ax.n)
+    alt_shape = [1] * psi.dim
+    alt_shape[axis] = n
+    alt = ((-1.0) ** np.arange(n)).reshape(alt_shape)
+    np.multiply(psi.values, alt[tuple(rows)], out=values[tuple(rows)])
+    front = (-1.0) ** (n // 2)
+    if ax.representation == POSITION:
+        np.fft.fft(values, axis=axis, out=values)
+        values *= alt * (front * ax.spacing / np.sqrt(2.0 * np.pi))
+    else:
+        np.fft.ifft(values, axis=axis, out=values)
+        values *= alt * (front * n * ax.spacing / np.sqrt(2.0 * np.pi))
     axes = list(psi.axes)
-    axes[axis] = Axis(pad_n, ax.spacing, ax.representation)
-    return fourier(GridWavefunction(tuple(axes), padded, {}), axis=axis)
+    axes[axis] = Axis(n, ax.spacing, ax.representation).conjugate()
+    return GridWavefunction(tuple(axes), values, dict(psi.meta))
 
 
 def dft_at(psi, p_values, axis=0):

@@ -495,21 +495,58 @@ def test_ak_compare_transforms_the_state_once(capsys, monkeypatch):
 def test_no_command_transforms_the_same_array_twice(capsys, monkeypatch, argv):
     """Each transform of an op sees a different (shape, axis, values): a
     result keeps the states it was built against, and the checks read them
-    instead of transforming the source again.  Zero padding goes through
-    ``waves.fourier`` too, so a state padded twice shows here."""
-    fourier = waves.fourier
+    instead of transforming the source again."""
+    assert not _repeated_transforms(capsys, monkeypatch, argv)
+
+
+def _repeated_transforms(capsys, monkeypatch, argv):
+    """(shape, axis) of every transform that one op makes twice of the same
+    values.  ``waves._transform`` is the one transform behind ``fourier``
+    and ``padded_transform``; a padded transform counts at its padded shape,
+    so a state padded twice shows here."""
+    transform = waves._transform
     seen = []
 
-    def recorded(psi, axis=0):
+    def recorded(psi, axis, factor):
+        shape = list(psi.values.shape)
+        shape[axis] *= factor
         digest = hashlib.sha256(np.ascontiguousarray(psi.values).tobytes()).hexdigest()
-        seen.append((psi.values.shape, axis, digest))
-        return fourier(psi, axis)
+        seen.append((tuple(shape), axis, digest))
+        return transform(psi, axis, factor)
 
-    monkeypatch.setattr(waves, "fourier", recorded)
+    monkeypatch.setattr(waves, "_transform", recorded)
     run_json(capsys, *argv)
-    repeated = [(shape, axis) for shape, axis, digest in set(seen)
-                if seen.count((shape, axis, digest)) > 1]
-    assert seen and not repeated
+    assert seen
+    return [(shape, axis) for shape, axis, digest in set(seen)
+            if seen.count((shape, axis, digest)) > 1]
+
+
+def _pad_before_verifying(verify):
+    # pads the state whose 4x-padded transform the map already keeps
+    def patched(m, **kw):
+        waves.padded_transform(m.source, 0, causal._FINE)
+        return verify(m, **kw)
+    return patched
+
+
+def _transform_before_chaining(rs_map_2d):
+    # transforms the state along axis 0, as the chain does again
+    def patched(psi, *epsilons):
+        waves.fourier(psi, axis=0)
+        return rs_map_2d(psi, *epsilons)
+    return patched
+
+
+@pytest.mark.parametrize("argv, name, patch, want", [
+    (("rs1d", "--n", "256"), "verify_marginals", _pad_before_verifying, [((1024,), 0)]),
+    (("rs2d", "--n", "64", "--xmax", "10"), "rs_map_2d", _transform_before_chaining,
+     [((64, 64), 0)]),
+])
+def test_same_array_guard_sees_a_repeated_transform(capsys, monkeypatch, argv, name, patch, want):
+    """Negative control: a handler that pads or transforms a state twice
+    trips the guard above."""
+    monkeypatch.setattr(causal, name, patch(getattr(causal, name)))
+    assert _repeated_transforms(capsys, monkeypatch, argv) == want
 
 
 def test_ak_compare_table(tmp_path, capsys):

@@ -99,6 +99,15 @@ def test_grid_cross_check():
     # the grid estimate must sit below the closed form (finite box +
     # discrete zero lines both bleed correlation)
     assert s_grid < psbell.family_s(10.0)
+    # the miss is set by the momentum cell dp = pi/xmax: each halving of dp
+    # cuts it by more than half.  Measured 0.338, 0.071 and 0.0125; the
+    # last is bounded by 0.02, which leaves 0.0075 of headroom
+    gaps = [abs(s_grid - psbell.family_s(10.0))]
+    for n, xmax in ((512, 24.0), (1024, 48.0)):
+        psi = waves.psi_marginal_state(+1, 10.0, n=n, xmax=xmax)
+        gaps.append(abs(psbell.s_functional(psi) - psbell.family_s(10.0)))
+    assert gaps[1] < 0.5 * gaps[0] and gaps[2] < 0.5 * gaps[1]
+    assert gaps[2] < 0.02
 
 
 def test_quad_densities_are_distributions():
