@@ -25,6 +25,7 @@ change was faster.  A gain counts only if the interval lies below 1.
 """
 
 import argparse
+import io
 import json
 import os
 import platform
@@ -79,10 +80,8 @@ def _archive(rev, dest):
     """Unpack ``src/`` of a git revision into dest; return dest/src."""
     proc = subprocess.run(["git", "archive", "--format=tar", rev, "src"], cwd=ROOT,
                           capture_output=True, check=True)
-    tar_path = Path(dest) / "base.tar"
-    tar_path.write_bytes(proc.stdout)
-    with tarfile.open(tar_path) as tar:
-        tar.extractall(dest)
+    with tarfile.open(fileobj=io.BytesIO(proc.stdout)) as tar:
+        tar.extractall(dest, filter="data")
     return Path(dest) / "src"
 
 
