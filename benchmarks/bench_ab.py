@@ -1,21 +1,28 @@
-"""Paired A/B timing of warm in-process CLI calls: a git revision against
-the working tree.
+"""Paired A/B timing of warm in-process CLI calls and of the chsh_value
+sweep: a git revision against the working tree.
 
 Run from the repository root:
 
     python3 benchmarks/bench_ab.py                      # HEAD against src/
     python3 benchmarks/bench_ab.py --base HEAD~1 --pairs 10 --out BENCH.json
     python3 benchmarks/bench_ab.py --ops rs2d,rs2d-mc --pairs 4
+    python3 benchmarks/bench_ab.py --base HEAD~1 --ops sweep --pairs 10
 
 The base tree is ``git archive REV src`` unpacked into a temporary
 directory; the change is ``src/`` as it stands.  A pair runs, for every op,
 one fresh process of each tree back to back, and the tree that goes first
 flips from pair to pair, so drift in the machine's load and the order in
 which two processes run fall on both trees alike.  A process makes one
-untimed ``cli.main`` call (imports, caches, the allocator's first pages)
+untimed call of its op (imports, caches, the allocator's first pages)
 and then times ``--calls`` more with stdout captured; its sample is their
 median.  One process per op keeps the allocator state one op leaves behind
 out of the next op's time; ``perfbench/`` times the shuffled mix instead.
+
+The ``sweep`` op is the library op of perfbench's ``bell`` workload rather
+than a command: one call is 1000 ``spinor.chsh_value`` calls on seeded
+random states and settings, built as perfbench's ``sweep_inputs`` builds
+them (outside the timed call), and its stdout is the JSON of the 1000
+values.
 
 Per op the result gives each tree's median sample, the per-pair ratios
 change/base, their median with a 95 % bootstrap interval (seeded, so the
@@ -55,20 +62,52 @@ OPS = (
     ("chsh-maximize", ["chsh", "--state", "psi-plus", "--kinds", "LELE", "--maximize"]),
     ("ak-compare", ["ak-compare"]),
     ("wigner-grid", ["wigner", "--state", "psi-plus-grid", "--n", "64"]),
+    # not a command: the worker runs the chsh_value sweep with this seed
+    ("sweep", ["sweep", "7"]),
 )
 
 # runs in the timed process: argv and the call count come as arguments, one
-# JSON line goes to stdout
+# JSON line goes to stdout.  The sweep inputs repeat perfbench/workloads.py's
+# sweep_inputs draw for draw, without importing perfbench.
 WORKER = r"""
-import contextlib, hashlib, io, json, statistics, sys, time
-from bellforge import cli
+import contextlib, hashlib, io, json, math, random, statistics, sys, time
+from bellforge import cli, spinor
 argv, calls = json.loads(sys.argv[1]), int(sys.argv[2])
+
+
+def sweep_inputs(seed, count=1000):
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        raw = [complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(4)]
+        norm = math.sqrt(sum(abs(v) ** 2 for v in raw))
+        angles = [float("%.6g" % rng.uniform(0.0, math.pi)) for _ in range(4)]
+        kinds = "".join(rng.choice("LE") for _ in range(4))
+        out.append(([v / norm for v in raw], angles, kinds))
+    return out
+
+
+def sweep(inputs):
+    values = []
+    for state, angles, kinds in inputs:
+        a, b, ap, bp = (spinor.AnalyzerSetting(t, k) for t, k in zip(angles, kinds))
+        settings = spinor.ChshSettings(a=a, b=b, a_prime=ap, b_prime=bp)
+        values.append(spinor.chsh_value(state, settings))
+    print(json.dumps({"command": "sweep", "s": values}))
+    return 0
+
+
+if argv[0] == "sweep":
+    inputs = sweep_inputs(int(argv[1]))
+    op = lambda: sweep(inputs)
+else:
+    op = lambda: cli.main(argv)
 walls, codes = [], set()
 for k in range(calls + 1):
     buf = io.StringIO()
     t0 = time.perf_counter()
     with contextlib.redirect_stdout(buf):
-        codes.add(cli.main(argv))
+        codes.add(op())
     if k:
         walls.append(time.perf_counter() - t0)
 print(json.dumps({"median_s": statistics.median(walls), "codes": sorted(codes),

@@ -4,6 +4,7 @@ import pytest
 from bellforge import lhv, spinor
 from bellforge.errors import ValidationError
 from bellforge.spinor import AnalyzerSetting, ChshSettings
+from test_spinor import reference_ket
 
 
 QUARTER = np.deg2rad([0.0, 22.5, 45.0, 67.5])
@@ -127,7 +128,7 @@ def test_quantum_behavior_matches_correlations():
 def _kron_behavior(state, settings):
     """p[i, j, ri, si] = <state| Pi_ri(a_i) (x) Pi_si(b_j) |state>, by np.kron."""
     def projectors(s):
-        k = spinor.analyzer_ket(s)
+        k = reference_ket(s)
         plus = np.outer(k, k.conj())
         return plus, np.eye(2) - plus
 

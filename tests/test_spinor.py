@@ -2,11 +2,12 @@ import contextlib
 import hashlib
 import io
 import itertools
+import math
 
 import numpy as np
 import pytest
 
-from bellforge import cli, spinor
+from bellforge import cli, lhv, spinor
 from bellforge.errors import DomainError, NormalizationError, ValidationError
 from bellforge.spinor import AnalyzerSetting, ChshSettings
 
@@ -36,6 +37,29 @@ def test_check_state_rejects_bad_norm_and_shape():
         spinor.check_state(np.zeros(3))
 
 
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("bad", [
+    [NAN, 0.0, 0.0, 1.0],
+    [INF, 0.0, 0.0, 0.0],
+    [1.0, 0.0, 0.0, complex(0.0, NAN)],
+    [INF, -INF, 0.0, 0.0],
+])
+@pytest.mark.parametrize("call", [
+    spinor.check_state,
+    lambda st: spinor.chsh_value(st, _settings(*QUARTER)),
+    lambda st: spinor.correlation(st, AnalyzerSetting(0.0), AnalyzerSetting(0.4)),
+    lambda st: spinor.maximize_chsh(st, "LELE"),
+    lambda st: lhv.quantum_behavior(st, _settings(*QUARTER)),
+], ids=["check_state", "chsh_value", "correlation", "maximize_chsh", "quantum_behavior"])
+def test_non_finite_states_are_rejected(bad, call):
+    # the norm of these states is NaN, which compares false with any tolerance
+    with pytest.raises(NormalizationError) as err:
+        call(bad)
+    assert err.value.exit_code == 2
+
+
 def test_analyzer_setting_wraps_angle_and_validates_kind():
     s = AnalyzerSetting(np.pi + 0.25, "L")
     assert s.theta == pytest.approx(0.25)
@@ -46,10 +70,19 @@ def test_analyzer_setting_wraps_angle_and_validates_kind():
             AnalyzerSetting(bad, "L")
 
 
+def reference_ket(s):
+    """Transmitted single-photon state of the analyzer as a complex array:
+    the ket whose sandwiches ``spinor._axes`` reproduces in closed form."""
+    c, sn = np.cos(s.theta), np.sin(s.theta)
+    if s.kind == spinor.LINEAR:
+        return np.array([c, sn], dtype=complex)
+    return np.array([c, 1.0j * sn], dtype=complex)
+
+
 def _observable_from_setting(s):
     """The +/-1-valued observable |theta><theta| - |theta+pi/2><theta+pi/2|."""
-    k = spinor.analyzer_ket(s)
-    k_perp = spinor.analyzer_ket(AnalyzerSetting(s.theta + np.pi / 2.0, s.kind))
+    k = reference_ket(s)
+    k_perp = reference_ket(AnalyzerSetting(s.theta + np.pi / 2.0, s.kind))
     return np.outer(k, k.conj()) - np.outer(k_perp, k_perp.conj())
 
 
@@ -164,6 +197,133 @@ def test_tensor_closed_forms_match_kron_reference():
             for x, y in ((s.a, s.b), (s.a_prime, s.b_prime), (s.b, s.a)):
                 assert abs(spinor.correlation(state, x, y) - _kron_correlation(state, x, y)) < 1e-12
             assert abs(spinor.chsh_value(state, s) - _kron_chsh(state, s)) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# the closed-form analyzer axes against the ket sandwich, bit for bit
+
+
+def _ket_axes(*settings):
+    """<k|sigma_mu|k> of each transmitted ket, with its I component dropped."""
+    k = np.array([reference_ket(s) for s in settings])
+    u = np.einsum("ri,mij,rj->rm", k.conj(), spinor._PAULI, k).real
+    u[:, 0] = 0.0
+    return u
+
+
+def _ket_correlation(state, sa, sb):
+    t = spinor._correlation_tensor(spinor.check_state(state))
+    ua, ub = _ket_axes(sa, sb)
+    return float(ua @ t @ ub)
+
+
+def _ket_chsh(state, s):
+    t = spinor._correlation_tensor(spinor.check_state(state))
+    u = _ket_axes(s.a, s.a_prime, s.b, s.b_prime)
+    (p_ab, p_abp), (p_apb, p_apbp) = u[:2] @ t @ u[2:].T
+    return float(abs(p_ab - p_abp) + abs(p_apb + p_apbp))
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).view(np.uint64)
+
+
+def test_axes_and_chsh_are_bit_identical_to_the_ket_sandwich():
+    rng = np.random.default_rng(22)
+    states = [spinor.psi_plus(), spinor.psi_minus(), spinor.singlet_state(), spinor.product_xx()]
+    for _ in range(10_000):
+        raw = rng.normal(size=4) + 1j * rng.normal(size=4)
+        states.append(raw / np.linalg.norm(raw))
+    angles = rng.uniform(-2 * np.pi, 2 * np.pi, (len(states), 4))
+    # the multiples of pi/32 in [-2 pi, 2 pi]; at multiples of pi the sine term is
+    # an exact zero, whose sign bit counts too
+    angles.flat[:129] = np.arange(-64, 65) * (np.pi / 32)
+    kinds = rng.choice(list("LE"), (len(states), 4))
+    got, want = {"axes": [], "chsh": [], "corr": []}, {"axes": [], "chsh": [], "corr": []}
+    for state, theta, kind in zip(states, angles, kinds):
+        s = _settings(*theta, kinds="".join(kind))
+        four = (s.a, s.a_prime, s.b, s.b_prime)
+        got["axes"].append(spinor._axes(*four))
+        want["axes"].append(_ket_axes(*four))
+        got["chsh"].append(spinor.chsh_value(state, s))
+        want["chsh"].append(_ket_chsh(state, s))
+        for x, y in ((s.a, s.b), (s.b_prime, s.a_prime)):
+            got["corr"].append(spinor.correlation(state, x, y))
+            want["corr"].append(_ket_correlation(state, x, y))
+    for key in got:
+        assert np.array_equal(_bits(got[key]), _bits(want[key])), key
+
+
+# ---------------------------------------------------------------------------
+# the exact CHSH maximum on the analyzers' circles, the oracle for
+# maximize_chsh (Horodecki, Horodecki & Horodecki 1995)
+
+_ROT90 = np.array([[0.0, -1.0], [1.0, 0.0]])
+
+
+def _circle(kind):
+    """Orthonormal rows spanning a kind's Bloch-vector circle, over (I, Z, X, Y)."""
+    c = np.zeros((2, 4))
+    c[0, 1] = c[1, spinor._SINE_SLOT[kind]] = 1.0
+    return c
+
+
+def _exact_chsh_max(state, kinds):
+    """Max over all angles of chsh_value for kinds (a, b, a', b'), once for
+    each side whose two settings share a kind (none, one or two values).
+
+    With b, b' on one circle, b - b' = 2 sin(phi) R w and b + b' =
+    2 cos(phi) w for a unit w and the 90-degree rotation R, and the best a
+    and a' on their circles give |M_a (b - b')| + |M_a' (b + b')| with
+    M = (circle of a) T (circle of b)^T.  Maximizing over phi and w leaves
+    2 sqrt(lambda_max(R^T M_a^T M_a R + M_a'^T M_a')).  With a, a' on one
+    circle the same holds with the sides swapped, after choosing the signs
+    that open the two absolute values.
+    """
+    t = spinor._correlation_tensor(spinor.check_state(state))
+    ka, kb, kap, kbp = kinds
+    gram = []
+    if kb == kbp:
+        m, mp = (_circle(k) @ t @ _circle(kb).T for k in (ka, kap))
+        gram.append(_ROT90.T @ m.T @ m @ _ROT90 + mp.T @ mp)
+    if ka == kap:
+        n, npr = (_circle(k) @ t.T @ _circle(ka).T for k in (kb, kbp))
+        gram.append(n.T @ n + _ROT90.T @ npr.T @ npr @ _ROT90)
+    return [2.0 * math.sqrt(np.linalg.eigvalsh(g)[-1]) for g in gram]
+
+
+COVERED_KINDS = [k for k in KINDS if k[0] == k[2] or k[1] == k[3]]
+
+
+def test_exact_chsh_max_known_values():
+    assert len(COVERED_KINDS) == 12
+    for state, kinds, want in ((spinor.psi_plus(), "LLLL", spinor.TSIRELSON),
+                               (spinor.psi_plus(), "EEEE", spinor.TSIRELSON),
+                               (spinor.psi_plus(), "LELE", 2.0),
+                               (spinor.product_xx(), "LLLL", 2.0)):
+        assert _exact_chsh_max(state, kinds) == pytest.approx([want, want], abs=1e-12)
+    assert _exact_chsh_max(spinor.psi_plus(), "LLEE") == []
+
+
+def test_maximize_chsh_reaches_the_exact_maximum():
+    # every covered kind string on the named states and 20 seeded random
+    # ones; shortfall = exact maximum - maximize_chsh value
+    rng = np.random.default_rng(0)
+    states = [spinor.psi_plus(), spinor.psi_minus(), spinor.product_xx()]
+    for _ in range(20):
+        raw = rng.normal(size=4) + 1j * rng.normal(size=4)
+        states.append(raw / np.linalg.norm(raw))
+    shortfall = []
+    for state in states:
+        for kinds in COVERED_KINDS:
+            exact = _exact_chsh_max(state, kinds)
+            assert max(exact) - min(exact) < 1e-12, kinds
+            _, value = spinor.maximize_chsh(state, kinds)
+            shortfall.append(exact[0] - value)
+    shortfall = np.array(shortfall)
+    assert shortfall.min() > -1e-12  # no search beats the maximum
+    assert shortfall.max() < 1e-6
+    assert np.count_nonzero(shortfall > 1e-10) <= 0.01 * shortfall.size
 
 
 # sha256 prefixes of ``chsh --state S --kinds K --maximize`` stdout, K in
