@@ -728,6 +728,10 @@ WIGNER_DIGESTS = [
     (("--n", "256", "--state", "excited"), "e38927e3ac4251ec", None),
     (("--state", "psi-plus-grid", "--n", "16", "--out", "wigner.csv"),
      "c895be72dde257f9", "2e951a35945ceba3"),
+    (("--state", "psi-plus-grid", "--n", "32", "--out", "wigner.csv"),
+     "6a460159a73c136e", "5f84c44e278ada28"),
+    (("--state", "psi-plus-grid", "--n", "64", "--out", "wigner.csv"),
+     "39f07484c63a77df", "11f96f2f6b91f41f"),
 ]
 
 

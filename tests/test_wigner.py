@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import math
 
 import numpy as np
@@ -87,6 +88,46 @@ def test_2d_transform_matches_explicit_sum(n):
     assert np.max(np.abs(summary.central_slice - ref[:, n // 2, :, n // 2])) < 1e-13
     for key, marginal in want.items():
         assert np.max(np.abs(summary.marginals[key] - marginal)) < 1e-13, key
+
+
+def _digest(a):
+    return hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()[:16]
+
+
+def _summary_digests(summary):
+    """sha256 prefixes of min_w, the qq, qp, pq and pp marginals and the
+    central slice of a 2-D Wigner summary, in that order."""
+    marginals = tuple(_digest(summary.marginals[k]) for k in ("qq", "qp", "pq", "pp"))
+    return (_digest(np.float64(summary.min_w)),) + marginals + (_digest(summary.central_slice),)
+
+
+def _pinned_state(case):
+    name, n = case
+    if name == "random":
+        return _random_state(n, 2, seed=23)
+    return waves.psi_marginal_state(+1 if name == "psi-plus-grid" else -1, 10.0, n=n)
+
+
+# every output bit of the 2-D transform, for the grid states of `wigner
+# --state psi-plus-grid|psi-minus-grid` at the default cutoff and a random state
+SUMMARY_2D_PINS = {
+    ("psi-plus-grid", 32): ("8e9cff61f481b775", "6d1075799a3e8d8f", "970ae8605f97ab66",
+                            "be0bbce2976562c1", "d5abd2c8124d8a53", "cb28c5670c9eef03"),
+    ("psi-minus-grid", 32): ("91200eeee5f5334f", "974e31cc48e57a0e", "262cbb36000b978d",
+                             "81a9d1054e637a64", "3b71aacb5def7ba0", "6a91185b65328eb1"),
+    ("psi-plus-grid", 64): ("984ea83d4644839d", "6dda7426271556c7", "f333d79c4264ef52",
+                            "ec9dfbdb807e5b19", "5c2800656332a6f2", "ab5dfb1f52d46a4b"),
+    ("psi-minus-grid", 64): ("984ea83d4644839d", "56a9744162b261f8", "9f8f90bca21583b1",
+                             "35658146cc056d0b", "59f1abe8d2e2d43d", "150ac1c3c31a0b09"),
+    ("random", 16): ("ab08264fa1dc5552", "365ef26f0e519b9a", "af8afbd8a17a9c28",
+                     "ff671762abd9361d", "2befe2e6a4a3dfae", "9b829e4fd13ba70f"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SUMMARY_2D_PINS))
+def test_2d_summary_bits_pinned(case):
+    summary = wigner.wigner_transform(_pinned_state(case))
+    assert _summary_digests(summary) == SUMMARY_2D_PINS[case]
 
 
 @pytest.mark.parametrize("n", [8, 64, 512])
