@@ -294,7 +294,9 @@ _GRID_STATES = ("psi-plus-grid", "psi-minus-grid")
 def _cmd_wigner(args):
     payload = {"state": args.state}
     grid_state = args.state in _GRID_STATES
-    if args.n is None:  # the 2-D transform costs O(n^4 log n) time, O(n^3) memory
+    # the 2-D transform costs O(n^4 log n) time and O(n^3) memory per
+    # thread, 16 n^3 bytes, plus 16 n^3 bytes for its per-slab marginal parts
+    if args.n is None:
         args.n = 64 if grid_state else 256
     if grid_state:
         sign = +1 if args.state == "psi-plus-grid" else -1
@@ -555,6 +557,9 @@ def _run(handler, args, command, fh):
     except BellforgeError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return exc.exit_code, ""
+    except MemoryError as exc:  # a grid too large for this machine
+        print("error: out of memory: %s" % exc, file=sys.stderr)
+        return 1, ""
     payload.update(schema_version=SCHEMA_VERSION, command=command)
     if fh is not None:
         payload["csv"] = args.out

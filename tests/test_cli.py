@@ -255,6 +255,39 @@ def test_failing_command_keeps_an_existing_out_file(tmp_path, capsys, monkeypatc
     assert os.listdir(tmp_path) == ["x.csv"] and path.read_text() == "kept"
 
 
+def test_out_of_memory_exits_1_with_one_error_line(tmp_path, capsys, monkeypatch):
+    """A grid too large to allocate is reported like any other failure: one
+    error line, exit 1, nothing on stdout and no --out file."""
+    def fail(args):
+        raise MemoryError("Unable to allocate 64.1 GiB for an array with shape (2048, 2048, 1025)")
+
+    monkeypatch.setattr(cli, "_cmd_wigner", fail)
+    code, out, err = run(capsys, "wigner", "--state", "psi-plus-grid", "--n", "2048",
+                         "--out", str(tmp_path / "w.csv"))
+    assert (code, out) == (1, "")
+    assert err.startswith("error:") and err.count("\n") == 1 and "64.1 GiB" in err
+    assert os.listdir(tmp_path) == []
+
+
+def test_unallocatable_wigner_grid_exits_1_without_traceback(tmp_path):
+    """The real allocation, in a process whose address space is capped at
+    2 GiB: an n=1024 grid transform needs 16 GiB for its marginal parts."""
+    script = (
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))\n"
+        "from bellforge import cli\n"
+        "sys.exit(cli.main(sys.argv[1:]))\n"
+    )
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    argv = ["wigner", "--state", "psi-plus-grid", "--n", "1024", "--out", str(tmp_path / "w.csv")]
+    proc = subprocess.run([sys.executable, "-c", script, *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr.startswith("error: out of memory") and proc.stderr.count("\n") == 1
+    assert os.listdir(tmp_path) == []
+
+
 def test_out_to_a_device_writes_in_place(capsys):
     """A device is opened as is, never replaced by a renamed file."""
     code, out, err = run(capsys, "rs1d", "--n", "64", "--xmax", "10", "--out", os.devnull)

@@ -1,6 +1,9 @@
 import csv
 import hashlib
+import inspect
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -128,6 +131,79 @@ SUMMARY_2D_PINS = {
 def test_2d_summary_bits_pinned(case):
     summary = wigner.wigner_transform(_pinned_state(case))
     assert _summary_digests(summary) == SUMMARY_2D_PINS[case]
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3, 5])
+def test_2d_summary_bits_do_not_depend_on_the_thread_count(monkeypatch, workers):
+    monkeypatch.setattr(wigner, "_worker_count", lambda n: workers)
+    for case, want in SUMMARY_2D_PINS.items():
+        assert _summary_digests(wigner.wigner_transform(_pinned_state(case))) == want, case
+
+
+def test_worker_count_follows_cpus_cap_and_size(monkeypatch):
+    monkeypatch.setattr(wigner.os, "sched_getaffinity", lambda pid: set(range(64)), raising=False)
+    assert [wigner._worker_count(n) for n in (4, 16, 32, 64, 1024)] == [1, 1, 2, 4, 4]
+    monkeypatch.setattr(wigner.os, "sched_getaffinity", lambda pid: {0})
+    assert wigner._worker_count(1024) == 1
+
+
+def _record_irfftn_threads(monkeypatch, fail_on=None):
+    """Patch np.fft.irfftn to note the thread of every call and to raise on
+    the calling thread (fail_on="caller") or any other (fail_on="worker")."""
+    caller, seen, real = threading.get_ident(), set(), np.fft.irfftn
+
+    def irfftn(*args, **kwargs):
+        here = threading.get_ident()
+        seen.add(here)
+        if fail_on is not None and (here == caller) == (fail_on == "caller"):
+            raise RuntimeError("irfftn failed on the %s thread" % fail_on)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "irfftn", irfftn)
+    return seen
+
+
+def test_threads_call_no_public_function_and_all_end(capsys, monkeypatch):
+    """Every public function of the package runs on the main thread, where a
+    caller's wrappers (perfbench's span stack) expect it, and the slab
+    threads have all ended when the command returns."""
+    calls = []
+
+    def wrap(name, fn):
+        def recorded(*args, **kwargs):
+            calls.append((name, threading.current_thread() is threading.main_thread()))
+            return fn(*args, **kwargs)
+        return recorded
+
+    modules = [m for name, m in sys.modules.items() if name.startswith("bellforge.")]
+    wrappers = {}
+    for mod in modules:
+        for attr, fn in vars(mod).items():
+            if inspect.isfunction(fn) and not attr.startswith("_") and fn.__module__ == mod.__name__:
+                wrappers[fn] = wrap(mod.__name__ + "." + attr, fn)
+    for mod in modules:
+        for attr, val in list(vars(mod).items()):
+            if inspect.isfunction(val) and val in wrappers:
+                monkeypatch.setattr(mod, attr, wrappers[val])
+    fft_threads = _record_irfftn_threads(monkeypatch)
+    monkeypatch.setattr(wigner, "_worker_count", lambda n: 3)
+    before = threading.active_count()
+    assert cli.main(["wigner", "--state", "psi-plus-grid", "--n", "16"]) == 0
+    capsys.readouterr()
+    assert threading.active_count() == before
+    assert len(fft_threads) == 3
+    assert "bellforge.wigner.wigner_transform" in {name for name, _ in calls}
+    assert [name for name, on_main in calls if not on_main] == []
+
+
+@pytest.mark.parametrize("fail_on", ["worker", "caller"])
+def test_an_error_in_any_slab_thread_reaches_the_caller(monkeypatch, fail_on):
+    _record_irfftn_threads(monkeypatch, fail_on)
+    monkeypatch.setattr(wigner, "_worker_count", lambda n: 2)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match="on the %s thread" % fail_on):
+        wigner.wigner_transform(_random_state(16, 2, seed=23))
+    assert threading.active_count() == before
 
 
 @pytest.mark.parametrize("n", [8, 64, 512])
