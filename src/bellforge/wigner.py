@@ -15,10 +15,14 @@ spectral accuracy.
 
 Each result carries the state it was transformed from, so the marginal
 checks and Hudson's criterion take the result alone.  The 2-D transform
-never materializes the rank-4 array: it streams one x1 slab of conjugate
-lag products at a time through one real inverse FFT over both lags,
-accumulates the minimum, all four pair marginals and the central slice in
-FFT order, and shifts and scales the (n, n) results once at the end.
+never materializes the rank-4 array: it passes each x1 slab of conjugate
+lag products through one real inverse FFT over both lags, takes the slab's
+minimum and its rows of the four pair marginals and the central slice in
+FFT order, and shifts and scales the (n, n) results once at the end.  The
+slabs are split over a few threads, since numpy's FFTs and reductions
+release the interpreter lock; the parts that add up across x1 are folded in
+x1 order on the calling thread, so the result does not depend on the
+number of threads to the last bit.
 
 The two-mode squeezed vacuum enters through closed forms: the
 displaced-parity correlator E(alpha, beta), pi^2 times its Wigner function
@@ -145,8 +149,9 @@ def _in_threads(work, count):
     threads = []
     try:
         for i in range(1, count):
-            threads.append(threading.Thread(target=run, args=(i,)))
-            threads[-1].start()
+            thread = threading.Thread(target=run, args=(i,))
+            thread.start()
+            threads.append(thread)
         work(0)
     finally:
         for t in threads:

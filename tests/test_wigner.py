@@ -135,9 +135,16 @@ def test_2d_summary_bits_pinned(case):
 
 @pytest.mark.parametrize("workers", [1, 2, 3, 5])
 def test_2d_summary_bits_do_not_depend_on_the_thread_count(monkeypatch, workers):
+    """Up to more threads than this machine has CPUs, switching between them
+    as often as the interpreter allows."""
     monkeypatch.setattr(wigner, "_worker_count", lambda n: workers)
-    for case, want in SUMMARY_2D_PINS.items():
-        assert _summary_digests(wigner.wigner_transform(_pinned_state(case))) == want, case
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for case, want in SUMMARY_2D_PINS.items():
+            assert _summary_digests(wigner.wigner_transform(_pinned_state(case))) == want, case
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_worker_count_follows_cpus_cap_and_size(monkeypatch):
@@ -204,6 +211,24 @@ def test_an_error_in_any_slab_thread_reaches_the_caller(monkeypatch, fail_on):
     with pytest.raises(RuntimeError, match="on the %s thread" % fail_on):
         wigner.wigner_transform(_random_state(16, 2, seed=23))
     assert threading.active_count() == before
+
+
+def test_a_thread_that_cannot_start_leaves_none_running(monkeypatch):
+    started = []
+
+    class Thread(threading.Thread):
+        def start(self):
+            if started:
+                raise RuntimeError("can't start new thread")
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(wigner.threading, "Thread", Thread)
+    monkeypatch.setattr(wigner, "_worker_count", lambda n: 3)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match="can't start"):
+        wigner.wigner_transform(_random_state(16, 2, seed=23))
+    assert threading.active_count() == before and not started[0].is_alive()
 
 
 @pytest.mark.parametrize("n", [8, 64, 512])
