@@ -7,7 +7,7 @@ Run from the repository root:
     python3 benchmarks/bench_ab.py --base HEAD~1 --pairs 10 --out BENCH.json
     python3 benchmarks/bench_ab.py --ops rs2d,rs2d-mc --pairs 4
     python3 benchmarks/bench_ab.py --base HEAD~1 --ops sweep --pairs 10
-    python3 benchmarks/bench_ab.py --base HEAD~1 --ops wigner-grid,wigner-grid-32
+    python3 benchmarks/bench_ab.py --base HEAD~1 --ops wigner-grid,wigner-grid-32,wigner-grid-16
 
 The base tree is ``git archive REV src`` unpacked into a temporary
 directory; the change is ``src/`` as it stands.  A pair runs, for every op,
@@ -65,6 +65,8 @@ OPS = (
     ("wigner-grid", ["wigner", "--state", "psi-plus-grid", "--n", "64"]),
     # perfbench's bell round draws the n=32 grid state twice, n=64 once
     ("wigner-grid-32", ["wigner", "--state", "psi-plus-grid", "--n", "32"]),
+    # n=16 runs its slabs on the calling thread, with no pool
+    ("wigner-grid-16", ["wigner", "--state", "psi-plus-grid", "--n", "16"]),
     # not a command: the worker runs the chsh_value sweep with this seed
     ("sweep", ["sweep", "7"]),
 )

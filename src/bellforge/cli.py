@@ -295,7 +295,8 @@ def _cmd_wigner(args):
     payload = {"state": args.state}
     grid_state = args.state in _GRID_STATES
     # the 2-D transform costs O(n^4 log n) time and O(n^3) memory per
-    # thread, 16 n^3 bytes, plus 16 n^3 bytes for its per-slab marginal parts
+    # thread, 16 n^3 bytes of slab and transform buffers; the slabs' marginal
+    # parts are folded in x1 order as they finish
     if args.n is None:
         args.n = 64 if grid_state else 256
     if grid_state:

@@ -16,12 +16,13 @@ spectral accuracy.
 Each result carries the state it was transformed from, so the marginal
 checks and Hudson's criterion take the result alone.  The 2-D transform
 never materializes the rank-4 array: it passes each x1 slab of conjugate
-lag products through one real inverse FFT over both lags, takes the slab's
+lag products through an inverse FFT over the x1 lag and a real one over the
+x2 lag (ifft then irfft, both into per-thread buffers), takes the slab's
 minimum and its rows of the four pair marginals and the central slice in
 FFT order, and shifts and scales the (n, n) results once at the end.  The
-slabs are split over a few threads, since numpy's FFTs and reductions
-release the interpreter lock; the parts that add up across x1 are folded in
-x1 order on the calling thread, so the result does not depend on the
+slabs run on a small thread pool, since numpy's FFTs and reductions release
+the interpreter lock; the calling thread folds the parts that add up across
+x1 in x1 order as the slabs finish, so the result does not depend on the
 number of threads to the last bit.
 
 The two-mode squeezed vacuum enters through closed forms: the
@@ -109,13 +110,13 @@ class Wigner2DSummary:
         return tuple(self.source.axes)
 
 
-# Threads for the 2-D slab loop.  Each holds a slab and a transform buffer,
-# 16 n^3 bytes (4.2 MB at n=64, 34 MB at n=128), and the Python half of each
-# slab (slicing, calls, the row writes) holds the interpreter lock: on two
-# CPUs two threads run an n=64 transform 1.5-1.9 times as fast as one (1.7
-# in the median), so about a fifth of a slab's time is serial.  Four threads
-# would then be at most about 2.5 times as fast as one, and eight about 3.3
-# times while holding twice the memory, so the count stops at four.
+# Threads for the 2-D slab loop.  Each keeps one slab and one transform
+# buffer, 16 n^3 bytes (4.2 MB at n=64, 34 MB at n=128), and the Python half
+# of each slab (slicing, calls, the row writes) holds the interpreter lock:
+# on two CPUs two threads run an n=64 transform 1.5-1.9 times as fast as one
+# (1.7 in the median), so about a fifth of a slab's time is serial.  Four
+# threads would then be at most about 2.5 times as fast as one, and eight
+# about 3.3 times while holding twice the memory, so the count stops at four.
 _MAX_WORKERS = 4
 # Below 16 slabs per thread the lock costs more than the threads gain: at
 # n=16 two threads take 1.9 ms against 1.0 ms for one, at n=32 8 ms
@@ -134,32 +135,6 @@ def _worker_count(n):
     return max(1, min(cpus, _MAX_WORKERS, n // _MIN_SLABS_PER_WORKER))
 
 
-def _in_threads(work, count):
-    """Run work(0), ..., work(count - 1), each on its own thread, work(0) on
-    the calling one, and return once all have ended.  An error raised by any
-    share is raised here, the calling thread's own first."""
-    errors = []
-
-    def run(i):
-        try:
-            work(i)
-        except BaseException as exc:  # raised again on the calling thread
-            errors.append(exc)
-
-    threads = []
-    try:
-        for i in range(1, count):
-            thread = threading.Thread(target=run, args=(i,))
-            thread.start()
-            threads.append(thread)
-        work(0)
-    finally:
-        for t in threads:
-            t.join()
-    if errors:
-        raise errors[0]
-
-
 def _wigner_2d(psi):
     n = psi.axes[0].n
     if psi.axes[1].n != n:
@@ -170,54 +145,60 @@ def _wigner_2d(psi):
 
     a, b = _lag_windows(psi.values)  # (x1, k2, m2) views
 
-    # per-x1 results of the unscaled transform, in FFT (unshifted) frequency
-    # order: rows of qq, qp and the central slice, and each slab's minimum and
-    # its parts of pq and pp, which are folded in x1 order once all have run
+    # rows of qq, qp and the central slice of the unscaled transform, in FFT
+    # (unshifted) frequency order, written by the slab of their x1
     qq = np.empty((n, n))
     qp = np.empty((n, n))
     central = np.empty((n, n))
-    pq_parts = np.empty((n, n, n))
-    pp_parts = np.empty((n, n, n))
-    mins = [np.inf] * n
+    buffers = threading.local()  # one slab and one w buffer per thread
+
+    def slab_part(k1):
+        # no public bellforge function is called here, so the pool threads
+        # leave a caller's wrappers alone
+        if not hasattr(buffers, "slab"):
+            buffers.slab = np.empty((n, n, n // 2 + 1), dtype=complex)
+            buffers.w = np.empty((n, n, n))
+        slab, w = buffers.slab, buffers.w
+        # slab[m1, k2, m2] = psi*[k1+m1, k2+m2] psi[k1-m1, k2-m2], x1 lags m1
+        # in FFT order (0..lo, then -lo..-1), zero where k1 +- m1 leaves the
+        # grid; it is Hermitian in (m1, m2), so a complex inverse transform
+        # over m1 and a real one over m2 give sum_m C[m] exp(-2 pi i j.m / n)
+        # for C = conj slab.  This is irfftn's algorithm, with the first pass
+        # in place where irfftn would allocate a fresh array
+        lo = min(k1, n - 1 - k1)
+        np.multiply(a[k1:k1 + lo + 1], b[k1 - lo:k1 + 1][::-1], out=slab[:lo + 1])
+        np.multiply(a[k1 - lo:k1], b[k1 + 1:k1 + lo + 1][::-1], out=slab[n - lo:])
+        slab[lo + 1:n - lo] = 0.0
+        np.fft.ifft(slab, axis=0, norm="forward", out=slab)
+        np.fft.irfft(slab, n, axis=2, norm="forward", out=w)
+        # w indexed (j1, k2, j2)
+        q2p2 = w.sum(axis=0)  # p1 integrated out
+        qq[k1] = q2p2.sum(axis=1)
+        qp[k1] = q2p2.sum(axis=0)
+        central[k1] = w[:, n // 2, 0]
+        return float(w.min()), w.sum(axis=2), w.sum(axis=1)
+
+    def folded(parts):
+        # the sums across x1 add the parts in x1 order, from zero, and min
+        # keeps the first of equal values, so no bit depends on the threads
+        min_w, pq, pp = np.inf, np.zeros((n, n)), np.zeros((n, n))
+        for slab_min, pq_part, pp_part in parts:
+            min_w = min(min_w, slab_min)
+            pq += pq_part
+            pp += pp_part
+        return min_w, pq, pp
+
     workers = _worker_count(n)
-    buffers = [(np.empty((n, n, n // 2 + 1), dtype=complex), np.empty((n, n, n)))
-               for _ in range(workers)]
+    if workers == 1:
+        min_w, pq, pp = folded(map(slab_part, range(n)))
+    else:
+        # imported here: concurrent.futures loads logging, ~5 ms of a cold start
+        from concurrent.futures import ThreadPoolExecutor
 
-    def slabs(first):
-        # every workers-th x1 from first on; no public bellforge function is
-        # called here, so the threads leave a caller's wrappers alone
-        slab, w = buffers[first]
-        for k1 in range(first, n, workers):
-            # slab[m1, k2, m2] = psi*[k1+m1, k2+m2] psi[k1-m1, k2-m2], x1 lags
-            # m1 in FFT order (0..lo, then -lo..-1), zero where k1 +- m1 leaves
-            # the grid; it is Hermitian in (m1, m2), so one real inverse
-            # transform over both lags gives sum_m C[m] exp(-2 pi i j.m / n)
-            # for C = conj slab
-            lo = min(k1, n - 1 - k1)
-            np.multiply(a[k1:k1 + lo + 1], b[k1 - lo:k1 + 1][::-1], out=slab[:lo + 1])
-            np.multiply(a[k1 - lo:k1], b[k1 + 1:k1 + lo + 1][::-1], out=slab[n - lo:])
-            slab[lo + 1:n - lo] = 0.0
-            np.fft.irfftn(slab, s=(n, n), axes=(0, 2), norm="forward", out=w)
-            # w indexed (j1, k2, j2)
-            mins[k1] = float(w.min())
-            q2p2 = w.sum(axis=0)  # p1 integrated out
-            qq[k1] = q2p2.sum(axis=1)
-            qp[k1] = q2p2.sum(axis=0)
-            w.sum(axis=2, out=pq_parts[k1])
-            w.sum(axis=1, out=pp_parts[k1])
-            central[k1] = w[:, n // 2, 0]
-
-    _in_threads(slabs, workers)
-
-    # the sums across x1 add the parts in x1 order, from zero, and min keeps
-    # the first of equal values, so no bit depends on the number of threads
-    min_w = np.inf
-    pq = np.zeros((n, n))
-    pp = np.zeros((n, n))
-    for k1 in range(n):
-        min_w = min(min_w, mins[k1])
-        pq += pq_parts[k1]
-        pp += pp_parts[k1]
+        # map yields the slabs in x1 order as they finish; an error cancels
+        # the slabs not yet started and reaches the caller
+        with ThreadPoolExecutor(workers) as pool:
+            min_w, pq, pp = folded(pool.map(slab_part, range(n)))
 
     scale = dx0 * dx1 / math.pi**2
     shift = np.fft.fftshift

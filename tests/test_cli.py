@@ -470,6 +470,17 @@ def test_cli_runs_without_scipy():
     assert scipy_modules == []
 
 
+def test_cli_import_leaves_concurrent_futures_unloaded():
+    """concurrent.futures loads logging, a few ms of every cold start; only
+    a threaded 2-D Wigner transform imports it."""
+    script = "import sys, bellforge.cli\nprint('concurrent.futures' in sys.modules)\n"
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60, check=True)
+    assert proc.stdout == "False\n"
+
+
 def test_parity_chsh_search(capsys):
     doc = run_json(capsys, "parity-chsh", "--r", "1")
     assert doc["s_max"] == pytest.approx(2.183900, abs=1e-4)

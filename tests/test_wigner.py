@@ -4,6 +4,7 @@ import inspect
 import math
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -154,19 +155,24 @@ def test_worker_count_follows_cpus_cap_and_size(monkeypatch):
     assert wigner._worker_count(1024) == 1
 
 
-def _record_irfftn_threads(monkeypatch, fail_on=None):
-    """Patch np.fft.irfftn to note the thread of every call and to raise on
-    the calling thread (fail_on="caller") or any other (fail_on="worker")."""
-    caller, seen, real = threading.get_ident(), set(), np.fft.irfftn
+def _record_irfft_threads(monkeypatch, fail_on=None, meet=1):
+    """Patch np.fft.irfft, the last FFT of every 2-D slab, to note the thread
+    of every call and to raise on the calling thread (fail_on="caller") or
+    any other (fail_on="worker").  A thread's first call waits until meet
+    threads have made theirs, so that no thread can run every slab alone."""
+    caller, seen, real = threading.get_ident(), set(), np.fft.irfft
+    barrier = threading.Barrier(meet, timeout=10)
 
-    def irfftn(*args, **kwargs):
+    def irfft(*args, **kwargs):
         here = threading.get_ident()
-        seen.add(here)
+        if here not in seen:
+            seen.add(here)
+            barrier.wait()
         if fail_on is not None and (here == caller) == (fail_on == "caller"):
-            raise RuntimeError("irfftn failed on the %s thread" % fail_on)
+            raise RuntimeError("irfft failed on the %s thread" % fail_on)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(np.fft, "irfftn", irfftn)
+    monkeypatch.setattr(np.fft, "irfft", irfft)
     return seen
 
 
@@ -192,7 +198,7 @@ def test_threads_call_no_public_function_and_all_end(capsys, monkeypatch):
         for attr, val in list(vars(mod).items()):
             if inspect.isfunction(val) and val in wrappers:
                 monkeypatch.setattr(mod, attr, wrappers[val])
-    fft_threads = _record_irfftn_threads(monkeypatch)
+    fft_threads = _record_irfft_threads(monkeypatch, meet=3)
     monkeypatch.setattr(wigner, "_worker_count", lambda n: 3)
     before = threading.active_count()
     assert cli.main(["wigner", "--state", "psi-plus-grid", "--n", "16"]) == 0
@@ -205,12 +211,53 @@ def test_threads_call_no_public_function_and_all_end(capsys, monkeypatch):
 
 @pytest.mark.parametrize("fail_on", ["worker", "caller"])
 def test_an_error_in_any_slab_thread_reaches_the_caller(monkeypatch, fail_on):
-    _record_irfftn_threads(monkeypatch, fail_on)
-    monkeypatch.setattr(wigner, "_worker_count", lambda n: 2)
+    """Two workers run the slabs on the pool; one worker runs them on the caller."""
+    _record_irfft_threads(monkeypatch, fail_on)
+    monkeypatch.setattr(wigner, "_worker_count", lambda n: 1 if fail_on == "caller" else 2)
     before = threading.active_count()
     with pytest.raises(RuntimeError, match="on the %s thread" % fail_on):
         wigner.wigner_transform(_random_state(16, 2, seed=23))
     assert threading.active_count() == before
+
+
+def test_a_failing_slab_stops_the_transform_early(monkeypatch):
+    """The slabs not yet started when one fails are not run."""
+    calls, lock, real = [], threading.Lock(), np.fft.irfft
+
+    def irfft(*args, **kwargs):
+        with lock:
+            calls.append(None)
+            third = len(calls) == 3
+        if third:
+            raise RuntimeError("third slab failed")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "irfft", irfft)
+    monkeypatch.setattr(wigner, "_worker_count", lambda n: 2)
+    n = 64
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match="third slab failed"):
+        wigner.wigner_transform(_random_state(n, 2, seed=23))
+    assert threading.active_count() == before
+    assert len(calls) < n // 4
+
+
+def test_transform_memory_is_the_per_thread_buffers(monkeypatch):
+    """The peak traced memory of a 2-thread n=64 transform is its two
+    threads' slab and w buffers plus O(n^2) terms, at most 100 (n, n) float
+    arrays: nothing of size n^3 is kept per slab."""
+    workers, n = 2, 64
+    monkeypatch.setattr(wigner, "_worker_count", lambda n: workers)
+    psi = _random_state(n, 2, seed=23)
+    wigner.wigner_transform(psi)  # imports concurrent.futures, untraced
+    buffers = workers * (16 * n * n * (n // 2 + 1) + 8 * n**3)
+    tracemalloc.start()
+    try:
+        wigner.wigner_transform(psi)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert buffers < peak < buffers + 100 * 8 * n * n
 
 
 def test_a_thread_that_cannot_start_leaves_none_running(monkeypatch):
