@@ -155,6 +155,7 @@ def test_out_of_domain_counts_and_signs_exit_2(capsys, argv):
 # and grids too small or too coarse for what they must hold (exit 3)
 OUT_OF_RANGE_PROBES = [
     (("parity-chsh", "--r", "400"), 2),
+    (("parity-chsh", "--r", "400", "--search", "full"), 2),
     (("parity-chsh", "--r", "1000", "--displacements", "0.1,0,0,-0.1"), 2),
     (("rs1d", "--sigma", "1e-300"), 2),
     (("wigner", "--state", "psi-plus-grid", "--cutoff", "1e-300", "--n", "16"), 2),
@@ -496,9 +497,27 @@ PARITY_FIXED_DIGESTS = [
     (("--r", "354", "--displacements", "10,-10,10,10"), "f5b775a3ebb5f0a7"),
 ]
 
+# sha256 prefixes of search stdout, recorded before the simplex moved from
+# numpy arrays to lists of Python floats
+PARITY_SEARCH_DIGESTS = [
+    (("--r", "0.7", "--search", "protocol"), "73b139f671eb0715"),
+    (("--r", "0.7", "--search", "full"), "bb9d0e91098300b4"),
+    (("--r", "1.3", "--search", "protocol"), "afaccc0fd6df73e7"),
+    (("--r", "1.3", "--search", "full"), "5a4c8da6644073f5"),
+    (("--r", "1.9", "--search", "protocol"), "dbcd3545540c8e97"),
+    (("--r", "1.9", "--search", "full"), "dc11a43957437587"),
+]
+
 
 @pytest.mark.parametrize("argv, want", PARITY_FIXED_DIGESTS)
 def test_parity_chsh_fixed_displacements_stdout_pinned(capsys, argv, want):
+    code, out, err = run(capsys, "parity-chsh", *argv)
+    assert code == 0, err
+    assert hashlib.sha256(out.encode()).hexdigest()[:16] == want
+
+
+@pytest.mark.parametrize("argv, want", PARITY_SEARCH_DIGESTS)
+def test_parity_chsh_search_stdout_pinned(capsys, argv, want):
     code, out, err = run(capsys, "parity-chsh", *argv)
     assert code == 0, err
     assert hashlib.sha256(out.encode()).hexdigest()[:16] == want
