@@ -8,6 +8,7 @@ Run from the repository root:
     python3 benchmarks/bench_ab.py --ops rs2d,rs2d-mc --pairs 4
     python3 benchmarks/bench_ab.py --base HEAD~1 --ops sweep --pairs 10
     python3 benchmarks/bench_ab.py --base HEAD~1 --ops wigner-grid,wigner-grid-32,wigner-grid-16
+    python3 benchmarks/bench_ab.py --base HEAD~1 --ops parity-protocol,parity-full
 
 The base tree is ``git archive REV src`` unpacked into a temporary
 directory; the change is ``src/`` as it stands.  A pair runs, for every op,
@@ -67,6 +68,9 @@ OPS = (
     ("wigner-grid-32", ["wigner", "--state", "psi-plus-grid", "--n", "32"]),
     # n=16 runs its slabs on the calling thread, with no pool
     ("wigner-grid-16", ["wigner", "--state", "psi-plus-grid", "--n", "16"]),
+    # the displaced-parity searches of perfbench's bell round
+    ("parity-protocol", ["parity-chsh", "--r", "1.3"]),
+    ("parity-full", ["parity-chsh", "--r", "1.3", "--search", "full"]),
     # not a command: the worker runs the chsh_value sweep with this seed
     ("sweep", ["sweep", "7"]),
 )
@@ -204,10 +208,10 @@ def main(argv=None):
         "numpy": np.__version__,
         "ops": results,
     }
-    print("%-14s %9s %9s %7s %17s %7s %6s" % ("op", "base s", "change s", "ratio",
+    print("%-16s %9s %9s %7s %17s %7s %6s" % ("op", "base s", "change s", "ratio",
                                               "95% interval", "faster", "same"))
     for name, r in results.items():
-        print("%-14s %9.4f %9.4f %7.3f   [%6.3f, %6.3f] %4d/%-2d %6s" % (
+        print("%-16s %9.4f %9.4f %7.3f   [%6.3f, %6.3f] %4d/%-2d %6s" % (
             name, r["base_median_s"], r["change_median_s"], r["ratio_median"],
             r["ratio_ci95"][0], r["ratio_ci95"][1], r["change_faster_pairs"], args.pairs,
             r["same_stdout"]))

@@ -321,6 +321,11 @@ def parity_correlation(r, alpha, beta):
     alpha = complex(alpha)
     beta = complex(beta)
     c, s = _cosh_sinh_2r(r)
+    return _correlation(c, s, r, alpha, beta)
+
+
+def _correlation(c, s, r, alpha, beta):
+    """E(alpha, beta) from c, s = cosh(2r), sinh(2r); real floats give the bits of complex."""
     try:
         val = -2.0 * c * (abs(alpha) ** 2 + abs(beta) ** 2) + 4.0 * s * (alpha * beta).real
     except OverflowError:  # a squared displacement left double range
@@ -353,16 +358,23 @@ def chsh_parity(r, displacements):
     if len(displacements) != 4:
         raise ValidationError("expected four displacements (a, b, a_prime, b_prime)")
     a, b, ap, bp = (complex(d) for d in displacements)
-    return (
-        parity_correlation(r, a, b)
-        - parity_correlation(r, a, bp)
-        + parity_correlation(r, ap, b)
-        + parity_correlation(r, ap, bp)
-    )
+    c, s = _cosh_sinh_2r(r)
+    return _chsh_parity(c, s, r, a, b, ap, bp)
 
 
-def _protocol_value(r, d1, d2):
-    return chsh_parity(r, (d1, 0.0, 0.0, -d2))
+def _chsh_parity(c, s, r, a, b, ap, bp):
+    e = _correlation
+    return e(c, s, r, a, b) - e(c, s, r, a, bp) + e(c, s, r, ap, b) + e(c, s, r, ap, bp)
+
+
+def _sorted(sim, fsim):
+    """The vertices and values in the order np.argsort(fsim) gives.  Distinct
+    values have one sorting order, which Python's sort finds faster; ties and
+    NaN go to np.argsort, whose (unstable) tie order scipy's search follows."""
+    ind = sorted(range(len(fsim)), key=fsim.__getitem__)
+    if not all(fsim[i] < fsim[j] for i, j in zip(ind, ind[1:])):
+        ind = np.argsort(fsim)
+    return [sim[i] for i in ind], [fsim[i] for i in ind]
 
 
 def _nelder_mead(loss, x0, xatol, fatol, maxiter):
@@ -370,53 +382,57 @@ def _nelder_mead(loss, x0, xatol, fatol, maxiter):
 
     A step-for-step copy of scipy.optimize.minimize(method="Nelder-Mead")
     with these options (same initial simplex, arithmetic, sorts and
-    stopping test), so it returns the same bits.
+    stopping test), so it returns the same bits.  The simplex is a list of
+    vertices of Python floats, since numpy's per-call cost outweighs its
+    arithmetic on 3 or 5 vertices; np.argsort stays for its tie order.
     """
     n = len(x0)
-    sim = np.tile(x0, (n + 1, 1))
+    sim = [list(x0) for _ in range(n + 1)]
     for k in range(n):
-        sim[k + 1, k] = 1.05 * x0[k] if x0[k] != 0 else 0.00025
-    fsim = np.array([loss(x) for x in sim], dtype=float)
+        sim[k + 1][k] = 1.05 * x0[k] if x0[k] != 0 else 0.00025
+    fsim = [loss(x) for x in sim]
     # scipy sorts twice here; argsort need not be stable, so a second sort
     # may still reorder ties
     for _ in range(2):
-        ind = np.argsort(fsim)
-        sim = np.take(sim, ind, 0)
-        fsim = np.take(fsim, ind, 0)
+        sim, fsim = _sorted(sim, fsim)
 
     iterations = 1
     while iterations < maxiter:
-        if (np.max(np.ravel(np.abs(sim[1:] - sim[0]))) <= xatol
-                and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol):
+        best, fbest = sim[0], fsim[0]
+        # max(...) <= tol, as all(... <= tol): a NaN fails both alike
+        if (all(abs(v - b) <= xatol for x in sim[1:] for v, b in zip(x, best))
+                and all(abs(fbest - f) <= fatol for f in fsim[1:])):
             break
-        xbar = np.add.reduce(sim[:-1], 0) / n
-        xr = 2 * xbar - sim[-1]
+        xbar = [0.0] * n  # np.add.reduce's column sums, from +0.0 and in row order
+        for x in sim[:-1]:
+            xbar = [t + v for t, v in zip(xbar, x)]
+        xbar = [t / n for t in xbar]
+        worst = sim[-1]
+        xr = [2 * t - w for t, w in zip(xbar, worst)]
         fxr = loss(xr)
-        if fxr < fsim[0]:
-            xe = 3 * xbar - 2 * sim[-1]
+        if fxr < fbest:
+            xe = [3 * t - 2 * w for t, w in zip(xbar, worst)]
             fxe = loss(xe)
             sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
         elif fxr < fsim[-2]:
             sim[-1], fsim[-1] = xr, fxr
         else:
             if fxr < fsim[-1]:  # outside contraction
-                xc = 1.5 * xbar - 0.5 * sim[-1]
+                xc = [1.5 * t - 0.5 * w for t, w in zip(xbar, worst)]
                 fxc = loss(xc)
                 shrink = not fxc <= fxr
             else:  # inside contraction
-                xc = 0.5 * xbar + 0.5 * sim[-1]
+                xc = [0.5 * t + 0.5 * w for t, w in zip(xbar, worst)]
                 fxc = loss(xc)
                 shrink = not fxc < fsim[-1]
             if shrink:
                 for j in range(1, n + 1):
-                    sim[j] = sim[0] + 0.5 * (sim[j] - sim[0])
+                    sim[j] = [b + 0.5 * (v - b) for v, b in zip(sim[j], best)]
                     fsim[j] = loss(sim[j])
             else:
                 sim[-1], fsim[-1] = xc, fxc
         iterations += 1
-        ind = np.argsort(fsim)
-        sim = np.take(sim, ind, 0)
-        fsim = np.take(fsim, ind, 0)
+        sim, fsim = _sorted(sim, fsim)
     return sim[0], np.min(fsim)
 
 
@@ -438,13 +454,14 @@ def maximize_chsh_parity(r, search="protocol"):
     if search == "protocol":
 
         def loss(u):
-            return -_protocol_value(r, abs(u[0]) * scale, abs(u[1]) * scale)
+            return -_chsh_parity(c, s, r, abs(u[0]) * scale, 0.0, 0.0, -(abs(u[1]) * scale))
 
         seeds = [(0.05, 0.05), (0.2, 0.2), (0.5, 0.5), (0.9, 0.9)]
     elif search == "full":
 
         def loss(u):
-            return -chsh_parity(r, tuple(u * scale))
+            a, b, ap, bp = u
+            return -_chsh_parity(c, s, r, a * scale, b * scale, ap * scale, bp * scale)
 
         seeds = [
             (0.1, 0.0, 0.0, -0.1),
@@ -454,20 +471,21 @@ def maximize_chsh_parity(r, search="protocol"):
         ]
     else:
         raise DomainError("search must be 'protocol' or 'full'")
+    c, s = _cosh_sinh_2r(r)  # once per search, and before any loss call
 
     best_x, best_fun = None, None
     for seed in seeds:
         x, fun = _nelder_mead(
-            loss, math.e * np.asarray(seed, dtype=float), xatol=1e-10, fatol=1e-12, maxiter=4000
+            loss, [math.e * v for v in seed], xatol=1e-10, fatol=1e-12, maxiter=4000
         )
         if best_fun is None or fun < best_fun:
             best_x, best_fun = x, fun
     s_max = -float(best_fun)
-    d = best_x * scale
+    d = [v * scale for v in best_x]
     if search == "protocol":
         displacements = (abs(d[0]), 0.0, 0.0, -abs(d[1]))
     else:
-        displacements = tuple(float(v) for v in d)
+        displacements = tuple(d)
     return {
         "r": float(r),
         "search": search,

@@ -608,6 +608,54 @@ def test_random_displacements_respect_bound():
         assert wigner.chsh_parity(r, tuple(d)) <= TSIRELSON + 1e-9
 
 
+@pytest.mark.parametrize("x0", [(-0.0, -0.0), (-0.0, 1.0, -0.0), (0.7, -0.0, 0.0, -0.2)])
+def test_nelder_mead_visits_scipy_points_signed_zeros_included(x0):
+    """Every point the search evaluates, with the sign of each zero, on a
+    loss with ties (it rounds) and from starts that hold -0.0."""
+    optimize = pytest.importorskip("scipy.optimize")
+
+    def recorded(log):
+        def loss(u):
+            log.append(repr([float(v) for v in u]))
+            return round(sum((v - 0.1 * k) ** 2 for k, v in enumerate(u)), 6)
+        return loss
+
+    ours, theirs = [], []
+    x, fun = wigner._nelder_mead(recorded(ours), list(x0), xatol=1e-10, fatol=1e-12, maxiter=400)
+    res = optimize.minimize(recorded(theirs), np.array(x0), method="Nelder-Mead",
+                            options={"xatol": 1e-10, "fatol": 1e-12, "maxiter": 400})
+    assert ours == theirs
+    assert repr([float(v) for v in x]) == repr([float(v) for v in res.x]) and fun == res.fun
+
+
+def test_simplex_order_is_argsort_order_with_ties_and_nan():
+    rng = np.random.default_rng(15)
+    for _ in range(3000):
+        n = int(rng.integers(2, 6))
+        pool = [-2.0, -1.0, -0.0, 0.0, 1.5, math.nan, float(rng.normal())]
+        fsim = [pool[k] for k in rng.integers(0, len(pool), n)]
+        ind = np.argsort(fsim)
+        sim, values = wigner._sorted(list(range(n)), fsim)
+        assert sim == ind.tolist()
+        assert repr(values) == repr([fsim[i] for i in ind])
+
+
+@pytest.mark.parametrize("search", ["protocol", "full"])
+def test_search_refuses_overflowing_squeezing_before_any_loss_call(monkeypatch, search):
+    def no_search(*args, **kwargs):
+        raise AssertionError("the search started")
+
+    monkeypatch.setattr(wigner, "_nelder_mead", no_search)
+    monkeypatch.setattr(wigner, "_chsh_parity", no_search)
+    message = "squeezing r = 400 overflows cosh(2r); keep |r| below 355"
+    with pytest.raises(DomainError) as info:
+        wigner.maximize_chsh_parity(400, search)
+    assert str(info.value) == message
+    # the search name is checked first
+    with pytest.raises(DomainError, match="search must be"):
+        wigner.maximize_chsh_parity(400, "other")
+
+
 def test_parity_validation():
     with pytest.raises(DomainError):
         wigner.maximize_chsh_parity(-0.1)
