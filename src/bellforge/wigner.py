@@ -325,7 +325,8 @@ def parity_correlation(r, alpha, beta):
 
 
 def _correlation(c, s, r, alpha, beta):
-    """E(alpha, beta) from c, s = cosh(2r), sinh(2r); real floats give the bits of complex."""
+    """E(alpha, beta) from c, s = cosh(2r), sinh(2r).  Real floats give the
+    bits of complex amplitudes with zero imaginary parts."""
     try:
         val = -2.0 * c * (abs(alpha) ** 2 + abs(beta) ** 2) + 4.0 * s * (alpha * beta).real
     except OverflowError:  # a squared displacement left double range

@@ -155,7 +155,6 @@ def test_out_of_domain_counts_and_signs_exit_2(capsys, argv):
 # and grids too small or too coarse for what they must hold (exit 3)
 OUT_OF_RANGE_PROBES = [
     (("parity-chsh", "--r", "400"), 2),
-    (("parity-chsh", "--r", "400", "--search", "full"), 2),
     (("parity-chsh", "--r", "1000", "--displacements", "0.1,0,0,-0.1"), 2),
     (("rs1d", "--sigma", "1e-300"), 2),
     (("wigner", "--state", "psi-plus-grid", "--cutoff", "1e-300", "--n", "16"), 2),
@@ -169,6 +168,7 @@ OUT_OF_RANGE_PROBES = [
     (("rs1d", "--p0", "300", "--n", "256"), 3),
     (("rs2d", "--sigma", "1e200", "--n", "64"), 2),
     (("rs2d", "--sigma", "1e-200", "--n", "64"), 2),
+    (("parity-chsh", "--r", "400", "--search", "full"), 2),
 ]
 
 

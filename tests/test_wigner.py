@@ -465,6 +465,23 @@ def test_parity_chsh_finite_at_extreme_squeezing(r, d):
     assert math.isfinite(s) and abs(s) <= TSIRELSON
 
 
+def test_correlation_of_real_floats_keeps_complex_bits(monkeypatch):
+    """The search passes real floats; they take the direct form and the
+    fallback to the same bits as the complex amplitudes chsh_parity makes."""
+    fallbacks = []
+    exponent = wigner._nonpositive_exponent
+    monkeypatch.setattr(wigner, "_nonpositive_exponent", lambda *a: fallbacks.append(a) or exponent(*a))
+    rng = np.random.default_rng(16)
+    for _ in range(3000):
+        r = float(rng.choice([rng.uniform(-5.0, 5.0), rng.uniform(-354.0, 354.0)]))
+        c, s = wigner._cosh_sinh_2r(r)
+        pool = [0.0, -0.0, float(rng.normal(scale=0.1)), float(rng.normal(scale=10.0)), 1e200]
+        alpha, beta = (pool[k] for k in rng.integers(0, len(pool), 2))
+        want = wigner._correlation(c, s, r, complex(alpha), complex(beta))
+        assert repr(wigner._correlation(c, s, r, alpha, beta)) == repr(want)
+    assert len(fallbacks) > 200
+
+
 def test_parity_correlation_nonpositive_exponent_form():
     """The rewritten exponent equals the direct one where both are accurate."""
     rng = np.random.default_rng(13)
