@@ -28,7 +28,7 @@ import math
 import numpy as np
 
 from . import waves
-from .errors import DomainError, ValidationError
+from .errors import DomainError, ToleranceError, ValidationError
 
 TSIRELSON = 2.0 * math.sqrt(2.0)
 
@@ -179,9 +179,12 @@ def family_s(cutoff, sign=+1):
 
 def _richardson(cutoffs, values):
     """One-step Richardson extrapolation in h = 1/log(L+1) from the two
-    largest cutoffs; the leading finite-L correction of S is O(h)."""
+    largest cutoffs; the leading finite-L correction of S is O(h).  None
+    when both cutoffs give the same h, as cutoffs an ulp apart can."""
     h1 = 1.0 / math.log(cutoffs[-2] + 1.0)
     h2 = 1.0 / math.log(cutoffs[-1] + 1.0)
+    if h1 == h2:
+        return None
     return (values[-1] * h1 - values[-2] * h2) / (h1 - h2)
 
 
@@ -190,9 +193,10 @@ def marginal_theorem_demo(
 ):
     """Tabulate S_(+/-)(L) and locate the crossing of the classical bound.
 
-    Closed-form route: one overlap integral per cutoff.  The pair is
-    antisymmetric (S_- = -S_+), S_+ is increasing in L, and the limit is
-    extrapolated from the two largest cutoffs.  With grid_n > 0 the
+    Closed-form route: one overlap integral per cutoff.  S_- = -S_+, and
+    S_+ increases with L: cutoffs too close for the quadrature to tell
+    apart give equal values, and a decrease raises ToleranceError.  The
+    limit is extrapolated from the two largest cutoffs.  With grid_n > 0 the
     smallest cutoff is also cross-checked by building the state on a
     grid_n^2 grid and evaluating the S functional directly; the grid value
     sits below the closed form because the finite box and discrete zero
@@ -207,12 +211,8 @@ def marginal_theorem_demo(
     overlaps = [overlap_integral(c) for c in cutoffs]
     s_plus = [_s_of_overlap(i) for i in overlaps]
     s_minus = [-s for s in s_plus]
-
-    for sp, sm in zip(s_plus, s_minus):
-        if abs(sp + sm) > 1e-6:
-            raise ValidationError("S_+ and S_- failed antisymmetry")
-    if any(b <= a for a, b in zip(s_plus, s_plus[1:])):
-        raise ValidationError("S_+ failed to increase with the cutoff")
+    if any(b < a for a, b in zip(s_plus, s_plus[1:])):
+        raise ToleranceError("S_+ decreased as the cutoff grew")
 
     exceeds = next((c for c, s in zip(cutoffs, s_plus) if s > 2.0), None)
     report = {

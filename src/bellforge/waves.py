@@ -132,7 +132,8 @@ def fourier(psi, axis=0):
 
 def padded_transform(psi, axis, factor):
     """Transform of one position axis onto a factor-times-finer momentum
-    grid, by zero padding that axis; the values are ``dft_at``'s there."""
+    grid, by zero padding that axis: the continuous transform of the
+    sampled values at the finer momenta."""
     if psi.axes[axis].representation != POSITION:
         raise ValidationError("can only oversample a position-representation axis")
     return _transform(psi, axis, factor)
@@ -168,22 +169,6 @@ def _transform(psi, axis, factor):
     axes = list(psi.axes)
     axes[axis] = Axis(n, ax.spacing, ax.representation).conjugate()
     return GridWavefunction(tuple(axes), values, dict(psi.meta))
-
-
-def dft_at(psi, p_values, axis=0):
-    """Explicit transform of one axis onto arbitrary momentum points.
-
-    Same convention as ``fourier`` but evaluated by direct summation, used
-    to cross-check densities on grids the FFT cannot reach (e.g. half-step
-    offsets).  Returns the transformed array; the target axis is last.
-    """
-    ax = psi.axes[axis]
-    x = ax.points()
-    kernel = np.exp(-1.0j * np.outer(np.asarray(p_values, dtype=float), x))
-    moved = np.moveaxis(psi.values, axis, -1)
-    return (
-        np.tensordot(moved, kernel, axes=([-1], [1])) * ax.spacing / np.sqrt(2.0 * np.pi)
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -312,21 +312,14 @@ def _cosh_sinh_2r(r):
         raise DomainError("squeezing r = %g overflows cosh(2r); keep |r| below 355" % r) from None
 
 
-def parity_correlation(r, alpha, beta):
-    """Displaced parity correlator E(alpha, beta) = pi^2 W at the displaced point.
-
-    alpha and beta are complex displacement amplitudes; the phase-space
-    point is (q, p) = sqrt(2) (Re, Im) of each.
-    """
-    alpha = complex(alpha)
-    beta = complex(beta)
-    c, s = _cosh_sinh_2r(r)
-    return _correlation(c, s, r, alpha, beta)
-
-
 def _correlation(c, s, r, alpha, beta):
-    """E(alpha, beta) from c, s = cosh(2r), sinh(2r).  Real floats give the
-    bits of complex amplitudes with zero imaginary parts."""
+    """Displaced parity correlator E(alpha, beta) = pi^2 W at the displaced
+    point, from c, s = cosh(2r), sinh(2r).
+
+    alpha and beta are displacement amplitudes; the phase-space point is
+    (q, p) = sqrt(2) (Re, Im) of each.  Real floats give the bits of
+    complex amplitudes with zero imaginary parts.
+    """
     try:
         val = -2.0 * c * (abs(alpha) ** 2 + abs(beta) ** 2) + 4.0 * s * (alpha * beta).real
     except OverflowError:  # a squared displacement left double range

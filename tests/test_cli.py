@@ -385,6 +385,28 @@ def test_marginal_theorem_verdict(capsys):
     assert len(doc["s_plus"]) == 4
 
 
+@pytest.mark.parametrize("cutoffs, s_plus", [
+    ("1000,1000.0000000000001", 2.2256577371204798),
+    ("1e9,1.0000000000000002e9", 2.6091163226102654),
+])
+def test_marginal_theorem_flat_s_plus_passes(capsys, cutoffs, s_plus):
+    """Valid cutoffs an ulp apart give equal S_+, which is not a decrease.
+    Their h = 1/log(L+1) are equal too, so nothing is extrapolated."""
+    doc = run_json(capsys, "marginal-theorem", "--cutoffs", cutoffs)
+    assert doc["s_plus"] == [s_plus, s_plus]
+    assert doc["verdict"]["monotone"] is True
+    assert doc["verdict"]["extrapolated_limit"] is None
+
+
+def test_marginal_theorem_decreasing_s_plus_exits_3(capsys, monkeypatch):
+    from bellforge import psbell
+
+    monkeypatch.setattr(psbell, "overlap_integral", lambda cutoff: 1.0 / cutoff)
+    code, out, err = run(capsys, "marginal-theorem", "--cutoffs", "10,100")
+    assert code == 3 and out == ""
+    assert "S_+ decreased" in err and "Traceback" not in err
+
+
 def test_wigner_excited_minimum(capsys):
     doc = run_json(capsys, "wigner", "--state", "excited", "--level", "1", "--n", "256", "--xmax", "10")
     assert doc["min_w"] == pytest.approx(-1.0 / math.pi, abs=1e-4)

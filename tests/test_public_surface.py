@@ -24,9 +24,6 @@ KEPT_FOR_TESTS = {
     "family_s": "closed-form S of the psi_(+/-) family, checked by the acceptance guarantees",
     "pr_box": "the PR box, the no-signalling behavior the acceptance guarantees refute as local",
     "marginal_behavior": "the behavior of an LHV joint distribution, read by the acceptance guarantees",
-    "dft_at": "direct DFT at arbitrary momenta, the reference for padded_transform",
-    "parity_correlation": "one displaced-parity correlator E(alpha, beta), checked against the "
-                          "Wigner closed form; chsh_parity and the search share its _correlation",
 }
 
 

@@ -12,6 +12,7 @@ import pytest
 from bellforge import cli, waves, wigner
 from bellforge.errors import DomainError, ValidationError
 from bellforge.spinor import TSIRELSON
+from test_waves import dft_at
 
 
 # protocol-search CHSH maxima over squeezing, frozen from converged runs
@@ -283,19 +284,19 @@ def test_half_grid_transform_matches_explicit_sum_1d(n):
     psi = _random_state(n, 1, seed=n + 2)
     p = wigner._half_momentum_axis(psi.axes[0]).points()
     got = wigner._half_grid(waves.padded_transform(psi, 0, 2))
-    assert np.max(np.abs(got - waves.dft_at(psi, p))) < 1e-13
+    assert np.max(np.abs(got - dft_at(psi, p))) < 1e-13
 
 
 def test_half_grid_transform_matches_explicit_sum_2d():
     psi = _random_state(32, 2, seed=7)
     p1, p2 = (wigner._half_momentum_axis(ax).points() for ax in psi.axes)
-    along0 = waves.dft_at(psi, p1, axis=0)  # (x2, p1)
-    along1 = waves.dft_at(psi, p2, axis=1)  # (x1, p2)
+    along0 = dft_at(psi, p1, axis=0)  # (x2, p1)
+    along1 = dft_at(psi, p2, axis=1)  # (x1, p2)
     padded0 = waves.padded_transform(psi, 0, 2)
     assert np.max(np.abs(wigner._half_grid(padded0) - along0.T)) < 1e-13
     assert np.max(np.abs(wigner._half_grid(waves.padded_transform(psi, 1, 2)) - along1)) < 1e-13
     # both axes: the explicit sum over x2 of the axis-0 transform
-    both = waves.dft_at(waves.GridWavefunction(psi.axes, along0.T), p2, axis=1)
+    both = dft_at(waves.GridWavefunction(psi.axes, along0.T), p2, axis=1)
     assert np.max(np.abs(wigner._half_grid(waves.padded_transform(padded0, 1, 2)) - both)) < 1e-13
 
 
@@ -426,14 +427,20 @@ def test_tmsv_wigner_normalized():
         assert total == pytest.approx(1.0, abs=1e-6)
 
 
+def _parity_correlation(r, alpha, beta):
+    """E(alpha, beta) for complex amplitudes, as chsh_parity evaluates it."""
+    c, s = wigner._cosh_sinh_2r(r)
+    return wigner._correlation(c, s, r, complex(alpha), complex(beta))
+
+
 def test_parity_correlation_properties():
-    assert wigner.parity_correlation(1.0, 0.0, 0.0) == pytest.approx(1.0)
+    assert _parity_correlation(1.0, 0.0, 0.0) == pytest.approx(1.0)
     # consistency with the Wigner closed form at a displaced point
     r, alpha, beta = 0.6, 0.3 + 0.2j, -0.1 + 0.4j
     q1, p1 = math.sqrt(2.0) * alpha.real, math.sqrt(2.0) * alpha.imag
     q2, p2 = math.sqrt(2.0) * beta.real, math.sqrt(2.0) * beta.imag
     w = _tmsv_wigner(r, q1, q2, p1, p2)
-    assert wigner.parity_correlation(r, alpha, beta) == pytest.approx(
+    assert _parity_correlation(r, alpha, beta) == pytest.approx(
         float(math.pi**2 * w), rel=1e-12
     )
 
@@ -450,7 +457,7 @@ def test_parity_correlation_keeps_direct_bits():
     for _ in range(3000):
         r = rng.uniform(0.0, 6.0)
         alpha, beta = rng.normal(scale=0.8, size=2) + 1j * rng.normal(scale=0.8, size=2)
-        assert wigner.parity_correlation(r, alpha, beta) == math.exp(_direct_exponent(r, alpha, beta))
+        assert _parity_correlation(r, alpha, beta) == math.exp(_direct_exponent(r, alpha, beta))
 
 
 @pytest.mark.parametrize("d", [(10, 10, 10, 10), (10, -10, 10, 10), (1e200, 0, 0, 0)])
@@ -459,7 +466,7 @@ def test_parity_chsh_finite_at_extreme_squeezing(r, d):
     """Where cosh(2r) |alpha|^2 and sinh(2r) Re(alpha beta) cancel to
     rounding noise or inf - inf, E still lies in [0, 1]."""
     for alpha in (d[0], d[1] * 1j):
-        e = wigner.parity_correlation(r, alpha, d[1])
+        e = _parity_correlation(r, alpha, d[1])
         assert 0.0 <= e <= 1.0
     s = wigner.chsh_parity(r, d)
     assert math.isfinite(s) and abs(s) <= TSIRELSON
