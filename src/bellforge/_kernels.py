@@ -11,7 +11,7 @@
 Scatters are ``np.bincount`` calls, which add in input order, so a batched
 ``(m, ncols)`` deposit equals a loop of one-column deposits bit for bit.
 
-benchmarks/bench_kernels.py times each kernel.
+``benchmarks/bench_ab.py`` times each kernel as a ``call`` op.
 """
 
 import numpy as np
