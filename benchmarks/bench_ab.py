@@ -274,16 +274,22 @@ def _sample(op, calls, src, cwd, tree):
 
 def _trees(rev, tmp):
     """Copy ``src/`` of a git revision and of the working tree, with no
-    bytecode cache, into tmp; return (base src, change src)."""
+    bytecode cache, into tmp; return (base src, change src).
+
+    The two paths have one length.  PYTHONPATH, the environment block at
+    the top of each process's stack, then has one size for both trees, and
+    so has every path string the interpreter keeps: with paths of unequal
+    length, identical trees timed 10 % apart on some ops, in 9 of 10 pairs.
+    """
     proc = subprocess.run(["git", "archive", "--format=tar", rev, "src"], cwd=ROOT,
                           capture_output=True)
     if proc.returncode:
         sys.exit("bench_ab: git archive %s failed:\n%s" % (rev, proc.stderr.decode(errors="replace")))
     with tarfile.open(fileobj=io.BytesIO(proc.stdout)) as tar:
         tar.extractall(tmp / "base", filter="data")
-    shutil.copytree(ROOT / "src", tmp / "change" / "src",
+    shutil.copytree(ROOT / "src", tmp / "work" / "src",
                     ignore=shutil.ignore_patterns("__pycache__", "*.pyc"))
-    return tmp / "base" / "src", tmp / "change" / "src"
+    return tmp / "base" / "src", tmp / "work" / "src"
 
 
 def _bootstrap_median(ratios, resamples=2000, seed=0):
