@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -43,6 +44,34 @@ def test_variance_identities():
             _, v2 = record.mean_var_x2()
             assert v1 == pytest.approx(var_x + b * b, rel=1e-10)
             assert v2 == pytest.approx(var_p + 1.0 / (4.0 * b * b), rel=1e-10)
+
+
+def _record_state(name, n):
+    if name == "two-gaussian":
+        return waves.two_gaussian_packet(n=n, xmax=24.0)
+    return waves.gaussian_packet(sigma=1.0, t=1.0, n=n)  # the ak-compare state
+
+
+# sha256 prefixes of every bit of the joint record: the ak-compare default
+# (b = 0.5, n = 1024), the same at n = 2048, the two-gaussian state at
+# n = 512 and a narrow window
+JOINT_PINS = {
+    ("gaussian", 1024, 0.5): "2bf63cc7bae32282",
+    ("gaussian", 2048, 0.5): "aae9f3dc3e2a213b",
+    ("two-gaussian", 512, 0.5): "f7f3912e9c63f9be",
+    ("gaussian", 1024, 0.3): "6dd098f1cba529ad",
+}
+
+
+def _joint_digest(case):
+    name, n, b = case
+    joint = akmeas.ak_distribution(_record_state(name, n), b).joint
+    return hashlib.sha256(joint.tobytes()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("case", sorted(JOINT_PINS))
+def test_joint_bits_pinned(case):
+    assert _joint_digest(case) == JOINT_PINS[case]
 
 
 # ---------------------------------------------------------------------------
