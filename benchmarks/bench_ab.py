@@ -95,6 +95,8 @@ OPS = (
                               "--mc", "200000", "--seed", "7"]),
     ("chsh-maximize", "warm", ["chsh", "--state", "psi-plus", "--kinds", "LELE", "--maximize"]),
     ("ak-compare", "warm", ["ak-compare"]),
+    # n=256 runs its record blocks on the calling thread, with no pool
+    ("ak-compare-256", "warm", ["ak-compare", "--n", "256"]),
     ("wigner-grid", "warm", ["wigner", "--state", "psi-plus-grid", "--n", "64"]),
     # perfbench's bell round draws the n=32 grid state twice, n=64 once
     ("wigner-grid-32", "warm", ["wigner", "--state", "psi-plus-grid", "--n", "32"]),

@@ -20,10 +20,20 @@ trades position blur b^2 against momentum blur 1/(4 b^2).  Conditional
 slices P(x2 | x1) keep a ridge whose location generally differs from the
 CDF-matching transport map evaluated at the same x1: the two momentum
 assignments are distinct observables.
+
+The record is built in blocks of _CHUNK x1 rows, each one in-place pass:
+the window g_b(x2 - x1) is written into the block's own rows of the joint,
+psi times it into one complex buffer per thread, the buffer is transformed
+in place by the core of ``waves.fourier``, and |.|^2 goes back into the
+rows.  A record of 8 blocks or more (n >= 1024) runs its blocks on the
+thread pool of the 2-D Wigner transform, since numpy's exp and FFT release
+the interpreter lock.  Every row is computed alone, so no bit depends on
+the number of threads.
 """
 
 import math
 import sys
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,11 +41,17 @@ import numpy as np
 from . import waves
 from .errors import DomainError, ValidationError
 
-# x1 rows transformed per block.  At n = 1024 a block of 128 rows keeps each
-# temporary at 1-2 MB, which malloc serves again from memory freed by the
-# previous block; 512-row blocks took fresh pages (about 18 MB of page
-# faults) on every call and made ak_distribution 30-45 % slower.
+# x1 rows per block.  A block writes its window and |.|^2 into its own rows
+# of the joint and keeps one (_CHUNK, n) complex buffer per thread, 2 MB at
+# n = 1024, with no temporary of the block's size; per-block temporaries of
+# that size once cost fresh pages (about 18 MB of page faults per call at
+# 512 rows) and made ak_distribution 30-45 % slower.
 _CHUNK = 128
+# Below 4 blocks per thread the pool does not pay: on two CPUs two threads
+# take n = 1024 (8 blocks) from 16 to 10 ms, but save only 0.1-0.3 ms of the
+# 1.2-4 ms at n = 256 and 512, less than the 5 ms a cold process spends
+# importing concurrent.futures.
+_MIN_BLOCKS_PER_WORKER = 4
 
 
 @dataclass(frozen=True)
@@ -61,9 +77,14 @@ class AkDistribution:
         return waves.moments(self.x2_axis, self.marginal_x2())
 
 
-def window_profile(x, b):
-    """L2-normalized Gaussian window g_b."""
-    return (2.0 * math.pi * b * b) ** -0.25 * np.exp(-(x * x) / (4.0 * b * b))
+def _window_profile(x, b, out=None):
+    """L2-normalized Gaussian window g_b at the points of the array x,
+    written into out if given (out may be x)."""
+    out = np.square(x, out=out)
+    np.negative(out, out=out)
+    np.divide(out, 4.0 * b * b, out=out)
+    np.exp(out, out=out)
+    return np.multiply((2.0 * math.pi * b * b) ** -0.25, out, out=out)
 
 
 def _regime_warnings(var_x, var_p, b, ax, pax):
@@ -110,15 +131,24 @@ def ak_distribution(psi, b):
     ax = psi.axes[0]
     x = ax.points()
     n = ax.n
-    joint = np.empty((n, n))
     chunk = min(n, _CHUNK)
-    for start in range(0, n, chunk):
-        centers = x[start : start + chunk, None]
-        windowed = psi.values[None, :] * window_profile(x[None, :] - centers, b)
-        block = waves.GridWavefunction(
-            (waves.Axis(chunk, ax.spacing, waves.POSITION), ax), windowed, {}
-        )
-        joint[start : start + chunk] = np.abs(waves.fourier(block, axis=1).values) ** 2
+    joint = np.empty((n, n))
+    buffers = threading.local()  # one (chunk, n) complex buffer per thread
+
+    def block(start):
+        # the rows of x1 in [start, start + chunk), in place; no public
+        # bellforge function is called here, so the pool threads leave a
+        # caller's wrappers alone
+        if not hasattr(buffers, "values"):
+            buffers.values = np.empty((chunk, n), dtype=complex)
+        values, rows = buffers.values, joint[start:start + chunk]
+        np.subtract(x[None, :], x[start:start + chunk, None], out=rows)
+        np.multiply(psi.values, _window_profile(rows, b, out=rows), out=values)
+        waves._centered_transform(values, values, 1, 0, ax)
+        np.abs(values, out=rows)
+        np.square(rows, out=rows)
+
+    waves._ordered_map(block, range(0, n, chunk), _MIN_BLOCKS_PER_WORKER)
     pax = ax.conjugate()
     _, var_x = waves.mean_and_var(psi)
     _, var_p = waves.mean_and_var(waves.fourier(psi))
@@ -137,7 +167,8 @@ def momentum_peaks(record, window_std=3.0):
     discrete maximum and its neighbors, which is exact for Gaussian
     ridges.  Conditionals are flagged flat and left at the raw grid maximum
     when they have negligible mass, their maximum on an end of the grid, a
-    nonpositive value at the top, or no curvature there.
+    nonpositive value at the top, or no curvature there.  var_x1 is the
+    record's x1 variance, whose square root scales the window.
     """
     if not isinstance(record, AkDistribution):
         raise ValidationError("momentum_peaks expects an AkDistribution")
@@ -169,6 +200,7 @@ def momentum_peaks(record, window_std=3.0):
         "flat": flat,
         "slope": float(slope),
         "intercept": float(intercept),
+        "var_x1": var1,
     }
 
 

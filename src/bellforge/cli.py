@@ -377,7 +377,6 @@ def _cmd_ak_compare(args):
         )
     slope_rs = float(np.polyfit(peaks["x1"][usable], p_rs[usable], 1)[0])
 
-    _, var1 = record.mean_var_x1()
     _, var2 = record.mean_var_x2()
     payload = {
         "sigma": args.sigma,
@@ -392,7 +391,7 @@ def _cmd_ak_compare(args):
         "map_slope": slope_rs,
         "map_slope_expected": akmeas.gaussian_map_slope(args.sigma, args.t, args.mass),
         "variances": {
-            "x1": var1,
+            "x1": peaks["var_x1"],
             "x1_expected": record.var_x + args.b**2,
             "x2": var2,
             "x2_expected": record.var_p + 1.0 / (4.0 * args.b**2),

@@ -11,6 +11,7 @@ grid, so position and momentum densities are registered without shifts.
 """
 
 import math
+import os
 import sys
 from dataclasses import dataclass, field
 
@@ -141,24 +142,35 @@ def padded_transform(psi, axis, factor):
 
 def _transform(psi, axis, factor):
     """``fourier`` of psi zero padded to factor times its length along axis,
-    in one fresh array that is written, transformed and scaled in place.
-
-    Only the source rows are multiplied by the sign pattern alt; the zero
-    rows need no multiply.  Scaling by the product alt * c is exact:
-    alt * c = +-c, so (spec alt) c and spec (alt c) round alike.
-    """
+    in one fresh array that is written, transformed and scaled in place."""
     ax = psi.axes[axis]
     n = factor * ax.n
     shape = list(psi.values.shape)
     shape[axis] = n
     values = (np.zeros if factor > 1 else np.empty)(shape, dtype=complex)
-    start = (factor - 1) * ax.n // 2
-    rows = [slice(None)] * psi.dim
-    rows[axis] = slice(start, start + ax.n)
-    alt_shape = [1] * psi.dim
+    _centered_transform(values, psi.values, axis, (factor - 1) * ax.n // 2, ax)
+    axes = list(psi.axes)
+    axes[axis] = Axis(n, ax.spacing, ax.representation).conjugate()
+    return GridWavefunction(tuple(axes), values, dict(psi.meta))
+
+
+def _centered_transform(values, source, axis, start, ax):
+    """Write source times the sign pattern alt into values from index start
+    along axis, then transform values in place along axis as ``fourier``
+    does on an axis like ax, of values' length there.  source may be values.
+
+    Only the source rows are multiplied by alt; the rest of values (the zero
+    rows of a padded transform) needs no multiply.  Scaling by the product
+    alt * c is exact: alt * c = +-c, so (spec alt) c and spec (alt c) round
+    alike.
+    """
+    n = values.shape[axis]
+    alt_shape = [1] * values.ndim
     alt_shape[axis] = n
     alt = ((-1.0) ** np.arange(n)).reshape(alt_shape)
-    np.multiply(psi.values, alt[tuple(rows)], out=values[tuple(rows)])
+    rows = [slice(None)] * values.ndim
+    rows[axis] = slice(start, start + source.shape[axis])
+    np.multiply(source, alt[tuple(rows)], out=values[tuple(rows)])
     front = (-1.0) ** (n // 2)
     if ax.representation == POSITION:
         np.fft.fft(values, axis=axis, out=values)
@@ -166,9 +178,50 @@ def _transform(psi, axis, factor):
     else:
         np.fft.ifft(values, axis=axis, out=values)
         values *= alt * (front * n * ax.spacing / np.sqrt(2.0 * np.pi))
-    axes = list(psi.axes)
-    axes[axis] = Axis(n, ax.spacing, ax.representation).conjugate()
-    return GridWavefunction(tuple(axes), values, dict(psi.meta))
+
+
+# ---------------------------------------------------------------------------
+# thread pool for the 2-D Wigner slabs and the joint-record blocks
+
+
+# At most four threads.  Each 2-D Wigner thread keeps one slab and one
+# transform buffer, 16 n^3 bytes (4.2 MB at n=64, 34 MB at n=128), and the
+# Python half of each slab (slicing, calls, the row writes) holds the
+# interpreter lock: on two CPUs two threads run an n=64 transform 1.5-1.9
+# times as fast as one (1.7 in the median), so about a fifth of a slab's time
+# is serial.  Four threads would then be at most about 2.5 times as fast as
+# one, and eight about 3.3 times while holding twice the memory.
+_MAX_WORKERS = 4
+
+
+def _worker_count(items, min_per_worker):
+    """Threads for a loop over items: one per CPU this process may run on,
+    at most _MAX_WORKERS and at most one per min_per_worker items."""
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    return max(1, min(cpus, _MAX_WORKERS, items // min_per_worker))
+
+
+def _ordered_map(func, items, min_per_worker, fold=list):
+    """fold of the iterator of func(item) over items, in item order.
+
+    With one worker (see ``_worker_count``) func runs on the calling thread
+    and no pool starts.  Otherwise it runs on a thread pool, and fold takes
+    each result on the calling thread as it is ready, in item order; an
+    error cancels the items not yet started and reaches the caller after
+    every started one has ended.  func must call no public bellforge
+    function, so that a caller's wrappers see every call on one thread.
+    """
+    workers = _worker_count(len(items), min_per_worker)
+    if workers == 1:
+        return fold(map(func, items))
+    # imported here: concurrent.futures loads logging, ~5 ms of a cold start
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(workers) as pool:
+        return fold(pool.map(func, items))
 
 
 # ---------------------------------------------------------------------------

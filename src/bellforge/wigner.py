@@ -35,7 +35,6 @@ unrestricted search over four real displacements climbs higher.
 """
 
 import math
-import os
 import threading
 from dataclasses import dataclass
 
@@ -110,29 +109,10 @@ class Wigner2DSummary:
         return tuple(self.source.axes)
 
 
-# Threads for the 2-D slab loop.  Each keeps one slab and one transform
-# buffer, 16 n^3 bytes (4.2 MB at n=64, 34 MB at n=128), and the Python half
-# of each slab (slicing, calls, the row writes) holds the interpreter lock:
-# on two CPUs two threads run an n=64 transform 1.5-1.9 times as fast as one
-# (1.7 in the median), so about a fifth of a slab's time is serial.  Four
-# threads would then be at most about 2.5 times as fast as one, and eight
-# about 3.3 times while holding twice the memory, so the count stops at four.
-_MAX_WORKERS = 4
 # Below 16 slabs per thread the lock costs more than the threads gain: at
 # n=16 two threads take 1.9 ms against 1.0 ms for one, at n=32 8 ms
 # against 10-13 ms.
 _MIN_SLABS_PER_WORKER = 16
-
-
-def _worker_count(n):
-    """Threads for an n-point 2-D transform: one per CPU this process may
-    run on, at most _MAX_WORKERS and at most one per _MIN_SLABS_PER_WORKER
-    x1 slabs."""
-    if hasattr(os, "sched_getaffinity"):
-        cpus = len(os.sched_getaffinity(0))
-    else:
-        cpus = os.cpu_count() or 1
-    return max(1, min(cpus, _MAX_WORKERS, n // _MIN_SLABS_PER_WORKER))
 
 
 def _wigner_2d(psi):
@@ -188,17 +168,7 @@ def _wigner_2d(psi):
             pp += pp_part
         return min_w, pq, pp
 
-    workers = _worker_count(n)
-    if workers == 1:
-        min_w, pq, pp = folded(map(slab_part, range(n)))
-    else:
-        # imported here: concurrent.futures loads logging, ~5 ms of a cold start
-        from concurrent.futures import ThreadPoolExecutor
-
-        # map yields the slabs in x1 order as they finish; an error cancels
-        # the slabs not yet started and reaches the caller
-        with ThreadPoolExecutor(workers) as pool:
-            min_w, pq, pp = folded(pool.map(slab_part, range(n)))
+    min_w, pq, pp = waves._ordered_map(slab_part, range(n), _MIN_SLABS_PER_WORKER, folded)
 
     scale = dx0 * dx1 / math.pi**2
     shift = np.fft.fftshift

@@ -1,19 +1,23 @@
 import dataclasses
 import hashlib
 import math
+import sys
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from bellforge import akmeas, causal, waves, wigner
 from bellforge.errors import DomainError, ValidationError
+from test_wigner import _record_fft_threads
 
 
 def test_window_profile_normalized():
     x = np.linspace(-20.0, 20.0, 8001)
     dx = x[1] - x[0]
     for b in (0.3, 1.0, 2.0):
-        g2 = akmeas.window_profile(x, b) ** 2
+        g2 = akmeas._window_profile(x, b) ** 2
         assert float(g2.sum() * dx) == pytest.approx(1.0, abs=1e-12)
         assert float((g2 * x * x).sum() * dx) == pytest.approx(b * b, rel=1e-10)
 
@@ -74,6 +78,80 @@ def test_joint_bits_pinned(case):
     assert _joint_digest(case) == JOINT_PINS[case]
 
 
+@pytest.mark.parametrize("workers", [1, 2, 3, 5])
+def test_joint_bits_do_not_depend_on_the_thread_count(monkeypatch, workers):
+    """Up to more threads than this machine has CPUs, switching between them
+    as often as the interpreter allows."""
+    monkeypatch.setattr(waves, "_worker_count", lambda items, per_worker: workers)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for case, want in JOINT_PINS.items():
+            assert _joint_digest(case) == want, case
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("n, threads", [(256, 0), (512, 0), (1024, 2), (2048, 4)])
+def test_blocks_run_on_a_pool_from_eight_blocks(monkeypatch, n, threads):
+    """With CPUs to spare, n = 256 and 512 (2 and 4 blocks) stay on the
+    calling thread and start no pool; larger records start one thread per 4
+    blocks."""
+    monkeypatch.setattr(waves.os, "sched_getaffinity", lambda pid: set(range(64)), raising=False)
+    fft_threads = _record_fft_threads(monkeypatch, meet=max(threads, 1), name="fft")
+    akmeas.ak_distribution(_record_state("gaussian", n), 0.5)
+    assert len(fft_threads) == threads
+
+
+@pytest.mark.parametrize("fail_on", ["worker", "caller"])
+def test_an_error_in_any_block_thread_reaches_the_caller(monkeypatch, fail_on):
+    """Two workers run the blocks on the pool; one worker runs them on the caller."""
+    _record_fft_threads(monkeypatch, fail_on, name="fft")
+    monkeypatch.setattr(waves, "_worker_count", lambda items, per_worker: 1 if fail_on == "caller" else 2)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match="on the %s thread" % fail_on):
+        akmeas.ak_distribution(_record_state("gaussian", 1024), 0.5)
+    assert threading.active_count() == before
+
+
+def test_a_block_thread_that_cannot_start_leaves_none_running(monkeypatch):
+    started = []
+
+    class Thread(threading.Thread):
+        def start(self):
+            if started:
+                raise RuntimeError("can't start new thread")
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(threading, "Thread", Thread)
+    monkeypatch.setattr(waves, "_worker_count", lambda items, per_worker: 3)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match="can't start"):
+        akmeas.ak_distribution(_record_state("gaussian", 1024), 0.5)
+    assert threading.active_count() == before and not started[0].is_alive()
+
+
+def test_record_memory_is_the_joint_and_per_thread_buffers(monkeypatch):
+    """The peak traced memory of a 2-thread n=1024 record is the joint, each
+    thread's (_CHUNK, n) complex buffer and less than 96 float arrays of
+    length n besides (numpy's cast buffers, 16 of them per thread, and O(n)
+    terms; it reads 53-68): one more (_CHUNK, n) float temporary in a block
+    would be 128 of them."""
+    workers, n = 2, 1024
+    monkeypatch.setattr(waves, "_worker_count", lambda items, per_worker: workers)
+    psi = _record_state("gaussian", n)
+    akmeas.ak_distribution(psi, 0.5)  # imports concurrent.futures, untraced
+    joint, buffer = 8 * n * n, 16 * akmeas._CHUNK * n
+    tracemalloc.start()
+    try:
+        akmeas.ak_distribution(psi, 0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert joint + buffer < peak < joint + workers * buffer + 96 * 8 * n
+
+
 # ---------------------------------------------------------------------------
 # smoothed references: the record's identities computed apart from the record
 
@@ -87,7 +165,7 @@ def _convolve_centered(density, kernel, n):
 def _smoothed_position_density(psi, b):
     """|psi|^2 convolved with g_b^2 on the state's grid."""
     ax = psi.axes[0]
-    kernel = akmeas.window_profile(ax.points(), b) ** 2
+    kernel = akmeas._window_profile(ax.points(), b) ** 2
     return _convolve_centered(psi.density(), kernel, ax.n) * ax.spacing
 
 

@@ -12,7 +12,7 @@ import warnings
 import numpy as np
 import pytest
 
-from bellforge import causal, cli, waves
+from bellforge import akmeas, causal, cli, waves
 from bellforge.errors import ValidationError
 
 
@@ -495,7 +495,8 @@ def test_cli_runs_without_scipy():
 
 def test_cli_import_leaves_concurrent_futures_unloaded():
     """concurrent.futures loads logging, a few ms of every cold start; only
-    a threaded 2-D Wigner transform imports it."""
+    a pooled loop (the 2-D Wigner slabs, a joint record of 8 blocks or
+    more) imports it."""
     script = "import sys, bellforge.cli\nprint('concurrent.futures' in sys.modules)\n"
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
@@ -564,6 +565,19 @@ def test_ak_compare_transforms_the_state_once(capsys, monkeypatch):
     run_json(capsys, "ak-compare", "--n", "256")
     assert transformed.count((256,)) == 1
     assert moments == [(256,), (256,)]
+
+
+def test_ak_compare_reduces_the_record_once_per_marginal(capsys, monkeypatch):
+    """The handler prints the x1 variance that momentum_peaks computed to
+    place its window, instead of summing the n^2 record again."""
+    reduced = []
+    for name in ("marginal_x1", "marginal_x2"):
+        def counted(record, name=name, marginal=getattr(akmeas.AkDistribution, name)):
+            reduced.append(name)
+            return marginal(record)
+        monkeypatch.setattr(akmeas.AkDistribution, name, counted)
+    run_json(capsys, "ak-compare", "--n", "256")
+    assert sorted(reduced) == ["marginal_x1", "marginal_x2"]
 
 
 @pytest.mark.parametrize("argv", [

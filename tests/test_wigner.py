@@ -139,7 +139,7 @@ def test_2d_summary_bits_pinned(case):
 def test_2d_summary_bits_do_not_depend_on_the_thread_count(monkeypatch, workers):
     """Up to more threads than this machine has CPUs, switching between them
     as often as the interpreter allows."""
-    monkeypatch.setattr(wigner, "_worker_count", lambda n: workers)
+    monkeypatch.setattr(waves, "_worker_count", lambda items, per_worker: workers)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -150,37 +150,44 @@ def test_2d_summary_bits_do_not_depend_on_the_thread_count(monkeypatch, workers)
 
 
 def test_worker_count_follows_cpus_cap_and_size(monkeypatch):
-    monkeypatch.setattr(wigner.os, "sched_getaffinity", lambda pid: set(range(64)), raising=False)
-    assert [wigner._worker_count(n) for n in (4, 16, 32, 64, 1024)] == [1, 1, 2, 4, 4]
-    monkeypatch.setattr(wigner.os, "sched_getaffinity", lambda pid: {0})
-    assert wigner._worker_count(1024) == 1
+    per_worker = wigner._MIN_SLABS_PER_WORKER
+    monkeypatch.setattr(waves.os, "sched_getaffinity", lambda pid: set(range(64)), raising=False)
+    assert [waves._worker_count(n, per_worker) for n in (4, 16, 32, 64, 1024)] == [1, 1, 2, 4, 4]
+    monkeypatch.setattr(waves.os, "sched_getaffinity", lambda pid: {0})
+    assert waves._worker_count(1024, per_worker) == 1
 
 
-def _record_irfft_threads(monkeypatch, fail_on=None, meet=1):
-    """Patch np.fft.irfft, the last FFT of every 2-D slab, to note the thread
-    of every call and to raise on the calling thread (fail_on="caller") or
-    any other (fail_on="worker").  A thread's first call waits until meet
-    threads have made theirs, so that no thread can run every slab alone."""
-    caller, seen, real = threading.get_ident(), set(), np.fft.irfft
+def _record_fft_threads(monkeypatch, fail_on=None, meet=1, name="irfft"):
+    """Patch np.fft.<name> to note every thread but the calling one that
+    calls it, and to raise on the calling thread (fail_on="caller") or any
+    other (fail_on="worker").  irfft is the last FFT of every 2-D Wigner
+    slab, fft the one FFT of every joint-record block.  Another thread's
+    first call waits until meet threads have made theirs, so that no thread
+    can run every slab or block alone."""
+    caller, seen, real = threading.get_ident(), set(), getattr(np.fft, name)
     barrier = threading.Barrier(meet, timeout=10)
 
-    def irfft(*args, **kwargs):
+    def fft(*args, **kwargs):
         here = threading.get_ident()
-        if here not in seen:
+        if here != caller and here not in seen:
             seen.add(here)
             barrier.wait()
         if fail_on is not None and (here == caller) == (fail_on == "caller"):
-            raise RuntimeError("irfft failed on the %s thread" % fail_on)
+            raise RuntimeError("%s failed on the %s thread" % (name, fail_on))
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(np.fft, "irfft", irfft)
+    monkeypatch.setattr(np.fft, name, fft)
     return seen
 
 
-def test_threads_call_no_public_function_and_all_end(capsys, monkeypatch):
+@pytest.mark.parametrize("argv, fft, public", [
+    (("wigner", "--state", "psi-plus-grid", "--n", "16"), "irfft", "bellforge.wigner.wigner_transform"),
+    (("ak-compare", "--n", "512"), "fft", "bellforge.akmeas.ak_distribution"),
+], ids=["wigner", "ak-compare"])
+def test_threads_call_no_public_function_and_all_end(capsys, monkeypatch, argv, fft, public):
     """Every public function of the package runs on the main thread, where a
-    caller's wrappers (perfbench's span stack) expect it, and the slab
-    threads have all ended when the command returns."""
+    caller's wrappers (perfbench's span stack) expect it, and the slab or
+    block threads have all ended when the command returns."""
     calls = []
 
     def wrap(name, fn):
@@ -199,22 +206,22 @@ def test_threads_call_no_public_function_and_all_end(capsys, monkeypatch):
         for attr, val in list(vars(mod).items()):
             if inspect.isfunction(val) and val in wrappers:
                 monkeypatch.setattr(mod, attr, wrappers[val])
-    fft_threads = _record_irfft_threads(monkeypatch, meet=3)
-    monkeypatch.setattr(wigner, "_worker_count", lambda n: 3)
+    fft_threads = _record_fft_threads(monkeypatch, meet=3, name=fft)
+    monkeypatch.setattr(waves, "_worker_count", lambda items, per_worker: 3)
     before = threading.active_count()
-    assert cli.main(["wigner", "--state", "psi-plus-grid", "--n", "16"]) == 0
+    assert cli.main(list(argv)) == 0
     capsys.readouterr()
     assert threading.active_count() == before
     assert len(fft_threads) == 3
-    assert "bellforge.wigner.wigner_transform" in {name for name, _ in calls}
+    assert public in {name for name, _ in calls}
     assert [name for name, on_main in calls if not on_main] == []
 
 
 @pytest.mark.parametrize("fail_on", ["worker", "caller"])
 def test_an_error_in_any_slab_thread_reaches_the_caller(monkeypatch, fail_on):
     """Two workers run the slabs on the pool; one worker runs them on the caller."""
-    _record_irfft_threads(monkeypatch, fail_on)
-    monkeypatch.setattr(wigner, "_worker_count", lambda n: 1 if fail_on == "caller" else 2)
+    _record_fft_threads(monkeypatch, fail_on)
+    monkeypatch.setattr(waves, "_worker_count", lambda items, per_worker: 1 if fail_on == "caller" else 2)
     before = threading.active_count()
     with pytest.raises(RuntimeError, match="on the %s thread" % fail_on):
         wigner.wigner_transform(_random_state(16, 2, seed=23))
@@ -234,7 +241,7 @@ def test_a_failing_slab_stops_the_transform_early(monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(np.fft, "irfft", irfft)
-    monkeypatch.setattr(wigner, "_worker_count", lambda n: 2)
+    monkeypatch.setattr(waves, "_worker_count", lambda items, per_worker: 2)
     n = 64
     before = threading.active_count()
     with pytest.raises(RuntimeError, match="third slab failed"):
@@ -248,7 +255,7 @@ def test_transform_memory_is_the_per_thread_buffers(monkeypatch):
     threads' slab and w buffers plus O(n^2) terms, at most 100 (n, n) float
     arrays: nothing of size n^3 is kept per slab."""
     workers, n = 2, 64
-    monkeypatch.setattr(wigner, "_worker_count", lambda n: workers)
+    monkeypatch.setattr(waves, "_worker_count", lambda items, per_worker: workers)
     psi = _random_state(n, 2, seed=23)
     wigner.wigner_transform(psi)  # imports concurrent.futures, untraced
     buffers = workers * (16 * n * n * (n // 2 + 1) + 8 * n**3)
@@ -272,7 +279,7 @@ def test_a_thread_that_cannot_start_leaves_none_running(monkeypatch):
             super().start()
 
     monkeypatch.setattr(wigner.threading, "Thread", Thread)
-    monkeypatch.setattr(wigner, "_worker_count", lambda n: 3)
+    monkeypatch.setattr(waves, "_worker_count", lambda items, per_worker: 3)
     before = threading.active_count()
     with pytest.raises(RuntimeError, match="can't start"):
         wigner.wigner_transform(_random_state(16, 2, seed=23))
