@@ -43,9 +43,9 @@ from .errors import DomainError, ValidationError
 
 # x1 rows per block.  A block writes its window and |.|^2 into its own rows
 # of the joint and keeps one (_CHUNK, n) complex buffer per thread, 2 MB at
-# n = 1024, with no temporary of the block's size; per-block temporaries of
-# that size once cost fresh pages (about 18 MB of page faults per call at
-# 512 rows) and made ak_distribution 30-45 % slower.
+# n = 1024, and makes no temporary of the block's size: such temporaries
+# take fresh pages (about 18 MB of page faults per call with 512-row blocks)
+# and made ak_distribution 30-45 % slower.
 _CHUNK = 128
 # Below 4 blocks per thread the pool does not pay: on two CPUs two threads
 # take n = 1024 (8 blocks) from 16 to 10 ms, but save only 0.1-0.3 ms of the
