@@ -194,14 +194,14 @@ def _centered_transform(values, source, axis, start, ax):
 _MAX_WORKERS = 4
 
 
-def _worker_count(items, min_per_worker):
-    """Threads for a loop over items: one per CPU this process may run on,
-    at most _MAX_WORKERS and at most one per min_per_worker items."""
+def _worker_count(count, min_per_worker):
+    """Threads for a loop over count items: one per CPU this process may run
+    on, at most _MAX_WORKERS and at most one per min_per_worker items."""
     if hasattr(os, "sched_getaffinity"):
         cpus = len(os.sched_getaffinity(0))
     else:
         cpus = os.cpu_count() or 1
-    return max(1, min(cpus, _MAX_WORKERS, items // min_per_worker))
+    return max(1, min(cpus, _MAX_WORKERS, count // min_per_worker))
 
 
 def _ordered_map(func, items, min_per_worker, fold=list):

@@ -82,7 +82,7 @@ def test_joint_bits_pinned(case):
 def test_joint_bits_do_not_depend_on_the_thread_count(monkeypatch, workers):
     """Up to more threads than this machine has CPUs, switching between them
     as often as the interpreter allows."""
-    monkeypatch.setattr(waves, "_worker_count", lambda items, per_worker: workers)
+    monkeypatch.setattr(waves, "_worker_count", lambda count, per_worker: workers)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -107,7 +107,7 @@ def test_blocks_run_on_a_pool_from_eight_blocks(monkeypatch, n, threads):
 def test_an_error_in_any_block_thread_reaches_the_caller(monkeypatch, fail_on):
     """Two workers run the blocks on the pool; one worker runs them on the caller."""
     _record_fft_threads(monkeypatch, fail_on, name="fft")
-    monkeypatch.setattr(waves, "_worker_count", lambda items, per_worker: 1 if fail_on == "caller" else 2)
+    monkeypatch.setattr(waves, "_worker_count", lambda count, per_worker: 1 if fail_on == "caller" else 2)
     before = threading.active_count()
     with pytest.raises(RuntimeError, match="on the %s thread" % fail_on):
         akmeas.ak_distribution(_record_state("gaussian", 1024), 0.5)
@@ -125,7 +125,7 @@ def test_a_block_thread_that_cannot_start_leaves_none_running(monkeypatch):
             super().start()
 
     monkeypatch.setattr(threading, "Thread", Thread)
-    monkeypatch.setattr(waves, "_worker_count", lambda items, per_worker: 3)
+    monkeypatch.setattr(waves, "_worker_count", lambda count, per_worker: 3)
     before = threading.active_count()
     with pytest.raises(RuntimeError, match="can't start"):
         akmeas.ak_distribution(_record_state("gaussian", 1024), 0.5)
@@ -139,7 +139,7 @@ def test_record_memory_is_the_joint_and_per_thread_buffers(monkeypatch):
     terms; it reads 53-68): one more (_CHUNK, n) float temporary in a block
     would be 128 of them."""
     workers, n = 2, 1024
-    monkeypatch.setattr(waves, "_worker_count", lambda items, per_worker: workers)
+    monkeypatch.setattr(waves, "_worker_count", lambda count, per_worker: workers)
     psi = _record_state("gaussian", n)
     akmeas.ak_distribution(psi, 0.5)  # imports concurrent.futures, untraced
     joint, buffer = 8 * n * n, 16 * akmeas._CHUNK * n

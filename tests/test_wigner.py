@@ -139,7 +139,7 @@ def test_2d_summary_bits_pinned(case):
 def test_2d_summary_bits_do_not_depend_on_the_thread_count(monkeypatch, workers):
     """Up to more threads than this machine has CPUs, switching between them
     as often as the interpreter allows."""
-    monkeypatch.setattr(waves, "_worker_count", lambda items, per_worker: workers)
+    monkeypatch.setattr(waves, "_worker_count", lambda count, per_worker: workers)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -207,7 +207,7 @@ def test_threads_call_no_public_function_and_all_end(capsys, monkeypatch, argv, 
             if inspect.isfunction(val) and val in wrappers:
                 monkeypatch.setattr(mod, attr, wrappers[val])
     fft_threads = _record_fft_threads(monkeypatch, meet=3, name=fft)
-    monkeypatch.setattr(waves, "_worker_count", lambda items, per_worker: 3)
+    monkeypatch.setattr(waves, "_worker_count", lambda count, per_worker: 3)
     before = threading.active_count()
     assert cli.main(list(argv)) == 0
     capsys.readouterr()
@@ -221,7 +221,7 @@ def test_threads_call_no_public_function_and_all_end(capsys, monkeypatch, argv, 
 def test_an_error_in_any_slab_thread_reaches_the_caller(monkeypatch, fail_on):
     """Two workers run the slabs on the pool; one worker runs them on the caller."""
     _record_fft_threads(monkeypatch, fail_on)
-    monkeypatch.setattr(waves, "_worker_count", lambda items, per_worker: 1 if fail_on == "caller" else 2)
+    monkeypatch.setattr(waves, "_worker_count", lambda count, per_worker: 1 if fail_on == "caller" else 2)
     before = threading.active_count()
     with pytest.raises(RuntimeError, match="on the %s thread" % fail_on):
         wigner.wigner_transform(_random_state(16, 2, seed=23))
@@ -241,7 +241,7 @@ def test_a_failing_slab_stops_the_transform_early(monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(np.fft, "irfft", irfft)
-    monkeypatch.setattr(waves, "_worker_count", lambda items, per_worker: 2)
+    monkeypatch.setattr(waves, "_worker_count", lambda count, per_worker: 2)
     n = 64
     before = threading.active_count()
     with pytest.raises(RuntimeError, match="third slab failed"):
@@ -255,7 +255,7 @@ def test_transform_memory_is_the_per_thread_buffers(monkeypatch):
     threads' slab and w buffers plus O(n^2) terms, at most 100 (n, n) float
     arrays: nothing of size n^3 is kept per slab."""
     workers, n = 2, 64
-    monkeypatch.setattr(waves, "_worker_count", lambda items, per_worker: workers)
+    monkeypatch.setattr(waves, "_worker_count", lambda count, per_worker: workers)
     psi = _random_state(n, 2, seed=23)
     wigner.wigner_transform(psi)  # imports concurrent.futures, untraced
     buffers = workers * (16 * n * n * (n // 2 + 1) + 8 * n**3)
@@ -279,7 +279,7 @@ def test_a_thread_that_cannot_start_leaves_none_running(monkeypatch):
             super().start()
 
     monkeypatch.setattr(wigner.threading, "Thread", Thread)
-    monkeypatch.setattr(waves, "_worker_count", lambda items, per_worker: 3)
+    monkeypatch.setattr(waves, "_worker_count", lambda count, per_worker: 3)
     before = threading.active_count()
     with pytest.raises(RuntimeError, match="can't start"):
         wigner.wigner_transform(_random_state(16, 2, seed=23))
