@@ -153,6 +153,9 @@ OPS = (
     # the largest 1-D map, and the stages of one transport rs2d op
     ("rs_map_1d", "call", ["psi = waves.two_gaussian_packet(n=4096)", "causal.rs_map_1d(psi)"]),
     ("rs_map_2d", "call", [RS2D_STATE, "causal.rs_map_2d(psi)"]),
+    # the README rs2d state
+    ("rs_map_2d-512", "call", ["psi = waves.correlated_gaussian_2d(rho=0.6, sigma=1.0, n=512, "
+                               "xmax=20.0)", "causal.rs_map_2d(psi)"]),
     ("verify_marginals_2d", "call", [RS2D_CHAIN, "causal.verify_marginals_2d(chain)"]),
     ("ccs_distance", "call", [RS2D_CHAIN, "causal.ccs_distance(chain)"]),
     # the largest array the 2-D verifier transforms, (4n)^2 at n=256

@@ -102,47 +102,28 @@ def _cdf_edges(masses, total):
     return f
 
 
-def _search_columns(f, u):
-    """``np.searchsorted(f[:, k], u[:, k])`` for every column k at once, for
-    side "left" and side "right".
-
-    Each column's queries and CDF values merge in one stable argsort of
-    their concatenation, so no value is rounded.  With the queries first,
-    ties leave a query ahead of equal CDF values (side "left"); with the CDF
-    first, behind them (side "right").  A query's index is the number of
-    CDF values merged ahead of it.  Any query order is correct; ascending
-    queries make the argsort (a timsort) one linear merge per column.
-    """
-    nf, (nq, ncols) = len(f), u.shape
-    rows = np.arange(ncols)[:, None]
-    found = []
-    for parts, q0 in (((u.T, f.T), 0), ((f.T, u.T), nf)):
-        order = np.argsort(np.concatenate(parts, axis=1), axis=1, kind="stable").ravel()
-        is_query = order < nq if q0 == 0 else order >= nf
-        at = np.flatnonzero(is_query).reshape(ncols, nq)  # flat merged slots, row by row
-        idx = np.empty((ncols, nq), dtype=np.intp)
-        # the i-th query merged in a row has i queries ahead of it
-        idx[rows, order[at] - q0] = at - rows * (nf + nq) - np.arange(nq)
-        found.append(idx.T)
-    return tuple(found)
-
-
 def _cdf_inverse(edges, f, u):
     """Invert piecewise-linear CDFs on shared edges; exact plateau hits return
     the midpoint.  f holds one CDF per column and u the queries for each
-    column."""
-    u = np.clip(u, 0.0, 1.0)
-    lo, hi = (a.T for a in _search_columns(f, u))  # (column, query), C order
-    nf, ncols = f.shape
-    j = np.clip(lo - 1, 0, nf - 2)
+    column, in any order.
+
+    Each column is one np.searchsorted per side over contiguous rows of f.T
+    and u.T: two C calls per slice, which no whole-array search matches
+    without rounding the values it compares."""
+    u = np.ascontiguousarray(np.clip(u, 0.0, 1.0).T)  # (column, query)
+    f = np.ascontiguousarray(f.T)  # (column, CDF value)
+    lo, hi = np.empty(u.shape, dtype=np.intp), np.empty(u.shape, dtype=np.intp)
+    for k, (row, q) in enumerate(zip(f, u)):
+        lo[k] = np.searchsorted(row, q, "left")
+        hi[k] = np.searchsorted(row, q, "right")
+    j = np.clip(lo - 1, 0, f.shape[1] - 2)
     e_lo = edges[j]
-    # f[j, column] by flat index; the interpolation runs in one buffer
-    at = j * ncols + np.arange(ncols)[:, None]
-    f_lo = f.take(at)
-    t = f.take(at + ncols)
+    # the interpolation runs in one buffer
+    f_lo = np.take_along_axis(f, j, axis=1)
+    t = np.take_along_axis(f, j + 1, axis=1)
     t -= f_lo
     rising = t > 0
-    np.divide(np.subtract(u.T, f_lo, out=f_lo), t, out=t, where=rising)
+    np.divide(np.subtract(u, f_lo, out=f_lo), t, out=t, where=rising)
     t[~rising] = 0.5
     np.clip(t, 0.0, 1.0, out=t)
     t *= edges[j + 1] - e_lo
@@ -156,17 +137,14 @@ def _cdf_inverse(edges, f, u):
 def _invert_edges_and_nodes(p_edges, fp, fx, epsilon):
     """Map values (nodes, edges) at the source cell nodes and edges: the
     inverse of fp at fx, or at 1 - fx for epsilon=-1, where a node's query
-    is the midpoint of its cell's edge queries.
-
-    One inversion serves both: edge and node queries interleave, and the
-    order is reversed for epsilon=-1, so each column's queries ascend.
+    is the midpoint of its cell's edge queries.  Edge and node queries
+    interleave, so one inversion serves both.
     """
     u = fx if epsilon == +1 else 1.0 - fx
     q = np.empty((2 * len(u) - 1, u.shape[1]))
     q[0::2] = u
     q[1::2] = 0.5 * (u[:-1] + u[1:])
-    ascending = slice(None, None, 1 if epsilon == +1 else -1)
-    p = _cdf_inverse(p_edges, fp, q[ascending])[ascending]
+    p = _cdf_inverse(p_edges, fp, q)
     return p[1::2], p[0::2]
 
 

@@ -359,6 +359,11 @@ def _cmd_ak_compare(args):
     )
     record = akmeas.ak_distribution(psi, args.b)
     peaks = akmeas.momentum_peaks(record, window_std=args.window_std)
+    if peaks["x1"].size < 2:
+        raise GridResolutionError(
+            "--window-std %g keeps %d x1 row(s) of the record; the ridge fit needs"
+            " at least 2" % (args.window_std, peaks["x1"].size)
+        )
     # the map rides the conjugate grid, whose cell width is pi/xmax; build
     # it on a wider 1-D grid than the record so its discretization error
     # stays below the ridge comparison scale

@@ -146,16 +146,6 @@ def _sandwiches(t, kind_a, kind_b):
     return t[1, 1], t[1, q], t[p, 1], t[p, q]
 
 
-def _corr_matrix(t, cz_a, sz_a, cz_b, sz_b):
-    zz, zq, pz, pq = t
-    return (
-        zz * np.outer(cz_a, cz_b)
-        + zq * np.outer(cz_a, sz_b)
-        + pz * np.outer(sz_a, cz_b)
-        + pq * np.outer(sz_a, sz_b)
-    )
-
-
 def _corr_scalar(t, theta_a, theta_b):
     zz, zq, pz, pq = t
     cz_a, sz_a = np.cos(2 * theta_a), np.sin(2 * theta_a)
@@ -201,10 +191,9 @@ def maximize_chsh(state, kinds):
 
     t = _correlation_tensor(state)
     theta = np.arange(_GRID_N) * (np.pi / _GRID_N)
-    cz, sz = np.cos(2 * theta), np.sin(2 * theta)
     pairs = ((ka, kb), (ka, kbp), (kap, kb), (kap, kbp))  # ab, ab', a'b, a'b'
     t_ab, t_abp, t_apb, t_apbp = sandwiches = [_sandwiches(t, x, y) for x, y in pairs]
-    tables = [_corr_matrix(sw, cz, sz, cz, sz) for sw in sandwiches]
+    tables = [_corr_scalar(sw, theta[:, None], theta) for sw in sandwiches]
     _, ia, iap, ib, ibp = _kernels.chsh_scan(*tables)
     angles = np.array([theta[ia], theta[ib], theta[iap], theta[ibp]])
 

@@ -332,30 +332,6 @@ def _cdf_column(masses):
     return causal._cdf_edges(col, causal._column_totals(col))[:, 0]
 
 
-@pytest.mark.parametrize("descending", [False, True])
-def test_search_columns_matches_searchsorted_both_sides(descending):
-    # CDFs with interior plateaus, repeated values and flat tails at exactly
-    # 0 and 1; queries hit CDF values exactly (plateaus included), repeat,
-    # sit at 0 and 1 and fall between values, in one sorted order per column
-    rng = np.random.default_rng(11)
-    n, ncols = 48, 9
-    f = _plateau_cdfs(rng, n, ncols)
-    u = np.concatenate([
-        f[rng.integers(0, n + 1, 20), np.arange(ncols)[:, None]].T,
-        np.repeat(rng.random((5, ncols)), 2, axis=0),
-        np.zeros((2, ncols)),
-        np.ones((2, ncols)),
-        rng.random((25, ncols)),
-    ])
-    u = np.sort(u, axis=0)
-    if descending:
-        u = u[::-1]
-    lo, hi = causal._search_columns(f, u)
-    for k in range(ncols):
-        np.testing.assert_array_equal(lo[:, k], np.searchsorted(f[:, k], u[:, k], side="left"))
-        np.testing.assert_array_equal(hi[:, k], np.searchsorted(f[:, k], u[:, k], side="right"))
-
-
 def test_cdf_edges_batched_equals_column_loop():
     # slice norms must not depend on batching: a column sums pairwise, as
     # a 1-D array does, not row after row
@@ -365,15 +341,24 @@ def test_cdf_edges_batched_equals_column_loop():
         np.testing.assert_array_equal(f[:, k], _cdf_column(masses[:, k]))
 
 
-def test_cdf_inverse_batched_matches_searchsorted_reference():
+@pytest.mark.parametrize("order", ["as-drawn", "ascending", "descending"])
+def test_cdf_inverse_batched_matches_searchsorted_reference(order):
+    # CDFs with interior plateaus, repeated values and flat tails at exactly
+    # 0 and 1; queries hit CDF values exactly (plateaus included), repeat,
+    # sit at 0 and 1, fall outside [0, 1] and in between, in any order
     rng = np.random.default_rng(3)
     n, ncols = 40, 12
     edges = np.linspace(-2.0, 2.0, n + 1)
     f = _plateau_cdfs(rng, n, ncols)
-    # exact hits on CDF values (plateaus included), ordinary values, and
-    # queries outside [0, 1]
-    u = np.concatenate([f[rng.integers(0, n + 1, 15), np.arange(ncols)[:, None]].T,
-                        rng.uniform(-0.1, 1.1, (20, ncols))])
+    u = np.concatenate([
+        f[rng.integers(0, n + 1, 15), np.arange(ncols)[:, None]].T,
+        np.repeat(rng.random((5, ncols)), 2, axis=0),
+        np.zeros((2, ncols)),
+        np.ones((2, ncols)),
+        rng.uniform(-0.1, 1.1, (20, ncols)),
+    ])
+    if order != "as-drawn":
+        u = np.sort(u, axis=0)[:: 1 if order == "ascending" else -1]
     got = causal._cdf_inverse(edges, f, u)
     assert got.shape == u.shape
     for k in range(ncols):
