@@ -105,11 +105,7 @@ def _cdf_edges(masses, total):
 def _cdf_inverse(edges, f, u):
     """Invert piecewise-linear CDFs on shared edges; exact plateau hits return
     the midpoint.  f holds one CDF per column and u the queries for each
-    column, in any order.
-
-    Each column is one np.searchsorted per side over contiguous rows of f.T
-    and u.T: two C calls per slice, which no whole-array search matches
-    without rounding the values it compares."""
+    column, in any order; each column is searched as one contiguous row."""
     u = np.ascontiguousarray(np.clip(u, 0.0, 1.0).T)  # (column, query)
     f = np.ascontiguousarray(f.T)  # (column, CDF value)
     lo, hi = np.empty(u.shape, dtype=np.intp), np.empty(u.shape, dtype=np.intp)
@@ -138,8 +134,7 @@ def _invert_edges_and_nodes(p_edges, fp, fx, epsilon):
     """Map values (nodes, edges) at the source cell nodes and edges: the
     inverse of fp at fx, or at 1 - fx for epsilon=-1, where a node's query
     is the midpoint of its cell's edge queries.  Edge and node queries
-    interleave, so one inversion serves both.
-    """
+    interleave, so one inversion serves both."""
     u = fx if epsilon == +1 else 1.0 - fx
     q = np.empty((2 * len(u) - 1, u.shape[1]))
     q[0::2] = u
