@@ -24,6 +24,11 @@ Every op has one of three kinds:
   setup, run once, and the timed expression; both see numpy as ``np`` and
   bellforge's modules by name.
 
+``cli.main`` fixes glibc's mmap and trim thresholds once per process, so
+``warm`` and ``cold`` ops time with that heap; ``call`` ops never run
+``cli.main`` and time with glibc's dynamic thresholds, as a library caller
+does.
+
 Both trees are copied into a temporary directory without ``__pycache__``:
 the base is ``git archive REV src``, the change is ``src/`` as it stands.
 An untimed round then runs every op once per tree, so both trees hold the
@@ -77,6 +82,7 @@ RS2D = ["rs2d", "--rho", "0", "--sigma", "0.7", "--n", "256", "--xmax", "20"]
 RS2D_STATE = "psi = waves.correlated_gaussian_2d(rho=0.0, sigma=0.7, n=256, xmax=20.0)"
 RS2D_CHAIN = RS2D_STATE + "; chain = causal.rs_map_2d(psi)"
 PADDED0 = RS2D_STATE + "; p0 = waves.padded_transform(psi, 0, causal._FINE)"
+README_RS2D_STATE = "psi = waves.correlated_gaussian_2d(rho=0.6, sigma=1.0, n=512, xmax=20.0)"
 INTERVALS = ("rng = np.random.default_rng(0); c = np.sort(rng.normal(size={0}), axis=0); "
              "h = np.abs(rng.normal(scale=0.01, size={0})); lo, hi = c - h, c + h; "
              "w = np.full({0}, 1.0 / len(c))")
@@ -154,14 +160,19 @@ OPS = (
     ("rs_map_1d", "call", ["psi = waves.two_gaussian_packet(n=4096)", "causal.rs_map_1d(psi)"]),
     ("rs_map_2d", "call", [RS2D_STATE, "causal.rs_map_2d(psi)"]),
     # the README rs2d state
-    ("rs_map_2d-512", "call", ["psi = waves.correlated_gaussian_2d(rho=0.6, sigma=1.0, n=512, "
-                               "xmax=20.0)", "causal.rs_map_2d(psi)"]),
+    ("rs_map_2d-512", "call", [README_RS2D_STATE, "causal.rs_map_2d(psi)"]),
     ("verify_marginals_2d", "call", [RS2D_CHAIN, "causal.verify_marginals_2d(chain)"]),
     ("ccs_distance", "call", [RS2D_CHAIN, "causal.ccs_distance(chain)"]),
-    # the largest array the 2-D verifier transforms, (4n)^2 at n=256
+    # the (4n)^2 array at n=256, which the 2-D verifier transformed whole
+    # before it transformed axis 1 in row blocks
     ("fourier", "call", [PADDED0 + "; big = waves.padded_transform(p0, 1, causal._FINE)",
                          "waves.fourier(big, 1)"]),
     ("padded_transform", "call", [PADDED0, "waves.padded_transform(p0, 1, causal._FINE)"]),
+    # the pp target of the 2-D verifier at the transport and README shapes
+    ("double_fine_masses", "call", [PADDED0, "causal._double_fine_masses(p0)"]),
+    ("double_fine_masses-512", "call", [
+        README_RS2D_STATE + "; p0 = waves.padded_transform(psi, 0, causal._FINE)",
+        "causal._double_fine_masses(p0)"]),
     # the Monte Carlo cell sampler at 2e5 draws, and one 1-D Monte Carlo check
     ("sample_cells-1d", "call", ["psi = waves.two_gaussian_packet(n=4096); "
                                  "m = psi.density() * psi.axes[0].spacing",

@@ -54,6 +54,10 @@ _NODE_FLOOR = 1e-12  # |psi| below this marks the phase ill-defined
 _SLICE_FLOOR = 1e-300  # conditional slices lighter than this carry no map
 _FINE_1D = 8  # momentum refinement of the 1-D marginal check
 _FINE = 4  # momentum refinement of map tabulation and the other checks
+# Fine p0 rows per block of _double_fine_masses, 1 MiB of buffer at n = 256.
+# A warm n = 512 call took 49-54 ms with 64 rows, 52-72 with 32, 56-59 with
+# 128 and 77-90 on the whole (4n)^2 array; 16 to 128 rows tie at n = 256.
+_ROWS = 64
 _MC_GROUP = 4  # grid points per histogram cell side in the 2-D Monte Carlo check
 _THRESHOLDS = {"deterministic": 5e-3, "mc": 5e-2}  # pass below, per verification method
 
@@ -181,6 +185,15 @@ def _group_fine_axis(fine_masses, factor, axis=0):
     the lower half of cell k + 1 (the rest); one weighted sum per block
     gives both parts.
     """
+    parts = _block_parts(np.asarray(fine_masses), factor, axis)
+    coarse = parts[..., 0]
+    lead = (slice(None),) * axis
+    coarse[lead + (slice(1, None),)] += parts[lead + (slice(None, -1),)][..., 1]
+    return coarse
+
+
+def _block_parts(arr, factor, axis):
+    """Each block of factor fine cells along axis as (..., own, next) parts."""
     if factor % 2:
         raise ValidationError("fine factor must be even")
     half = factor // 2
@@ -188,14 +201,9 @@ def _group_fine_axis(fine_masses, factor, axis=0):
     weights[:half, 0] = 1.0
     weights[half + 1 :, 1] = 1.0
     weights[half] = 0.5
-    arr = np.asarray(fine_masses)
     n_coarse = arr.shape[axis] // factor
     blocks = arr.reshape(arr.shape[:axis] + (n_coarse, factor) + arr.shape[axis + 1 :])
-    parts = np.moveaxis(blocks, axis + 1, -1) @ weights  # (..., k, ..., own/next)
-    coarse = parts[..., 0]
-    lead = (slice(None),) * axis
-    coarse[lead + (slice(1, None),)] += parts[lead + (slice(None, -1),)][..., 1]
-    return coarse
+    return np.moveaxis(blocks, axis + 1, -1) @ weights
 
 
 def _cell_l1(rep, tgt, factor, *axes):
@@ -465,13 +473,36 @@ def rs_map_2d(psi, epsilon1=+1, epsilon2=+1):
 def _double_fine_masses(padded0):
     """Cell masses of the full momentum density, _FINE times finer along
     both axes, then cell-integrated back to coarse cells along axis 0, from
-    padded0 = ``waves.padded_transform(psi, 0, _FINE)``.
+    padded0 = ``waves.padded_transform(psi, 0, _FINE)``, bit for bit as from
+    the fully padded (4n)^2 transform.
 
     Axis 0 is padded and transformed before axis 1 is padded, so the first
-    transform runs over the n1 state columns only, not over the zero
-    columns of a fully padded array."""
-    big_mm = waves.padded_transform(padded0, 1, _FINE)
-    return _group_fine_axis(big_mm.masses(), _FINE, axis=0)  # (p0 cells, p1 fine)
+    transform runs over the n1 state columns only.  Axis 1 follows in
+    blocks of _ROWS rows (n0 is a power of two, so they tile it) in one
+    reused buffer, each grouped straight into the result; the part of a
+    block's last fine rows that falls in the next coarse cell is carried
+    into the next block."""
+    ax0, ax1 = padded0.axes
+    n0, n1 = padded0.values.shape
+    rows, start = min(n0, _ROWS), (_FINE - 1) * n1 // 2
+    spacings = (ax0.spacing, waves.Axis(_FINE * n1, ax1.spacing).conjugate().spacing)
+    values = np.empty((rows, _FINE * n1), dtype=complex)
+    masses = np.empty(values.shape)
+    out = np.empty((n0 // _FINE, _FINE * n1))  # (p0 cells, p1 fine)
+    for r in range(0, n0, rows):
+        values[:, :start] = values[:, start + n1 :] = 0.0
+        waves._centered_transform(values, padded0.values[r : r + rows], 1, start, ax1)
+        np.square(np.abs(values, out=masses), out=masses)
+        for spacing in spacings:  # in masses()'s order, so the bits match
+            masses *= spacing
+        parts = _block_parts(masses, _FINE, 0)
+        k = r // _FINE
+        out[k : k + len(parts)] = parts[..., 0]
+        out[k + 1 : k + len(parts)] += parts[:-1, :, 1]
+        if k:
+            out[k] += spill
+        spill = parts[-1, :, 1]
+    return out
 
 
 def verify_marginals_2d(chain, mc_samples=0, seed=0):

@@ -14,6 +14,7 @@ for parsing its own arguments (tens of microseconds) and its command's work.
 
 import argparse
 import csv
+import ctypes
 import functools
 import json
 import math
@@ -582,7 +583,22 @@ def _run(handler, args, command, fh):
     return 0, text + "\n"
 
 
+@functools.cache
+def _pin_heap_thresholds():
+    """Fix glibc's mmap threshold at 32 MiB, the ceiling of its dynamic one,
+    and the trim threshold at twice that, as glibc's dynamic rule would, so
+    multi-MB temporaries stop taking fresh pages; skipped without mallopt."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):  # not glibc, or no C library handle
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
+    mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
+
+
 def main(argv=None):
+    _pin_heap_thresholds()
     args = _parser().parse_args(argv)
     words = [args.command] + ([args.subcommand] if "subcommand" in args else [])
     # looked up per call, so a handler replaced on the module is the one that runs

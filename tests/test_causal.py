@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -98,7 +99,8 @@ def _swapped(psi):
     return waves.GridWavefunction(psi.axes[::-1], np.ascontiguousarray(psi.values.T), {})
 
 
-@pytest.mark.parametrize("n", [32, 64])
+# n = 16 is one row block of the axis-1 transform, n = 256 sixteen
+@pytest.mark.parametrize("n", [16, 32, 64, 256])
 def test_double_fine_masses_equal_fully_padded_transform(n):
     for psi in (_skewed_state(n, 8.0), waves.correlated_gaussian_2d(rho=0.5, n=n, xmax=8.0)):
         for s in (psi, _swapped(psi)):
@@ -106,6 +108,20 @@ def test_double_fine_masses_equal_fully_padded_transform(n):
                 causal._double_fine_masses(waves.padded_transform(s, 0, 4)),
                 _ref_double_fine_masses(s, 0, 4),
             )
+
+
+def test_double_fine_masses_traced_peak_is_bounded():
+    # n = 256: the (4n)^2 transform, its masses and their grouping peaked at
+    # 28 MiB; row blocks keep the (n, 4n) result (2 MiB) and about 2 MiB more
+    padded0 = waves.padded_transform(waves.correlated_gaussian_2d(rho=0.0, sigma=0.7, n=256,
+                                                                  xmax=20.0), 0, causal._FINE)
+    tracemalloc.start()
+    try:
+        causal._double_fine_masses(padded0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * 2**20
 
 
 # sha256 prefixes of the map tables of rs_map_2d on _skewed_state (map1_nodes,
@@ -370,32 +386,39 @@ def test_chain_keeps_the_states_it_matched(n, xmax):
         assert got.axes == want.axes and got.values.tobytes() == want.values.tobytes()
 
 
-def _padded_transform_calls(monkeypatch, chain):
-    """(axis, factor) of every padded transform one deterministic 2-D
-    verification runs."""
+def _transform_calls(monkeypatch, chain):
+    """(transformed shape, axis) of every transform one deterministic 2-D
+    verification runs.  ``waves._centered_transform`` is the transform
+    behind ``padded_transform`` and each row block of
+    ``_double_fine_masses``, so both show here."""
     calls = []
-    transform = waves.padded_transform
+    transform = waves._centered_transform
 
-    def counted(state, axis, factor):
-        calls.append((axis, factor))
-        return transform(state, axis, factor)
+    def counted(values, source, axis, start, ax):
+        calls.append((values.shape, axis))
+        return transform(values, source, axis, start, ax)
 
-    monkeypatch.setattr(waves, "padded_transform", counted)
+    monkeypatch.setattr(waves, "_centered_transform", counted)
     causal.verify_marginals_2d(chain)
     return calls
+
+
+# n = 64: axis 0 padded once to 256 rows, then axis 1 padded in row blocks of
+# _ROWS rows, never as the full (256, 256) array
+_N64_TRANSFORMS = [((256, 64), 0)] + [((causal._ROWS, 256), 1)] * (256 // causal._ROWS)
 
 
 def test_verify_2d_transforms_axis0_once_for_px(monkeypatch):
     psi = waves.correlated_gaussian_2d(rho=0.3, sigma=0.7, n=64, xmax=10.0)
     chain = causal.rs_map_2d(psi)
-    assert _padded_transform_calls(monkeypatch, chain) == [(0, causal._FINE), (1, causal._FINE)]
+    assert _transform_calls(monkeypatch, chain) == _N64_TRANSFORMS
 
 
 def test_verify_2d_transforms_each_frame_axis_once_for_xp(monkeypatch):
     # xp chains the axis-swapped state, whose pp target reuses its own
     # axis-0 transform, as for px
     chain = causal.rs_map_2d(_swapped(_skewed_state(64, 8.0)))
-    assert _padded_transform_calls(monkeypatch, chain) == [(0, causal._FINE), (1, causal._FINE)]
+    assert _transform_calls(monkeypatch, chain) == _N64_TRANSFORMS
 
 
 # rho, sigma of the 2-D Gaussian states, as in test_waves' exact-symmetry check

@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import platform
 import stat
 import subprocess
 import sys
@@ -509,6 +510,61 @@ def test_cli_import_leaves_concurrent_futures_unloaded():
     assert proc.stdout == "False\n"
 
 
+def _second_round_faults(pin):
+    """Minor page faults of the second of two rounds that allocate, touch
+    and free a 16 MiB array, in a fresh process that first runs one
+    ``cli.main`` call if pin is set."""
+    script = (
+        "import contextlib, io, resource, sys\n"
+        "import numpy as np\n"
+        "if sys.argv[1] == 'pin':\n"
+        "    from bellforge import cli\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        cli.main(['lhv', '--correlators', '0.5,0.5,0.5,-0.5'])\n"
+        "for _ in range(2):\n"
+        "    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+        "    a = np.ones(2 << 20)\n"
+        "    del a\n"
+        "    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before\n"
+        "print(faults)\n"
+    )
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    for name in ("MALLOC_MMAP_THRESHOLD_", "MALLOC_TRIM_THRESHOLD_"):
+        env.pop(name, None)
+    proc = subprocess.run([sys.executable, "-c", script, "pin" if pin else "none"], env=env,
+                          capture_output=True, text=True, timeout=60, check=True)
+    return int(proc.stdout)
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the heap pin is glibc's mallopt")
+def test_cli_main_pins_the_heap_thresholds():
+    """After one cli.main call a 16 MiB temporary is served from the heap
+    and stays there when freed, so the next one takes no fresh pages.
+    Without the call glibc maps the first one, then grows the heap for the
+    second and faults again."""
+    assert _second_round_faults(pin=True) <= 4 < _second_round_faults(pin=False)
+
+
+@pytest.mark.parametrize("handle", [lambda name: object(), None])
+def test_cli_main_runs_without_mallopt(capsys, monkeypatch, handle):
+    """No C library handle (TypeError, as on Windows) or one without
+    mallopt (not glibc): the pin is skipped and the command runs."""
+    opened = []
+
+    def cdll(name):
+        opened.append(name)
+        return handle(name)  # None is not callable: a TypeError
+
+    monkeypatch.setattr(cli.ctypes, "CDLL", cdll)
+    cli._pin_heap_thresholds.cache_clear()
+    try:
+        doc = run_json(capsys, "lhv", "--correlators", "0.5,0.5,0.5,-0.5")
+    finally:
+        cli._pin_heap_thresholds.cache_clear()
+    assert opened == [None] and doc["command"] == "lhv"
+
+
 def test_parity_chsh_search(capsys):
     doc = run_json(capsys, "parity-chsh", "--r", "1")
     assert doc["s_max"] == pytest.approx(2.183900, abs=1e-4)
@@ -604,20 +660,20 @@ def test_no_command_transforms_the_same_array_twice(capsys, monkeypatch, argv):
 
 def _repeated_transforms(capsys, monkeypatch, argv):
     """(shape, axis) of every transform that one op makes twice of the same
-    values.  ``waves._transform`` is the one transform behind ``fourier``
-    and ``padded_transform``; a padded transform counts at its padded shape,
-    so a state padded twice shows here."""
-    transform = waves._transform
+    values.  ``waves._centered_transform`` is the one transform behind
+    ``fourier``, ``padded_transform`` and the row blocks of the 2-D verifier
+    and the joint record; a transform counts at the shape it writes, so a
+    state padded twice shows here, and so does a row block transformed
+    twice."""
+    transform = waves._centered_transform
     seen = []
 
-    def recorded(psi, axis, factor):
-        shape = list(psi.values.shape)
-        shape[axis] *= factor
-        digest = hashlib.sha256(np.ascontiguousarray(psi.values).tobytes()).hexdigest()
-        seen.append((tuple(shape), axis, digest))
-        return transform(psi, axis, factor)
+    def recorded(values, source, axis, start, ax):
+        digest = hashlib.sha256(np.ascontiguousarray(source).tobytes()).hexdigest()
+        seen.append((values.shape, axis, digest))
+        return transform(values, source, axis, start, ax)
 
-    monkeypatch.setattr(waves, "_transform", recorded)
+    monkeypatch.setattr(waves, "_centered_transform", recorded)
     run_json(capsys, *argv)
     assert seen
     return [(shape, axis) for shape, axis, digest in set(seen)
@@ -640,14 +696,24 @@ def _transform_before_chaining(rs_map_2d):
     return patched
 
 
+def _twice(fn):
+    # builds the doubly fine target twice, so each of its row blocks repeats
+    def patched(*args):
+        fn(*args)
+        return fn(*args)
+    return patched
+
+
 @pytest.mark.parametrize("argv, name, patch, want", [
     (("rs1d", "--n", "256"), "verify_marginals", _pad_before_verifying, [((1024,), 0)]),
     (("rs2d", "--n", "64", "--xmax", "10"), "rs_map_2d", _transform_before_chaining,
      [((64, 64), 0)]),
+    (("rs2d", "--n", "64", "--xmax", "10"), "_double_fine_masses", _twice,
+     [((causal._ROWS, 256), 1)] * (256 // causal._ROWS)),
 ])
 def test_same_array_guard_sees_a_repeated_transform(capsys, monkeypatch, argv, name, patch, want):
-    """Negative control: a handler that pads or transforms a state twice
-    trips the guard above."""
+    """Negative control: a handler that pads or transforms a state twice,
+    or transforms a row block twice, trips the guard above."""
     monkeypatch.setattr(causal, name, patch(getattr(causal, name)))
     assert _repeated_transforms(capsys, monkeypatch, argv) == want
 
