@@ -56,7 +56,8 @@ _FINE_1D = 8  # momentum refinement of the 1-D marginal check
 _FINE = 4  # momentum refinement of map tabulation and the other checks
 # Fine p0 rows per block of _double_fine_masses, 1 MiB of buffer at n = 256.
 # A warm n = 512 call took 49-54 ms with 64 rows, 52-72 with 32, 56-59 with
-# 128 and 77-90 on the whole (4n)^2 array; 16 to 128 rows tie at n = 256.
+# 128 and 77-90 on the whole (4n)^2 array (2-vCPU VM); 16 to 128 rows tie
+# at n = 256.
 _ROWS = 64
 _MC_GROUP = 4  # grid points per histogram cell side in the 2-D Monte Carlo check
 _THRESHOLDS = {"deterministic": 5e-3, "mc": 5e-2}  # pass below, per verification method
