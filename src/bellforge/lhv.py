@@ -86,10 +86,6 @@ class JointDistribution:
             raise ValidationError("joint distribution must sum to 1")
         object.__setattr__(self, "q", q)
 
-    def marginal_behavior(self):
-        p = _vertex_matrix() @ self.q.reshape(16)
-        return Behavior(p.reshape(2, 2, 2, 2))
-
 
 @dataclass(frozen=True)
 class Certificate:
@@ -317,9 +313,3 @@ def behavior_from_correlators(e):
         for si, s in enumerate(_SIGNS):
             p[:, :, ri, si] = 0.25 * (1.0 + r * s * np.clip(e, -1.0, 1.0))
     return Behavior(p)
-
-
-def pr_box():
-    """The no-signalling extremal behavior with all four correlators +/-1, S=4:
-    perfectly correlated except on the (2,2) pair."""
-    return behavior_from_correlators([[1.0, 1.0], [1.0, -1.0]])

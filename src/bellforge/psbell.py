@@ -169,10 +169,6 @@ def _s_of_overlap(i_val):
     return math.sqrt(2.0) / 8.0 * (2.0 + i_val) ** 2
 
 
-def family_s(cutoff, sign=+1):
-    return waves._parse_sign(sign) * _s_of_overlap(overlap_integral(cutoff))
-
-
 # ---------------------------------------------------------------------------
 # the violation table
 

@@ -15,6 +15,8 @@ import numpy as np
 
 from bellforge import akmeas, causal, cli, lhv, psbell, spinor, waves, wigner
 from bellforge.spinor import TSIRELSON, AnalyzerSetting, ChshSettings
+from test_lhv import marginal_behavior, pr_box
+from test_psbell import family_s
 
 
 QUARTER = tuple(np.deg2rad([0.0, 22.5, 45.0, 67.5]))
@@ -117,7 +119,7 @@ def test_c05_lhv_decision_matches_vertex_oracle():
 
     def vertex_mixture():
         w = rng.random(16)
-        return lhv.JointDistribution((w / w.sum()).reshape(2, 2, 2, 2)).marginal_behavior()
+        return marginal_behavior(lhv.JointDistribution((w / w.sum()).reshape(2, 2, 2, 2)))
 
     mismatches = 0
     for k in range(1000):
@@ -125,7 +127,7 @@ def test_c05_lhv_decision_matches_vertex_oracle():
             b = vertex_mixture()
         elif k % 3 == 1:
             lam = rng.random()
-            b = lhv.Behavior(lam * lhv.pr_box().p + (1.0 - lam) * vertex_mixture().p)
+            b = lhv.Behavior(lam * pr_box().p + (1.0 - lam) * vertex_mixture().p)
         else:
             b = lhv.quantum_behavior(_random_state(rng), _random_settings(rng))
         if lhv.lhv_feasible(b).feasible != lhv.brute_force_feasible(b).feasible:
@@ -211,7 +213,7 @@ def test_c09_cutoff_family_violation():
     rep = psbell.marginal_theorem_demo()
     s_plus = rep["s_plus"]
     anti = max(
-        abs(psbell.family_s(c, +1) + psbell.family_s(c, -1)) for c in rep["cutoffs"]
+        abs(family_s(c, +1) + family_s(c, -1)) for c in rep["cutoffs"]
     )
     elapsed = time.perf_counter() - t0
     ok = (

@@ -1,5 +1,4 @@
 import dataclasses
-import hashlib
 import math
 import sys
 import threading
@@ -8,6 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import _pins
 from bellforge import akmeas, causal, waves, wigner
 from bellforge.errors import DomainError, ValidationError
 from test_wigner import _record_fft_threads
@@ -56,26 +56,25 @@ def _record_state(name, n):
     return waves.gaussian_packet(sigma=1.0, t=1.0, n=n)  # the ak-compare state
 
 
-# sha256 prefixes of every bit of the joint record: the ak-compare default
-# (b = 0.5, n = 1024), the same at n = 2048, the two-gaussian state at
-# n = 512 and a narrow window
-JOINT_PINS = {
-    ("gaussian", 1024, 0.5): "2bf63cc7bae32282",
-    ("gaussian", 2048, 0.5): "aae9f3dc3e2a213b",
-    ("two-gaussian", 512, 0.5): "f7f3912e9c63f9be",
-    ("gaussian", 1024, 0.3): "6dd098f1cba529ad",
-}
+# every bit of the joint record: the ak-compare default (b = 0.5, n = 1024),
+# the same at n = 2048, the two-gaussian state at n = 512 and a narrow window
+JOINT_CASES = [
+    ("gaussian", 1024, 0.3),
+    ("gaussian", 1024, 0.5),
+    ("gaussian", 2048, 0.5),
+    ("two-gaussian", 512, 0.5),
+]
 
 
-def _joint_digest(case):
+def _check_joint(case):
     name, n, b = case
     joint = akmeas.ak_distribution(_record_state(name, n), b).joint
-    return hashlib.sha256(joint.tobytes()).hexdigest()[:16]
+    _pins.check("joint_record", case, _pins.array(joint))
 
 
-@pytest.mark.parametrize("case", sorted(JOINT_PINS))
+@pytest.mark.parametrize("case", JOINT_CASES)
 def test_joint_bits_pinned(case):
-    assert _joint_digest(case) == JOINT_PINS[case]
+    _check_joint(case)
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3, 5])
@@ -86,8 +85,8 @@ def test_joint_bits_do_not_depend_on_the_thread_count(monkeypatch, workers):
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        for case, want in JOINT_PINS.items():
-            assert _joint_digest(case) == want, case
+        for case in JOINT_CASES:
+            _check_joint(case)
     finally:
         sys.setswitchinterval(interval)
 

@@ -1,10 +1,10 @@
-import hashlib
 import itertools
 import tracemalloc
 
 import numpy as np
 import pytest
 
+import _pins
 from bellforge import causal, waves
 from bellforge.errors import DomainError, ValidationError
 
@@ -124,43 +124,30 @@ def test_double_fine_masses_traced_peak_is_bounded():
     assert peak < 5 * 2**20
 
 
-# sha256 prefixes of the map tables of rs_map_2d on _skewed_state (map1_nodes,
-# map1_edges, map2_nodes and map2_edges, in that order), epsilon pairs in the
-# order (1, 1), (1, -1), (-1, 1), (-1, -1); recorded with the complex-key
-# table search (numpy 2.4, x86-64), which the merged search must match bit
-# for bit.  The xp rows map x2 first: they chain the axis-swapped state, and
-# were recorded when rs_map_2d swapped the axes itself for that ordering
-MAP_2D_DIGESTS = {
-    (64, "px"): ["f29a83a133e86666", "766696fa88ab8d47", "1b366dbfa1f74040", "0d3c3b93fb9339a3"],
-    (64, "xp"): ["48adae32d5771577", "12055af8bae45c98", "bb163d0764df9ef0", "9c4bb188108f0187"],
-    (128, "px"): ["13cd551ba939f251", "cad1d9b7aaaf40fa", "931e6305a0b89199", "f2c6619c544d0f2f"],
-    (128, "xp"): ["f08ff6419e6dcf06", "b79e8cad72eea8d7", "8229797e6eaf925f", "9f6081b519305f69"],
-}
+# the map tables of rs_map_2d on _skewed_state (map1_nodes, map1_edges,
+# map2_nodes and map2_edges, in that order) for each epsilon pair; recorded
+# with the complex-key table search (numpy 2.4, x86-64), which the merged
+# search must match bit for bit.  The xp rows map x2 first: they chain the
+# axis-swapped state, and were recorded when rs_map_2d swapped the axes
+# itself for that ordering
+MAP_2D_CASES = [(64, "px"), (64, "xp"), (128, "px"), (128, "xp")]
 
 
 _CHAIN_TABLES = ("map1_nodes", "map1_edges", "map2_nodes", "map2_edges")
 
 
-@pytest.mark.parametrize("n, ordering", sorted(MAP_2D_DIGESTS))
+@pytest.mark.parametrize("n, ordering", MAP_2D_CASES)
 def test_rs_map_2d_tables_pinned(n, ordering):
     psi = _skewed_state(n, 8.0 if n == 64 else 10.0)
-    for (e1, e2), want in zip(itertools.product((1, -1), repeat=2), MAP_2D_DIGESTS[n, ordering]):
+    for e1, e2 in itertools.product((1, -1), repeat=2):
         chain = causal.rs_map_2d(psi if ordering == "px" else _swapped(psi), e1, e2)
-        digest = hashlib.sha256()
-        for name in _CHAIN_TABLES:
-            digest.update(getattr(chain, name).tobytes())
-        assert digest.hexdigest()[:16] == want, (n, ordering, e1, e2)
+        _pins.check("rs_map_2d", (n, ordering, e1, e2),
+                    _pins.array(**{name: getattr(chain, name) for name in _CHAIN_TABLES}))
 
 
-# sha256 prefixes of the map tables of rs_map_1d at n=2048 (p_hat, then
-# p_hat_edges), for epsilon 1 and -1; recorded while the 1-D map had its own
-# inversion call, which the one-column conditional map must match bit for bit
-MAP_1D_DIGESTS = {
-    "gaussian": ["c9299cc3360ac44e", "bd2f4b64955ef5e4"],
-    "two-gaussian": ["93e40cc465c3f18b", "531f2d87f42a117f"],
-    "excited": ["81208f0a9a60f572", "02ce13cfaa7f7e9a"],
-}
-
+# the map tables of rs_map_1d at n=2048 (p_hat, then p_hat_edges), for
+# epsilon 1 and -1; recorded while the 1-D map had its own inversion call,
+# which the one-column conditional map must match bit for bit
 _STATES_2048 = {
     "gaussian": lambda: waves.gaussian_packet(n=2048),
     "two-gaussian": lambda: waves.two_gaussian_packet(n=2048),
@@ -168,15 +155,13 @@ _STATES_2048 = {
 }
 
 
-@pytest.mark.parametrize("state", sorted(MAP_1D_DIGESTS))
+@pytest.mark.parametrize("state", sorted(_STATES_2048))
 def test_rs_map_1d_tables_pinned(state):
     psi = _STATES_2048[state]()
-    for epsilon, want in zip((1, -1), MAP_1D_DIGESTS[state]):
+    for epsilon in (1, -1):
         m = causal.rs_map_1d(psi, epsilon)
-        digest = hashlib.sha256()
-        digest.update(m.p_hat.tobytes())
-        digest.update(m.p_hat_edges.tobytes())
-        assert digest.hexdigest()[:16] == want, (state, epsilon)
+        _pins.check("rs_map_1d", (state, epsilon),
+                    _pins.array(p_hat=m.p_hat, p_hat_edges=m.p_hat_edges))
 
 
 def test_momentum_field_of_boosted_packet():

@@ -1,5 +1,4 @@
 import csv
-import hashlib
 import io
 import json
 import math
@@ -13,6 +12,7 @@ import warnings
 import numpy as np
 import pytest
 
+import _pins
 from bellforge import akmeas, causal, cli, waves
 from bellforge.errors import ValidationError
 
@@ -390,15 +390,17 @@ def test_marginal_theorem_verdict(capsys):
     assert len(doc["s_plus"]) == 4
 
 
-@pytest.mark.parametrize("cutoffs, s_plus", [
-    ("1000,1000.0000000000001", 2.2256577371204798),
-    ("1e9,1.0000000000000002e9", 2.6091163226102654),
-])
-def test_marginal_theorem_flat_s_plus_passes(capsys, cutoffs, s_plus):
+FLAT_CUTOFFS = ["1000,1000.0000000000001", "1e9,1.0000000000000002e9"]
+
+
+@pytest.mark.parametrize("cutoffs", FLAT_CUTOFFS, ids=_pins.ids(FLAT_CUTOFFS, "flat_s_plus"))
+def test_marginal_theorem_flat_s_plus_passes(capsys, cutoffs):
     """Valid cutoffs an ulp apart give equal S_+, which is not a decrease.
     Their h = 1/log(L+1) are equal too, so nothing is extrapolated."""
     doc = run_json(capsys, "marginal-theorem", "--cutoffs", cutoffs)
-    assert doc["s_plus"] == [s_plus, s_plus]
+    s_plus = doc["s_plus"]
+    assert s_plus == [s_plus[0], s_plus[0]]
+    _pins.check("flat_s_plus", cutoffs, _pins.scalar(s_plus[0]))
     assert doc["verdict"]["monotone"] is True
     assert doc["verdict"]["extrapolated_limit"] is None
 
@@ -572,38 +574,38 @@ def test_parity_chsh_search(capsys):
     assert fixed["s"] > 2.0
 
 
-# sha256 prefixes of fixed-displacement stdout, recorded before the search
-# moved to rescaled displacements; the fixed path does not search
-PARITY_FIXED_DIGESTS = [
-    (("--r", "1", "--displacements", "0.175,0,0,-0.175"), "9227527aac38b6eb"),
-    (("--r", "3", "--displacements", "0.1,0.2,-0.1,-0.3"), "41a92dcb63e09431"),
-    (("--r", "354", "--displacements", "10,-10,10,10"), "f5b775a3ebb5f0a7"),
+# fixed-displacement stdout, recorded before the search moved to rescaled
+# displacements; the fixed path does not search
+PARITY_FIXED_CASES = [
+    ("--r", "1", "--displacements", "0.175,0,0,-0.175"),
+    ("--r", "3", "--displacements", "0.1,0.2,-0.1,-0.3"),
+    ("--r", "354", "--displacements", "10,-10,10,10"),
 ]
 
-# sha256 prefixes of search stdout, recorded before the simplex moved from
-# numpy arrays to lists of Python floats
-PARITY_SEARCH_DIGESTS = [
-    (("--r", "0.7", "--search", "protocol"), "73b139f671eb0715"),
-    (("--r", "0.7", "--search", "full"), "bb9d0e91098300b4"),
-    (("--r", "1.3", "--search", "protocol"), "afaccc0fd6df73e7"),
-    (("--r", "1.3", "--search", "full"), "5a4c8da6644073f5"),
-    (("--r", "1.9", "--search", "protocol"), "dbcd3545540c8e97"),
-    (("--r", "1.9", "--search", "full"), "dc11a43957437587"),
+# search stdout, recorded before the simplex moved from numpy arrays to
+# lists of Python floats
+PARITY_SEARCH_CASES = [
+    ("--r", "0.7", "--search", "protocol"),
+    ("--r", "0.7", "--search", "full"),
+    ("--r", "1.3", "--search", "protocol"),
+    ("--r", "1.3", "--search", "full"),
+    ("--r", "1.9", "--search", "protocol"),
+    ("--r", "1.9", "--search", "full"),
 ]
 
 
-@pytest.mark.parametrize("argv, want", PARITY_FIXED_DIGESTS)
-def test_parity_chsh_fixed_displacements_stdout_pinned(capsys, argv, want):
+@pytest.mark.parametrize("argv", PARITY_FIXED_CASES,
+                         ids=_pins.ids(PARITY_FIXED_CASES, "parity_chsh_stdout"))
+def test_parity_chsh_fixed_displacements_stdout_pinned(capsys, argv):
     code, out, err = run(capsys, "parity-chsh", *argv)
-    assert code == 0, err
-    assert hashlib.sha256(out.encode()).hexdigest()[:16] == want
+    _pins.check("parity_chsh_stdout", argv, _pins.stdout(code, out), err)
 
 
-@pytest.mark.parametrize("argv, want", PARITY_SEARCH_DIGESTS)
-def test_parity_chsh_search_stdout_pinned(capsys, argv, want):
+@pytest.mark.parametrize("argv", PARITY_SEARCH_CASES,
+                         ids=_pins.ids(PARITY_SEARCH_CASES, "parity_chsh_stdout"))
+def test_parity_chsh_search_stdout_pinned(capsys, argv):
     code, out, err = run(capsys, "parity-chsh", *argv)
-    assert code == 0, err
-    assert hashlib.sha256(out.encode()).hexdigest()[:16] == want
+    _pins.check("parity_chsh_stdout", argv, _pins.stdout(code, out), err)
 
 
 def test_ak_compare_transforms_the_state_once(capsys, monkeypatch):
@@ -669,8 +671,7 @@ def _repeated_transforms(capsys, monkeypatch, argv):
     seen = []
 
     def recorded(values, source, axis, start, ax):
-        digest = hashlib.sha256(np.ascontiguousarray(source).tobytes()).hexdigest()
-        seen.append((values.shape, axis, digest))
+        seen.append((values.shape, axis, _pins.digest(source)))
         return transform(values, source, axis, start, ax)
 
     monkeypatch.setattr(waves, "_centered_transform", recorded)
@@ -752,56 +753,55 @@ def test_bad_arguments_exit_2(capsys):
     capsys.readouterr()
 
 
-# sha256 prefixes of the stdout of the transport commands, recorded before
-# the verifier's fine bins came from one helper (numpy 2.4, x86-64): every
-# distance is printed in full, so a bin edge moved by one ulp shows here
-# (the xp rows whose pp distance moved by ~1e-17 when xp became the px chain
-# of the axis-swapped state were re-recorded then).  The xp --mc row was
-# re-recorded when rs2d began to read xp off its one px chain: the Monte
-# Carlo check draws its samples on the chain's own axes, not on the axis
-# order the user asked for, so xp prints the px report with qp for pq
-STDOUT_DIGESTS = [
-    (("rs1d", "--n", "256", "--state", "gaussian", "--epsilon", "1"), "39ad25ea17cd43ab"),
-    (("rs1d", "--n", "256", "--state", "gaussian", "--epsilon", "-1"), "bc6368e182e6a3cb"),
-    (("rs1d", "--n", "256", "--state", "two-gaussian", "--epsilon", "1"), "2570ef90358c1e56"),
-    (("rs1d", "--n", "256", "--state", "two-gaussian", "--epsilon", "-1"), "c62d7f8977c1569d"),
-    (("rs1d", "--n", "256", "--state", "excited", "--epsilon", "1"), "db209009c02748bc"),
-    (("rs1d", "--n", "256", "--state", "excited", "--epsilon", "-1"), "a33161f1d887625c"),
-    (("rs1d", "--n", "1024", "--state", "gaussian", "--epsilon", "1"), "54d43813e7db5947"),
-    (("rs1d", "--n", "1024", "--state", "gaussian", "--epsilon", "-1"), "e8af572c8f17a3d7"),
-    (("rs1d", "--n", "1024", "--state", "two-gaussian", "--epsilon", "1"), "035fcf99fe795311"),
-    (("rs1d", "--n", "1024", "--state", "two-gaussian", "--epsilon", "-1"), "3ac46c97b4f21f8c"),
-    (("rs1d", "--n", "1024", "--state", "excited", "--epsilon", "1"), "b77f44a819cdb275"),
-    (("rs1d", "--n", "1024", "--state", "excited", "--epsilon", "-1"), "5bb486b12e52b22c"),
-    (("rs1d", "--n", "1024", "--mc", "20000", "--seed", "3"), "f048ed016d8fa240"),
-    (("rs2d", "--n", "64", "--xmax", "10", "--ordering", "px", "--epsilons=1,1"), "ed9caf4007720e68"),
-    (("rs2d", "--n", "64", "--xmax", "10", "--ordering", "px", "--epsilons=1,-1"), "6f8c1e7958336ece"),
-    (("rs2d", "--n", "64", "--xmax", "10", "--ordering", "px", "--epsilons=-1,1"), "f774fcee25fdb665"),
-    (("rs2d", "--n", "64", "--xmax", "10", "--ordering", "px", "--epsilons=-1,-1"), "cf3466d4a022e931"),
-    (("rs2d", "--n", "64", "--xmax", "10", "--ordering", "xp", "--epsilons=1,1"), "7de057bc454f7cab"),
-    (("rs2d", "--n", "64", "--xmax", "10", "--ordering", "xp", "--epsilons=1,-1"), "9fb47867421d166a"),
-    (("rs2d", "--n", "64", "--xmax", "10", "--ordering", "xp", "--epsilons=-1,1"), "de12e83b13b0a039"),
-    (("rs2d", "--n", "64", "--xmax", "10", "--ordering", "xp", "--epsilons=-1,-1"), "3ea856934e46c9d3"),
-    (("rs2d", "--n", "128", "--xmax", "12", "--ordering", "px", "--epsilons=1,1"), "48b8681da708a729"),
-    (("rs2d", "--n", "128", "--xmax", "12", "--ordering", "px", "--epsilons=1,-1"), "98afdd987ad40525"),
-    (("rs2d", "--n", "128", "--xmax", "12", "--ordering", "px", "--epsilons=-1,1"), "5543958ffdc67317"),
-    (("rs2d", "--n", "128", "--xmax", "12", "--ordering", "px", "--epsilons=-1,-1"), "7a80ecaaae6cddc9"),
-    (("rs2d", "--n", "128", "--xmax", "12", "--ordering", "xp", "--epsilons=1,1"), "0a37023bbd9545c4"),
-    (("rs2d", "--n", "128", "--xmax", "12", "--ordering", "xp", "--epsilons=1,-1"), "476bc85be4080585"),
-    (("rs2d", "--n", "128", "--xmax", "12", "--ordering", "xp", "--epsilons=-1,1"), "e88210b257756137"),
-    (("rs2d", "--n", "128", "--xmax", "12", "--ordering", "xp", "--epsilons=-1,-1"), "7ec1bbd84ecf4af2"),
-    (("rs2d", "--n", "64", "--xmax", "10", "--mc", "20000", "--seed", "5"), "635364cf6854e77c"),
-    (("ak-compare", "--n", "256"), "916be18fadf69767"),
-    (("rs2d", "--n", "64", "--xmax", "10", "--ordering", "xp", "--mc", "20000", "--seed", "5"),
-     "0a3a0b5a228d54dd"),
+# stdout of the transport commands, recorded before the verifier's fine
+# bins came from one helper (numpy 2.4, x86-64): every distance is printed
+# in full, so a bin edge moved by one ulp shows here (the xp rows whose pp
+# distance moved by ~1e-17 when xp became the px chain of the axis-swapped
+# state were re-recorded then).  The xp --mc row was re-recorded when rs2d
+# began to read xp off its one px chain: the Monte Carlo check draws its
+# samples on the chain's own axes, not on the axis order the user asked
+# for, so xp prints the px report with qp for pq
+TRANSPORT_CASES = [
+    ("rs1d", "--n", "256", "--state", "gaussian", "--epsilon", "1"),
+    ("rs1d", "--n", "256", "--state", "gaussian", "--epsilon", "-1"),
+    ("rs1d", "--n", "256", "--state", "two-gaussian", "--epsilon", "1"),
+    ("rs1d", "--n", "256", "--state", "two-gaussian", "--epsilon", "-1"),
+    ("rs1d", "--n", "256", "--state", "excited", "--epsilon", "1"),
+    ("rs1d", "--n", "256", "--state", "excited", "--epsilon", "-1"),
+    ("rs1d", "--n", "1024", "--state", "gaussian", "--epsilon", "1"),
+    ("rs1d", "--n", "1024", "--state", "gaussian", "--epsilon", "-1"),
+    ("rs1d", "--n", "1024", "--state", "two-gaussian", "--epsilon", "1"),
+    ("rs1d", "--n", "1024", "--state", "two-gaussian", "--epsilon", "-1"),
+    ("rs1d", "--n", "1024", "--state", "excited", "--epsilon", "1"),
+    ("rs1d", "--n", "1024", "--state", "excited", "--epsilon", "-1"),
+    ("rs1d", "--n", "1024", "--mc", "20000", "--seed", "3"),
+    ("rs2d", "--n", "64", "--xmax", "10", "--ordering", "px", "--epsilons=1,1"),
+    ("rs2d", "--n", "64", "--xmax", "10", "--ordering", "px", "--epsilons=1,-1"),
+    ("rs2d", "--n", "64", "--xmax", "10", "--ordering", "px", "--epsilons=-1,1"),
+    ("rs2d", "--n", "64", "--xmax", "10", "--ordering", "px", "--epsilons=-1,-1"),
+    ("rs2d", "--n", "64", "--xmax", "10", "--ordering", "xp", "--epsilons=1,1"),
+    ("rs2d", "--n", "64", "--xmax", "10", "--ordering", "xp", "--epsilons=1,-1"),
+    ("rs2d", "--n", "64", "--xmax", "10", "--ordering", "xp", "--epsilons=-1,1"),
+    ("rs2d", "--n", "64", "--xmax", "10", "--ordering", "xp", "--epsilons=-1,-1"),
+    ("rs2d", "--n", "128", "--xmax", "12", "--ordering", "px", "--epsilons=1,1"),
+    ("rs2d", "--n", "128", "--xmax", "12", "--ordering", "px", "--epsilons=1,-1"),
+    ("rs2d", "--n", "128", "--xmax", "12", "--ordering", "px", "--epsilons=-1,1"),
+    ("rs2d", "--n", "128", "--xmax", "12", "--ordering", "px", "--epsilons=-1,-1"),
+    ("rs2d", "--n", "128", "--xmax", "12", "--ordering", "xp", "--epsilons=1,1"),
+    ("rs2d", "--n", "128", "--xmax", "12", "--ordering", "xp", "--epsilons=1,-1"),
+    ("rs2d", "--n", "128", "--xmax", "12", "--ordering", "xp", "--epsilons=-1,1"),
+    ("rs2d", "--n", "128", "--xmax", "12", "--ordering", "xp", "--epsilons=-1,-1"),
+    ("rs2d", "--n", "64", "--xmax", "10", "--mc", "20000", "--seed", "5"),
+    ("ak-compare", "--n", "256"),
+    ("rs2d", "--n", "64", "--xmax", "10", "--ordering", "xp", "--mc", "20000", "--seed", "5"),
 ]
 
 
-@pytest.mark.parametrize("argv, want", STDOUT_DIGESTS)
-def test_transport_stdout_pinned(capsys, argv, want):
+@pytest.mark.parametrize("argv", TRANSPORT_CASES,
+                         ids=_pins.ids(TRANSPORT_CASES, "transport_stdout"))
+def test_transport_stdout_pinned(capsys, argv):
     code, out, err = run(capsys, *argv)
-    assert code == 0, err
-    assert hashlib.sha256(out.encode()).hexdigest()[:16] == want
+    _pins.check("transport_stdout", argv, _pins.stdout(code, out), err)
 
 
 @pytest.mark.parametrize("ordering", ["px", "xp"])
@@ -823,7 +823,7 @@ def test_rs2d_builds_one_chain_frame_per_chain(capsys, monkeypatch, ordering):
 
 @pytest.mark.parametrize("argv", [
     *(tuple(a for a in argv if a not in ("--ordering", "px"))
-      for argv, _ in STDOUT_DIGESTS if "px" in argv),
+      for argv in TRANSPORT_CASES if "px" in argv),
     ("rs2d", "--rho", "0", "--sigma", "0.7", "--n", "256", "--xmax", "20"),
     # states whose products 2 rho x1 x2 round apart under the swap
     *(("rs2d", "--rho", rho, "--sigma", "0.7", "--n", "128", "--xmax", "14")
@@ -846,69 +846,62 @@ def test_rs2d_orderings_agree_on_swap_symmetric_state(capsys, argv):
     assert xp == docs["px"]
 
 
-# sha256 prefixes of lhv stdout for each behavior source and both deciders,
-# recorded before the three sources resolved to one quantum_behavior call
+# lhv stdout for each behavior source and both deciders, recorded before
+# the three sources resolved to one quantum_behavior call
 LHV_PIPED = {"state": "psi-minus", "kinds": "LELE", "angles_rad": [0.1, 0.5, 0.9, 1.3]}
-LHV_DIGESTS = [
-    (("--correlators", "0.3,0.3,0.3,0.3"), "97a72cfa24954a19"),
-    (("--correlators", "0.3,0.3,0.3,0.3", "--brute-force"), "44687e29dd2f9f60"),
-    (("--state", "psi-plus", "--kinds", "LLLL", "--angles", "0,22.5,45,67.5", "--degrees"),
-     "f57853027cf8c388"),
-    (("--state", "psi-plus", "--kinds", "LLLL", "--angles", "0,22.5,45,67.5", "--degrees",
-      "--brute-force"), "ff1f2653fe34345c"),
-    (("--from-state",), "c05455dc5b502c30"),
-    (("--from-state", "--brute-force"), "07b95a52c083707c"),
+LHV_CASES = [
+    ("--correlators", "0.3,0.3,0.3,0.3"),
+    ("--correlators", "0.3,0.3,0.3,0.3", "--brute-force"),
+    ("--state", "psi-plus", "--kinds", "LLLL", "--angles", "0,22.5,45,67.5", "--degrees"),
+    ("--state", "psi-plus", "--kinds", "LLLL", "--angles", "0,22.5,45,67.5", "--degrees",
+     "--brute-force"),
+    ("--from-state",),
+    ("--from-state", "--brute-force"),
 ]
 
 
-@pytest.mark.parametrize("argv, want", LHV_DIGESTS)
-def test_lhv_stdout_pinned(capsys, monkeypatch, argv, want):
+@pytest.mark.parametrize("argv", LHV_CASES, ids=_pins.ids(LHV_CASES, "lhv_stdout"))
+def test_lhv_stdout_pinned(capsys, monkeypatch, argv):
     monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(LHV_PIPED)))
     code, out, err = run(capsys, "lhv", *argv)
-    assert code == 0, err
-    assert hashlib.sha256(out.encode()).hexdigest()[:16] == want
+    _pins.check("lhv_stdout", argv, _pins.stdout(code, out), err)
 
 
-# sha256 prefixes of chsh stdout and of its CSV table (written to a relative
-# path, which the stdout names), recorded before one spinor function built
-# every ChshSettings
-CHSH_TABLE_DIGESTS = [
-    (("--state", "singlet", "--kinds", "LELE", "--angles", "0,22.5,45,67.5", "--degrees"),
-     "474d9f1750fc1220", "61a494002324369e"),
-    (("--state", "psi-plus", "--kinds", "EELE", "--angles", "0.1,0.7,-2.3,4.0", "--maximize"),
-     "dbd3ecf28d09c8df", "a924bebdb615fb6e"),
+# chsh stdout and its CSV table (written to a relative path, which the
+# stdout names), recorded before one spinor function built every
+# ChshSettings
+CHSH_TABLE_CASES = [
+    ("--state", "singlet", "--kinds", "LELE", "--angles", "0,22.5,45,67.5", "--degrees"),
+    ("--state", "psi-plus", "--kinds", "EELE", "--angles", "0.1,0.7,-2.3,4.0", "--maximize"),
 ]
 
 
-@pytest.mark.parametrize("argv, want_out, want_csv", CHSH_TABLE_DIGESTS)
-def test_chsh_angles_table_pinned(tmp_path, capsys, monkeypatch, argv, want_out, want_csv):
+@pytest.mark.parametrize("argv", CHSH_TABLE_CASES,
+                         ids=_pins.ids(CHSH_TABLE_CASES, "chsh_stdout", "chsh_csv"))
+def test_chsh_angles_table_pinned(tmp_path, capsys, monkeypatch, argv):
     monkeypatch.chdir(tmp_path)
     code, out, err = run(capsys, "chsh", *argv, "--out", "chsh.csv")
-    assert code == 0, err
-    assert hashlib.sha256(out.encode()).hexdigest()[:16] == want_out
-    assert hashlib.sha256((tmp_path / "chsh.csv").read_bytes()).hexdigest()[:16] == want_csv
+    _pins.check("chsh_stdout", argv, _pins.stdout(code, out), err)
+    _pins.check("chsh_csv", argv, _pins.csv_file(tmp_path / "chsh.csv"))
 
 
-# sha256 prefixes of wigner stdout, and of the CSV of a 2-D grid state
-# (written to a relative path, which the stdout names), recorded before the
-# Wigner results carried their source state
-WIGNER_DIGESTS = [
-    (("--n", "256", "--state", "gaussian"), "2d4a71722f4ec3c2", None),
-    (("--n", "256", "--state", "excited"), "e38927e3ac4251ec", None),
-    (("--state", "psi-plus-grid", "--n", "16", "--out", "wigner.csv"),
-     "c895be72dde257f9", "2e951a35945ceba3"),
-    (("--state", "psi-plus-grid", "--n", "32", "--out", "wigner.csv"),
-     "6a460159a73c136e", "5f84c44e278ada28"),
-    (("--state", "psi-plus-grid", "--n", "64", "--out", "wigner.csv"),
-     "39f07484c63a77df", "11f96f2f6b91f41f"),
+# wigner stdout, and the CSV of a 2-D grid state (written to a relative
+# path, which the stdout names), recorded before the Wigner results carried
+# their source state
+WIGNER_CASES = [
+    ("--n", "256", "--state", "gaussian"),
+    ("--n", "256", "--state", "excited"),
+    ("--state", "psi-plus-grid", "--n", "16", "--out", "wigner.csv"),
+    ("--state", "psi-plus-grid", "--n", "32", "--out", "wigner.csv"),
+    ("--state", "psi-plus-grid", "--n", "64", "--out", "wigner.csv"),
 ]
 
 
-@pytest.mark.parametrize("argv, want_out, want_csv", WIGNER_DIGESTS)
-def test_wigner_stdout_pinned(tmp_path, capsys, monkeypatch, argv, want_out, want_csv):
+@pytest.mark.parametrize("argv", WIGNER_CASES,
+                         ids=_pins.ids(WIGNER_CASES, "wigner_stdout", "wigner_csv"))
+def test_wigner_stdout_pinned(tmp_path, capsys, monkeypatch, argv):
     monkeypatch.chdir(tmp_path)
     code, out, err = run(capsys, "wigner", *argv)
-    assert code == 0, err
-    assert hashlib.sha256(out.encode()).hexdigest()[:16] == want_out
-    if want_csv is not None:
-        assert hashlib.sha256((tmp_path / "wigner.csv").read_bytes()).hexdigest()[:16] == want_csv
+    _pins.check("wigner_stdout", argv, _pins.stdout(code, out), err)
+    if "--out" in argv:
+        _pins.check("wigner_csv", argv, _pins.csv_file(tmp_path / "wigner.csv"))

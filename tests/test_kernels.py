@@ -1,12 +1,12 @@
 """The kernels and the batched CDF inversion against slow, obviously correct
 per-interval, per-point and per-slice references kept here."""
 
-import hashlib
 import math
 
 import numpy as np
 import pytest
 
+import _pins
 from bellforge import _kernels, causal, waves
 from bellforge.errors import GridResolutionError, ValidationError
 
@@ -173,10 +173,6 @@ def test_deposit_intervals_batched_equals_column_loop():
         np.testing.assert_array_equal(got[:, k], col)
 
 
-def _digest(a):
-    return hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()[:16]
-
-
 def _pin_intervals(shape, seed):
     """``_random_intervals`` of the given shape, with NaN endpoints and
     endpoints at +-1e300 mixed in (grid [-1, 1])."""
@@ -188,23 +184,22 @@ def _pin_intervals(shape, seed):
     return tuple(a.reshape(shape) for a in (lo, hi, w))
 
 
-# sha256 prefixes of deposit_intervals output bytes for (shape, seed,
-# nbins) on the grid [-1, 1], recorded before the difference array was
-# summed in place
-DEPOSIT_INTERVALS_PINS = {
-    ((3000,), 20, 64): "3b3f08580cffacfd",
-    ((3000,), 21, 1): "5cbfe9bee52854ac",
-    ((40, 75), 22, 37): "7f53053bb7aa1efc",
-    ((257, 16), 23, 1024): "3b8f6b13d79c9790",
-}
+# deposit_intervals output bytes for (shape, seed, nbins) on the grid
+# [-1, 1], recorded before the difference array was summed in place
+DEPOSIT_INTERVALS_CASES = [
+    ((3000,), 20, 64),
+    ((3000,), 21, 1),
+    ((40, 75), 22, 37),
+    ((257, 16), 23, 1024),
+]
 
 
-@pytest.mark.parametrize("case", list(DEPOSIT_INTERVALS_PINS))
+@pytest.mark.parametrize("case", DEPOSIT_INTERVALS_CASES)
 def test_deposit_intervals_bits_pinned(case):
     shape, seed, nbins = case
     out = _kernels.deposit_intervals(*_pin_intervals(shape, seed), -1.0, 2.0 / nbins, nbins)
     assert out.shape == (nbins,) + shape[1:]
-    assert _digest(out) == DEPOSIT_INTERVALS_PINS[case]
+    _pins.check("deposit_intervals", case, _pins.array(out))
 
 
 # ---------------------------------------------------------------------------
@@ -219,13 +214,13 @@ def test_deposit_points_matches_reference():
     np.testing.assert_allclose(got, _ref_deposit_points(x, w, -4.0, 0.05, 160), rtol=1e-12, atol=1e-15)
 
 
-# sha256 prefixes of deposit_points output bytes for _pin_points(*case),
-# recorded before the kernel dropped its boolean compression
-DEPOSIT_POINTS_PINS = {
-    (-3.0, 0.0625, 96, 10): "abe247f554f3bb11",
-    (-4.0, 0.05, 160, 11): "8fad33e970883ec0",
-    (-6.0, 12.0 / 4096, 4096, 12): "441275420b5b54f7",
-}
+# deposit_points output bytes for _pin_points(*case), recorded before the
+# kernel dropped its boolean compression
+DEPOSIT_POINTS_CASES = [
+    (-3.0, 0.0625, 96, 10),
+    (-4.0, 0.05, 160, 11),
+    (-6.0, 12.0 / 4096, 4096, 12),
+]
 
 
 def _pin_points(x0, dx, nbins, seed):
@@ -243,11 +238,11 @@ def _pin_points(x0, dx, nbins, seed):
     return x, rng.uniform(0.5, 1.5, x.size)
 
 
-@pytest.mark.parametrize("case", list(DEPOSIT_POINTS_PINS))
+@pytest.mark.parametrize("case", DEPOSIT_POINTS_CASES)
 def test_deposit_points_bits_pinned(case):
     x0, dx, nbins, _ = case
     out = _kernels.deposit_points(*_pin_points(*case), x0, dx, nbins)
-    assert hashlib.sha256(out.tobytes()).hexdigest()[:16] == DEPOSIT_POINTS_PINS[case]
+    _pins.check("deposit_points", case, _pins.array(out))
 
 
 def test_deposit_points_conserves_interior_mass():
@@ -379,18 +374,14 @@ def _pin_cdf_queries(n, ncols, seed):
     return edges, f, np.sort(u, axis=0)
 
 
-# sha256 prefixes of _cdf_inverse output bytes for (n, ncols, seed),
-# recorded before the inversion gathered by flat index
-CDF_INVERSE_PINS = {
-    (40, 12, 30): "4996e690a3d0ee8c",
-    (256, 1, 31): "d9fa0dd866ad6986",
-    (128, 64, 32): "868228ffd2c3c164",
-}
+# _cdf_inverse output bytes for (n, ncols, seed), recorded before the
+# inversion gathered by flat index
+CDF_INVERSE_CASES = [(40, 12, 30), (256, 1, 31), (128, 64, 32)]
 
 
-@pytest.mark.parametrize("case", list(CDF_INVERSE_PINS))
+@pytest.mark.parametrize("case", CDF_INVERSE_CASES)
 def test_cdf_inverse_bits_pinned(case):
-    assert _digest(causal._cdf_inverse(*_pin_cdf_queries(*case))) == CDF_INVERSE_PINS[case]
+    _pins.check("cdf_inverse", case, _pins.array(causal._cdf_inverse(*_pin_cdf_queries(*case))))
 
 
 def _complex_state(shape, reps, seed):

@@ -10,6 +10,18 @@ from test_spinor import reference_ket
 QUARTER = np.deg2rad([0.0, 22.5, 45.0, 67.5])
 
 
+def marginal_behavior(joint):
+    """The behavior of an LHV joint distribution: the deterministic vertex
+    behaviors weighted by the joint's outcome tuples."""
+    return lhv.Behavior((lhv._vertex_matrix() @ joint.q.reshape(16)).reshape(2, 2, 2, 2))
+
+
+def pr_box():
+    """The no-signalling extremal behavior with all four correlators +/-1,
+    S=4: perfectly correlated except on the (2,2) pair."""
+    return lhv.behavior_from_correlators([[1.0, 1.0], [1.0, -1.0]])
+
+
 def _quarter_settings():
     a, b, ap, bp = QUARTER
     return ChshSettings(
@@ -24,13 +36,13 @@ def _random_vertex_mixture(rng):
     w = rng.random(16)
     w /= w.sum()
     q = lhv.JointDistribution(w.reshape(2, 2, 2, 2))
-    return q.marginal_behavior()
+    return marginal_behavior(q)
 
 
 def _random_no_signalling(rng):
     # mix a vertex model with a PR box; stays no-signalling, spans both sides
     lam = rng.random()
-    p = lam * lhv.pr_box().p + (1.0 - lam) * _random_vertex_mixture(rng).p
+    p = lam * pr_box().p + (1.0 - lam) * _random_vertex_mixture(rng).p
     return lhv.Behavior(p)
 
 
@@ -51,7 +63,7 @@ def test_vertex_models_are_feasible():
         res = lhv.lhv_feasible(b)
         assert res.feasible
         assert res.joint is not None
-        back = res.joint.marginal_behavior()
+        back = marginal_behavior(res.joint)
         assert np.max(np.abs(back.p - b.p)) < 1e-7
 
 
@@ -67,7 +79,7 @@ def test_quantum_optimum_is_infeasible_with_certificate():
 
 
 def test_pr_box_maximally_infeasible():
-    res = lhv.lhv_feasible(lhv.pr_box())
+    res = lhv.lhv_feasible(pr_box())
     assert not res.feasible
     assert res.certificate.value == pytest.approx(4.0, abs=1e-12)
 
@@ -165,7 +177,7 @@ def _sparse_feasible_behaviors(rng, count):
         w = rng.dirichlet(np.full(16, 0.15))
         p = (lhv._vertex_matrix() @ w).reshape(2, 2, 2, 2)
         lam = rng.choice([0.0, rng.uniform(0.0, 0.3)])
-        b = lhv.Behavior(lam * lhv.pr_box().p + (1.0 - lam) * p)
+        b = lhv.Behavior(lam * pr_box().p + (1.0 - lam) * p)
         if lhv.brute_force_feasible(b).feasible:
             out.append(b)
     return out
@@ -205,7 +217,7 @@ def test_kkt_check_rejects_other_mixtures():
     pytest.importorskip("scipy")
     rng = np.random.default_rng(4)
     w = rng.dirichlet(np.ones(16))
-    b = lhv.JointDistribution(w.reshape(2, 2, 2, 2)).marginal_behavior()
+    b = marginal_behavior(lhv.JointDistribution(w.reshape(2, 2, 2, 2)))
     q = lhv.lhv_feasible(b).joint.q.reshape(16)
     assert _kkt_residual(q) <= 1e-12
     other = 0.5 * (q + w)

@@ -17,6 +17,11 @@ FROZEN = {
 }
 
 
+def family_s(cutoff, sign=+1):
+    """Closed-form S of the psi_(+/-) family: S_(+/-) = +/-(sqrt(2)/8)(2 + I)^2."""
+    return sign * psbell._s_of_overlap(psbell.overlap_integral(cutoff))
+
+
 def test_overlap_integral_frozen_values():
     for cutoff, (i_val, _) in FROZEN.items():
         assert psbell.overlap_integral(cutoff) == pytest.approx(i_val, abs=1e-6)
@@ -72,11 +77,11 @@ def test_overlap_nodes_avoid_the_branch_points():
 
 def test_family_s_frozen_and_antisymmetric():
     for cutoff, (_, s_val) in FROZEN.items():
-        assert psbell.family_s(cutoff, +1) == pytest.approx(s_val, abs=1e-6)
-        assert psbell.family_s(cutoff, -1) == pytest.approx(-s_val, abs=1e-6)
+        assert family_s(cutoff, +1) == pytest.approx(s_val, abs=1e-6)
+        assert family_s(cutoff, -1) == pytest.approx(-s_val, abs=1e-6)
     # S = sqrt(2)/8 (2 + I)^2 with I < 2 keeps S below the quantum bound
     for cutoff in (1e5, 1e7, 1e9):
-        assert psbell.family_s(cutoff) < psbell.TSIRELSON + 1e-6
+        assert family_s(cutoff) < psbell.TSIRELSON + 1e-6
 
 
 def test_demo_report():
@@ -98,14 +103,14 @@ def test_grid_cross_check():
     assert 1.2 < s_grid < psbell.TSIRELSON
     # the grid estimate must sit below the closed form (finite box +
     # discrete zero lines both bleed correlation)
-    assert s_grid < psbell.family_s(10.0)
+    assert s_grid < family_s(10.0)
     # the miss is set by the momentum cell dp = pi/xmax: each halving of dp
     # cuts it by more than half.  Measured 0.338, 0.071 and 0.0125; the
     # last is bounded by 0.02, which leaves 0.0075 of headroom
-    gaps = [abs(s_grid - psbell.family_s(10.0))]
+    gaps = [abs(s_grid - family_s(10.0))]
     for n, xmax in ((512, 24.0), (1024, 48.0)):
         psi = waves.psi_marginal_state(+1, 10.0, n=n, xmax=xmax)
-        gaps.append(abs(psbell.s_functional(psi) - psbell.family_s(10.0)))
+        gaps.append(abs(psbell.s_functional(psi) - family_s(10.0)))
     assert gaps[1] < 0.5 * gaps[0] and gaps[2] < 0.5 * gaps[1]
     assert gaps[2] < 0.02
 

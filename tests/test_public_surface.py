@@ -3,9 +3,9 @@
 A public module-level function or class method (name without a leading
 underscore) counts as reached when its name appears as an ``ast.Name`` or
 as the attribute of an ``ast.Attribute`` anywhere in the package source.
-The few names kept for the tests alone are listed with their reason; any
-other unreached name fails the test, so library surface that no command
-calls cannot regrow unnoticed.
+Any unreached name fails the test: a function that only the tests call
+lives in the tests, so library surface that no command calls cannot regrow
+unnoticed.
 
 The check goes by name only.  A method that shares its name with one that
 is reached (say an ``evaluate`` beside ``MonotoneMap.evaluate``) counts as
@@ -18,13 +18,6 @@ from pathlib import Path
 import bellforge
 
 PACKAGE = Path(bellforge.__file__).parent
-
-# unreached from the package on purpose: each serves the tests
-KEPT_FOR_TESTS = {
-    "family_s": "closed-form S of the psi_(+/-) family, checked by the acceptance guarantees",
-    "pr_box": "the PR box, the no-signalling behavior the acceptance guarantees refute as local",
-    "marginal_behavior": "the behavior of an LHV joint distribution, read by the acceptance guarantees",
-}
 
 
 def _trees():
@@ -56,4 +49,4 @@ def test_every_public_function_is_reached_from_the_package():
     trees = _trees()
     defined = set().union(*map(_public_definitions, trees))
     referenced = set().union(*map(_referenced_names, trees))
-    assert sorted(defined - referenced) == sorted(KEPT_FOR_TESTS)
+    assert sorted(defined - referenced) == []

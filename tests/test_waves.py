@@ -1,9 +1,9 @@
-import hashlib
 import math
 
 import numpy as np
 import pytest
 
+import _pins
 from bellforge import waves
 from bellforge.errors import DomainError, TruncationError, ValidationError
 
@@ -238,78 +238,69 @@ def _pin_state(shape, reps, seed, real=False):
     return waves.GridWavefunction(axes, values, {})
 
 
-def _digest(a):
-    return hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()[:16]
+# the output bytes for (shape, reps, seed, real, axis), recorded before the
+# transforms began to work in place
+FOURIER_CASES = [
+    ((256,), "x", 1, False, 0),
+    ((256,), "p", 2, False, 0),
+    ((256,), "x", 3, True, 0),
+    ((4,), "x", 4, False, 0),
+    ((32, 64), "xx", 5, False, 0),
+    ((32, 64), "xx", 5, False, 1),
+    ((32, 64), "pp", 6, False, 0),
+    ((32, 64), "pp", 6, False, 1),
+    ((32, 64), "px", 7, False, 0),
+    ((32, 64), "px", 7, False, 1),
+]
 
 
-# sha256 prefixes of the output bytes for (shape, reps, seed, real, axis),
-# recorded before the transforms began to work in place
-FOURIER_PINS = {
-    ((256,), "x", 1, False, 0): "23095bc64e04f15c",
-    ((256,), "p", 2, False, 0): "e54850e0466bc1af",
-    ((256,), "x", 3, True, 0): "15bcbb22965672a0",
-    ((4,), "x", 4, False, 0): "eb8fbf42a90eee51",
-    ((32, 64), "xx", 5, False, 0): "76a94c086272d5a0",
-    ((32, 64), "xx", 5, False, 1): "e9bd7bae7cdb6320",
-    ((32, 64), "pp", 6, False, 0): "6176f740dd9c6809",
-    ((32, 64), "pp", 6, False, 1): "38050e16457afaeb",
-    ((32, 64), "px", 7, False, 0): "33226664d0f6e575",
-    ((32, 64), "px", 7, False, 1): "c0f8619e3e9eea86",
-}
-
-
-@pytest.mark.parametrize("case", list(FOURIER_PINS))
+@pytest.mark.parametrize("case", FOURIER_CASES)
 def test_fourier_bits_pinned(case):
     shape, reps, seed, real, axis = case
     out = waves.fourier(_pin_state(shape, reps, seed, real), axis)
-    assert _digest(out.values) == FOURIER_PINS[case]
+    _pins.check("fourier", case, _pins.array(out.values))
 
 
 # as above for (shape, seed, axis, factor) on position axes
-PADDED_PINS = {
-    ((256,), 8, 0, 2): "867d9dbe4f2d905c",
-    ((256,), 8, 0, 4): "08a7a2e349b3a165",
-    ((4,), 9, 0, 4): "1e57efa0b03b2146",
-    ((32, 16), 10, 0, 2): "9d6c3859821bdf3e",
-    ((32, 16), 10, 0, 4): "db10f62491e36bdf",
-    ((32, 16), 10, 1, 2): "beaca7751ed57afd",
-    ((32, 16), 10, 1, 4): "5b90077cdf867a3b",
-}
+PADDED_CASES = [
+    ((256,), 8, 0, 2),
+    ((256,), 8, 0, 4),
+    ((4,), 9, 0, 4),
+    ((32, 16), 10, 0, 2),
+    ((32, 16), 10, 0, 4),
+    ((32, 16), 10, 1, 2),
+    ((32, 16), 10, 1, 4),
+]
 
 
-@pytest.mark.parametrize("case", list(PADDED_PINS))
+@pytest.mark.parametrize("case", PADDED_CASES)
 def test_padded_transform_bits_pinned(case):
     shape, seed, axis, factor = case
     out = waves.padded_transform(_pin_state(shape, "x" * len(shape), seed), axis, factor)
-    assert _digest(out.values) == PADDED_PINS[case]
+    _pins.check("padded_transform", case, _pins.array(out.values))
 
 
 # as above for (n, axis, factor) on the correlated Gaussian (rho = 0.6,
 # xmax = 8): real values stored as complex, whose zero imaginary parts and
 # zero padding make exact zeros in the sums
-PADDED_GAUSSIAN_PINS = {
-    (32, 0, 4): "c0fef564eab6eadb",
-    (32, 1, 4): "49311ca7fa5aa292",
-    (16, 1, 2): "e43d1b0ad9b9919c",
-}
+PADDED_GAUSSIAN_CASES = [(32, 0, 4), (32, 1, 4), (16, 1, 2)]
 
 
-@pytest.mark.parametrize("case", list(PADDED_GAUSSIAN_PINS))
+@pytest.mark.parametrize("case", PADDED_GAUSSIAN_CASES)
 def test_padded_transform_of_real_state_bits_pinned(case):
     n, axis, factor = case
     psi = waves.correlated_gaussian_2d(rho=0.6, n=n, xmax=8.0)
-    assert _digest(waves.padded_transform(psi, axis, factor).values) == PADDED_GAUSSIAN_PINS[case]
+    out = waves.padded_transform(psi, axis, factor)
+    _pins.check("padded_gaussian", case, _pins.array(out.values))
 
 
 # as above for density() and masses() of (shape, seed)
-DENSITY_PINS = {
-    ((256,), 11): ("3216b28813f84ab9", "b742d88a7877f1e6"),
-    ((32, 64), 12): ("131a5226bde7d8af", "7fa9d77fe5832812"),
-}
+DENSITY_CASES = [((256,), 11), ((32, 64), 12)]
 
 
-@pytest.mark.parametrize("case", list(DENSITY_PINS))
+@pytest.mark.parametrize("case", DENSITY_CASES)
 def test_density_and_masses_bits_pinned(case):
     shape, seed = case
     psi = _pin_state(shape, "x" * len(shape), seed)
-    assert (_digest(psi.density()), _digest(psi.masses())) == DENSITY_PINS[case]
+    _pins.check("density_masses", case + ("density",), _pins.array(psi.density()))
+    _pins.check("density_masses", case + ("masses",), _pins.array(psi.masses()))

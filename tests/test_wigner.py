@@ -1,5 +1,4 @@
 import csv
-import hashlib
 import inspect
 import math
 import sys
@@ -9,6 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import _pins
 from bellforge import cli, waves, wigner
 from bellforge.errors import DomainError, ValidationError
 from bellforge.spinor import TSIRELSON
@@ -95,15 +95,14 @@ def test_2d_transform_matches_explicit_sum(n):
         assert np.max(np.abs(summary.marginals[key] - marginal)) < 1e-13, key
 
 
-def _digest(a):
-    return hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()[:16]
-
-
-def _summary_digests(summary):
-    """sha256 prefixes of min_w, the qq, qp, pq and pp marginals and the
-    central slice of a 2-D Wigner summary, in that order."""
-    marginals = tuple(_digest(summary.marginals[k]) for k in ("qq", "qp", "pq", "pp"))
-    return (_digest(np.float64(summary.min_w)),) + marginals + (_digest(summary.central_slice),)
+def _check_summary(case):
+    """min_w, the qq, qp, pq and pp marginals and the central slice of the
+    2-D Wigner summary of a pinned state."""
+    summary = wigner.wigner_transform(_pinned_state(case))
+    moved = _pins.compare("wigner_2d_min_w", case, _pins.scalar(float(summary.min_w)))
+    for part, values in [*summary.marginals.items(), ("central_slice", summary.central_slice)]:
+        moved += _pins.compare("wigner_2d", case + (part,), _pins.array(values))
+    assert not moved, "\n".join(moved)
 
 
 def _pinned_state(case):
@@ -115,24 +114,18 @@ def _pinned_state(case):
 
 # every output bit of the 2-D transform, for the grid states of `wigner
 # --state psi-plus-grid|psi-minus-grid` at the default cutoff and a random state
-SUMMARY_2D_PINS = {
-    ("psi-plus-grid", 32): ("8e9cff61f481b775", "6d1075799a3e8d8f", "970ae8605f97ab66",
-                            "be0bbce2976562c1", "d5abd2c8124d8a53", "cb28c5670c9eef03"),
-    ("psi-minus-grid", 32): ("91200eeee5f5334f", "974e31cc48e57a0e", "262cbb36000b978d",
-                             "81a9d1054e637a64", "3b71aacb5def7ba0", "6a91185b65328eb1"),
-    ("psi-plus-grid", 64): ("984ea83d4644839d", "6dda7426271556c7", "f333d79c4264ef52",
-                            "ec9dfbdb807e5b19", "5c2800656332a6f2", "ab5dfb1f52d46a4b"),
-    ("psi-minus-grid", 64): ("984ea83d4644839d", "56a9744162b261f8", "9f8f90bca21583b1",
-                             "35658146cc056d0b", "59f1abe8d2e2d43d", "150ac1c3c31a0b09"),
-    ("random", 16): ("ab08264fa1dc5552", "365ef26f0e519b9a", "af8afbd8a17a9c28",
-                     "ff671762abd9361d", "2befe2e6a4a3dfae", "9b829e4fd13ba70f"),
-}
+SUMMARY_2D_CASES = [
+    ("psi-minus-grid", 32),
+    ("psi-minus-grid", 64),
+    ("psi-plus-grid", 32),
+    ("psi-plus-grid", 64),
+    ("random", 16),
+]
 
 
-@pytest.mark.parametrize("case", sorted(SUMMARY_2D_PINS))
+@pytest.mark.parametrize("case", SUMMARY_2D_CASES)
 def test_2d_summary_bits_pinned(case):
-    summary = wigner.wigner_transform(_pinned_state(case))
-    assert _summary_digests(summary) == SUMMARY_2D_PINS[case]
+    _check_summary(case)
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3, 5])
@@ -143,8 +136,8 @@ def test_2d_summary_bits_do_not_depend_on_the_thread_count(monkeypatch, workers)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        for case, want in SUMMARY_2D_PINS.items():
-            assert _summary_digests(wigner.wigner_transform(_pinned_state(case))) == want, case
+        for case in SUMMARY_2D_CASES:
+            _check_summary(case)
     finally:
         sys.setswitchinterval(interval)
 
@@ -554,53 +547,22 @@ def test_protocol_maxima_frozen():
     assert all(b >= a - 1e-9 for a, b in zip(values, values[1:]))
 
 
-# sha256 prefixes of repr((s_max, displacements)), each value as a Python
-# float (repr round-trips every bit and the sign of zero), for the searches
-# at these r, recorded before the simplex moved from numpy arrays to lists
+# repr((s_max, displacements)), each value as a Python float (repr
+# round-trips every bit and the sign of zero), for the searches at these r,
+# recorded before the simplex moved from numpy arrays to lists
 PIN_SQUEEZINGS = (0.0, 0.3, 1.0, 1.7, 3.0, 6.0, 10.0, 50.0) + tuple(
     float(r) for r in np.random.default_rng(14).uniform(0.5, 2.0, 40)
 )
-SEARCH_PINS = {
-    "protocol": (
-        "9b074ffc040fd8a7", "4414ec1fe6a211bc", "07937acba8f181d1", "72ab74cfef40791a",
-        "471ac67bae8e82b4", "1d60fdb53a9c37b8", "c7df091f8ed837a8", "b6deeea7cdd248a3",
-        "3fc4137135c30088", "44c9268064a5135d", "34e603a54f93c276", "dfd255267012dcac",
-        "261633276b9afaab", "bd0eb0a8bc1b82cc", "46d02998bb57a6bd", "fa4210b287b9a899",
-        "0a93c0db8a270653", "96189b8a50732848", "f7cf007e3a60fe1b", "df4ce552b55db810",
-        "d206089c77b47aaf", "0971460ef74c9bf7", "e90ad90ac7eb9e49", "632416209bec911f",
-        "4dfb9d96e2f64b2a", "6516b815b4711d57", "a5365d789048fef8", "2ea1b29aff2df0bf",
-        "a7c86b75907bcf07", "5762fedc1a301172", "ba8d178adae9fe18", "99762684f191614c",
-        "3e38ad7ec337a478", "80f5b8f47de4f66b", "af5ab3b411625d27", "11c36322bd3068df",
-        "94c02e43c57e1d0b", "5623d000d09b2ad8", "5fe7b00a80d690ce", "394089c7bd0cff27",
-        "78ce37d5918572dd", "eba87840b44d95e5", "603a81f884e2cc57", "8c8f55dac3b8b8ff",
-        "dbf72b20e4baeb52", "716e3d0e2df607f5", "a1ee24f22c568569", "61f11e090009cf2e",
-    ),
-    "full": (
-        "6a529f89a1c7e6d9", "a965b4f888b93012", "f1078de69826b299", "ca82f6fc5e7f3fb1",
-        "e8bb7d8f39e5db8c", "e908df3e19d3d0d2", "8691389580fdfd4a", "2232ce06ba254a05",
-        "f653c50b1e36d9ea", "9be7c3f417c5ba73", "997ae2e523ef4246", "058c427eb8c46829",
-        "0ea44ee0af1b9bca", "291dee08aaf2f7ad", "ebe97377c58adfb8", "faab8829f017049a",
-        "5006a57d17f44be8", "99d06a6de04f7e5a", "ebae445af9024dd7", "33338eccae8ec40b",
-        "8178f6b44d0b6834", "5d8ce2d5593aae69", "c991440dc4648bb9", "7d66c4c2315b9a61",
-        "b861088fe9fef188", "013796fa632d6468", "05e0ee4045c80f47", "e71079486c34b833",
-        "e10be10aa224a2af", "faa20e958004083a", "b21c61722ec9adcb", "d4fb2d2bd92fd299",
-        "e00a4f0c38b8aaf2", "fed37d56cc429b24", "fb02dddca00021ef", "79d7ef9acf8e7200",
-        "fcbbdcf9959f02f0", "038266d01221af14", "869c4601fa31d520", "2adf370631c3ab0f",
-        "f959bf175e33a423", "d8779ae9183266e9", "dc09f25c6a53883c", "9dbe43217eff0620",
-        "a51832e7efd131d9", "45853e2ba16f7a47", "6b888b3f142f9676", "d916c116308c1ce3",
-    ),
-}
 
 
 @pytest.mark.parametrize("search", ["protocol", "full"])
 def test_search_bits_pinned(search):
     moved = []
-    for r, want in zip(PIN_SQUEEZINGS, SEARCH_PINS[search], strict=True):
+    for r in PIN_SQUEEZINGS:
         got = wigner.maximize_chsh_parity(r, search=search)
-        key = repr((float(got["s_max"]), tuple(float(v) for v in got["displacements"])))
-        if hashlib.sha256(key.encode()).hexdigest()[:16] != want:
-            moved.append(r)
-    assert moved == []
+        value = (float(got["s_max"]), tuple(float(v) for v in got["displacements"]))
+        moved += _pins.compare("parity_search", (search, r), _pins.scalar(value))
+    assert not moved, "\n".join(moved)
 
 
 # the protocol optimum as r -> infinity (docstring of maximize_chsh_parity)
