@@ -147,7 +147,7 @@ OPS = (
                                    "_kernels.deposit_intervals(lo, hi, w, -8.0, 16.0 / 16384, 16384)"]),
     ("deposit_intervals-2d", "call", [INTERVALS.format("(257, 256)"),
                                       "_kernels.deposit_intervals(lo, hi, w, -8.0, 16.0 / 1024, 1024)"]),
-    # the Wigner transform on the wigner command's states, and its 1-D check
+    # the Wigner transform on the wigner command's states, and its marginal checks
     ("wigner_transform-64", "call", ["psi = waves.psi_marginal_state(+1, 10.0, n=64)",
                                      "wigner.wigner_transform(psi)"]),
     ("wigner_transform-32", "call", ["psi = waves.psi_marginal_state(+1, 10.0, n=32)",
@@ -156,6 +156,12 @@ OPS = (
                                      "wigner.wigner_transform(psi)"]),
     ("marginal_errors_1d", "call", ["grid = wigner.wigner_transform(waves.two_gaussian_packet(n=256))",
                                     "wigner.marginal_errors_1d(grid)"]),
+    ("marginal_errors_2d-64", "call", [
+        "summary = wigner.wigner_transform(waves.psi_marginal_state(+1, 10.0, n=64))",
+        "wigner.marginal_errors_2d(summary)"]),
+    # the S functional of marginal-theorem --grid at the test's shape
+    ("s_functional-512", "call", ["psi = waves.psi_marginal_state(+1, 10.0, n=512, xmax=12.0)",
+                                  "psbell.s_functional(psi)"]),
     # the largest 1-D map, and the stages of one transport rs2d op
     ("rs_map_1d", "call", ["psi = waves.two_gaussian_packet(n=4096)", "causal.rs_map_1d(psi)"]),
     ("rs_map_2d", "call", [RS2D_STATE, "causal.rs_map_2d(psi)"]),
@@ -189,7 +195,7 @@ OPS = (
 
 # the timed process of a warm or call op imports this file as a module
 WORKER = "import sys, bench_ab; bench_ab.work(*sys.argv[1:])"
-MODULES = ("_kernels", "akmeas", "causal", "cli", "waves", "wigner")
+MODULES = ("_kernels", "akmeas", "causal", "cli", "psbell", "waves", "wigner")
 
 
 def sweep_inputs(seed, count=1000):

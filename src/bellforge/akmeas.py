@@ -191,15 +191,14 @@ def momentum_peaks(record, window_std=3.0):
     usable = ~flat
     peaks[usable] += shift[usable]
     if usable.sum() >= 2:
-        slope, intercept = np.polyfit(x1[idx][usable], peaks[usable], 1)
+        slope = np.polyfit(x1[idx][usable], peaks[usable], 1)[0]
     else:
-        slope, intercept = float("nan"), float("nan")
+        slope = float("nan")
     return {
         "x1": x1[idx],
         "p_peak": peaks,
         "flat": flat,
         "slope": float(slope),
-        "intercept": float(intercept),
         "var_x1": var1,
     }
 

@@ -7,8 +7,11 @@ corresponding mixed densities |psi_ab|^2.  The Bell combination
     S = E_qq + E_qp + E_pq - E_pp
 
 is bounded by 2 for any separable sign assignment and by 2*sqrt(2) for
-the quadrature family built here.  Grid points lying exactly on a zero
-line carry sign 0 and drop out of the correlators.
+the quadrature family built here.  On the grid each correlator is one
+contraction E_ab = sgn(a) . M_ab . sgn(b) of the pair state's cell masses
+M_ab with the sign vectors of its two axes (``waves.pair_states`` builds
+the four states).  Grid points lying exactly on a zero line carry sign 0,
+so their masses drop out of the correlators.
 
 The distinguished family psi_(+/-) with cutoff L (see
 ``waves.psi_marginal_state``) admits closed-form correlators in terms of
@@ -34,55 +37,20 @@ TSIRELSON = 2.0 * math.sqrt(2.0)
 
 
 # ---------------------------------------------------------------------------
-# quadrant mass tables and correlators on grid states
+# the S functional on grid states
 
 
-def _sign_groups(masses, points, axis):
-    """Collapse an axis of a mass table to three sign groups (-, 0, +)."""
-    s = np.sign(points)
-    arr = np.moveaxis(masses, axis, 0)
-    grouped = np.stack(
-        [arr[s < 0].sum(axis=0), arr[s == 0].sum(axis=0), arr[s > 0].sum(axis=0)]
-    )
-    return np.moveaxis(grouped, 0, axis)
-
-
-def _quad_table(w):
-    """3x3 sign-group mass table of a 2-D state in any mix of representations."""
-    return _sign_groups(_sign_groups(w.masses(), w.axes[0].points(), 0), w.axes[1].points(), 1)
-
-
-def quad_densities(psi):
-    """Sign-pair mass tables for all four quadrature pairs.
-
-    Returns a dict mapping each pair in {qq, qp, pq, pp} to a 3x3 table
-    indexed by the sign groups (-, 0, +) of the two coordinates.  Each
-    table sums to the state's total mass (1 after normalization).
-    """
+def s_functional(psi):
+    """E_qq + E_qp + E_pq - E_pp of a 2-D position state on the grid, each
+    E = sgn(a) . M . sgn(b) over the cell masses M of one pair state."""
     if psi.dim != 2:
         raise ValidationError("quadrant analysis needs a 2-D state")
     for ax in psi.axes:
         if ax.representation != waves.POSITION:
             raise ValidationError("state must be given in the position representation")
-    pq = waves.fourier(psi, axis=0)
-    states = {"qq": psi, "qp": waves.fourier(psi, axis=1), "pq": pq,
-              "pp": waves.fourier(pq, axis=1)}
-    return {ccs: _quad_table(w) for ccs, w in states.items()}
-
-
-def _table_correlator(table):
-    return float(table[2, 2] + table[0, 0] - table[0, 2] - table[2, 0])
-
-
-def s_functional(psi):
-    """E_qq + E_qp + E_pq - E_pp on the grid."""
-    tables = quad_densities(psi)
-    return (
-        _table_correlator(tables["qq"])
-        + _table_correlator(tables["qp"])
-        + _table_correlator(tables["pq"])
-        - _table_correlator(tables["pp"])
-    )
+    e = {ccs: float(np.sign(w.axes[0].points()) @ w.masses() @ np.sign(w.axes[1].points()))
+         for ccs, w in waves.pair_states(psi).items()}
+    return e["qq"] + e["qp"] + e["pq"] - e["pp"]
 
 
 # ---------------------------------------------------------------------------

@@ -140,6 +140,15 @@ def padded_transform(psi, axis, factor):
     return _transform(psi, axis, factor)
 
 
+def pair_states(psi, factor=1):
+    """The four position/momentum pair states of a 2-D position state, keyed
+    "qq", "qp", "pq" and "pp": each momentum axis from ``padded_transform``
+    by factor, and pp transformed from pq along axis 1."""
+    pq = padded_transform(psi, 0, factor)
+    return {"qq": psi, "qp": padded_transform(psi, 1, factor), "pq": pq,
+            "pp": padded_transform(pq, 1, factor)}
+
+
 def _transform(psi, axis, factor):
     """``fourier`` of psi zero padded to factor times its length along axis,
     in one fresh array that is written, transformed and scaled in place."""
@@ -367,12 +376,6 @@ def correlated_gaussian_2d(rho=0.5, sigma=1.0, n=256, xmax=8.0):
 # cutoff interference states
 
 
-def _parse_sign(sign):
-    if sign not in (+1, -1, "+", "-"):
-        raise ValidationError("sign must be +1 or -1")
-    return +1 if sign in (+1, "+") else -1
-
-
 def _signed_cutoff_cdf(q, cutoff):
     """Signed integral of h_L(|q|)^2 from 0: sgn(q) ln(min(|q|,L)+1)/ln(L+1)."""
     r = np.minimum(np.abs(q), cutoff)
@@ -388,7 +391,8 @@ def psi_marginal_state(sign, cutoff, n=1024, xmax=None):
     rounding.  Cells on the coordinate axes take the quadrant-averaged
     magnitude 1/2 (their area is split evenly between signs).
     """
-    sgn = _parse_sign(sign)
+    if sign not in (+1, -1):
+        raise ValidationError("sign must be +1 or -1")
     if cutoff <= 0:
         raise DomainError("cutoff must be positive")
     if xmax is None:
@@ -404,10 +408,10 @@ def psi_marginal_state(sign, cutoff, n=1024, xmax=None):
 
     s = np.sign(x)
     quadrant = np.outer(s, s)  # +1, -1, or 0 on the axes
-    phase = (1.0 + sgn * np.exp(1.0j * np.pi / 4.0) * quadrant) / (2.0 * np.sqrt(2.0))
+    phase = (1.0 + sign * np.exp(1.0j * np.pi / 4.0) * quadrant) / (2.0 * np.sqrt(2.0))
     weight = np.where(quadrant == 0.0, 0.5, phase)
     values = weight * np.outer(radial, radial)
-    meta = {"cutoff": float(cutoff), "sign": sgn}
+    meta = {"cutoff": float(cutoff), "sign": int(sign)}
     return _finalize(values, (ax, ax), meta, deficit_tol=1e-4)
 
 

@@ -196,7 +196,8 @@ def wigner_transform(psi):
 
 def _half_grid(padded):
     """psi_tilde on the half-spacing momentum grid of each momentum axis of a
-    twice zero-padded transform: the central half of its conjugate grid."""
+    twice zero-padded transform: the central half of its conjugate grid.
+    Position axes are kept whole."""
     return padded.values[tuple(
         slice(ax.n // 4, ax.n // 4 + ax.n // 2) if ax.representation == waves.MOMENTUM
         else slice(None) for ax in padded.axes
@@ -217,15 +218,8 @@ def marginal_errors_1d(grid):
 
 def marginal_errors_2d(summary):
     """Max-norm errors of all four pair marginals of a 2-D Wigner function."""
-    psi = summary.source
-    pq = waves.padded_transform(psi, 0, 2)  # (p1, x2), padded again along axis 1 for pp
-    refs = {
-        "qq": psi.density(),
-        "qp": np.abs(_half_grid(waves.padded_transform(psi, 1, 2))) ** 2,  # (x1, p2)
-        "pq": np.abs(_half_grid(pq)) ** 2,
-        "pp": np.abs(_half_grid(waves.padded_transform(pq, 1, 2))) ** 2,
-    }
-    return {k: float(np.max(np.abs(summary.marginals[k] - ref))) for k, ref in refs.items()}
+    return {k: float(np.max(np.abs(summary.marginals[k] - np.abs(_half_grid(w)) ** 2)))
+            for k, w in waves.pair_states(summary.source, 2).items()}
 
 
 # ---------------------------------------------------------------------------

@@ -115,9 +115,36 @@ def test_grid_cross_check():
     assert gaps[2] < 0.02
 
 
+def _sign_groups(masses, points, axis):
+    """Collapse an axis of a mass table to three sign groups (-, 0, +)."""
+    s = np.sign(points)
+    arr = np.moveaxis(masses, axis, 0)
+    grouped = np.stack(
+        [arr[s < 0].sum(axis=0), arr[s == 0].sum(axis=0), arr[s > 0].sum(axis=0)]
+    )
+    return np.moveaxis(grouped, 0, axis)
+
+
+def quad_densities(psi):
+    """Sign-pair mass tables for all four quadrature pairs: the reference
+    that the S functional's sign contractions must match.
+
+    Returns a dict mapping each pair in {qq, qp, pq, pp} to a 3x3 table
+    indexed by the sign groups (-, 0, +) of the two coordinates, each pair
+    state built by ``waves.fourier`` rather than ``waves.pair_states``.
+    """
+    pq = waves.fourier(psi, axis=0)
+    states = {"qq": psi, "qp": waves.fourier(psi, axis=1), "pq": pq,
+              "pp": waves.fourier(pq, axis=1)}
+    return {
+        ccs: _sign_groups(_sign_groups(w.masses(), w.axes[0].points(), 0), w.axes[1].points(), 1)
+        for ccs, w in states.items()
+    }
+
+
 def test_quad_densities_are_distributions():
     psi = waves.psi_marginal_state(+1, 10.0, n=256, xmax=12.0)
-    tables = psbell.quad_densities(psi)
+    tables = quad_densities(psi)
     assert set(tables) == {"qq", "qp", "pq", "pp"}
     for t in tables.values():
         assert t.shape == (3, 3)
@@ -133,20 +160,24 @@ def _sign_correlator(table):
 
 def test_quadrant_correlator_signs():
     psi = waves.psi_marginal_state(+1, 10.0, n=256, xmax=12.0)
-    e_qq = _sign_correlator(psbell.quad_densities(psi)["qq"])
+    e_qq = _sign_correlator(quad_densities(psi)["qq"])
     # quadrant phase weighting puts more mass on equal signs for psi_plus
     assert e_qq > 0.5
     minus = waves.psi_marginal_state(-1, 10.0, n=256, xmax=12.0)
-    assert _sign_correlator(psbell.quad_densities(minus)["qq"]) == pytest.approx(-e_qq, abs=1e-9)
-    with pytest.raises(ValidationError):
-        psbell.quad_densities(waves.gaussian_packet())
+    assert _sign_correlator(quad_densities(minus)["qq"]) == pytest.approx(-e_qq, abs=1e-9)
+    with pytest.raises(ValidationError, match="2-D state"):
+        psbell.s_functional(waves.gaussian_packet())
+    for axis in (0, 1):
+        with pytest.raises(ValidationError, match="position representation"):
+            psbell.s_functional(waves.fourier(psi, axis))
 
 
 def test_s_functional_matches_correlator_sum():
-    psi = waves.psi_marginal_state(+1, 10.0, n=256, xmax=12.0)
-    e = {ccs: _sign_correlator(t) for ccs, t in psbell.quad_densities(psi).items()}
-    total = e["qq"] + e["qp"] + e["pq"] - e["pp"]
-    assert psbell.s_functional(psi) == pytest.approx(total, abs=1e-12)
+    for sign in (+1, -1):
+        psi = waves.psi_marginal_state(sign, 10.0, n=256, xmax=12.0)
+        e = {ccs: _sign_correlator(t) for ccs, t in quad_densities(psi).items()}
+        total = e["qq"] + e["qp"] + e["pq"] - e["pp"]
+        assert psbell.s_functional(psi) == pytest.approx(total, abs=1e-12)
 
 
 def test_richardson_recovers_linear_model():

@@ -200,14 +200,15 @@ def test_marginal_state_construction():
     assert psi.norm2() == pytest.approx(1.0, abs=1e-12)
     assert psi.meta["norm_defect"] < 1e-4
     assert psi.meta["sign"] == 1
-    minus = waves.psi_marginal_state("-", 100.0)
+    minus = waves.psi_marginal_state(-1, 100.0)
     assert minus.meta["sign"] == -1
     with pytest.raises(DomainError):
         waves.psi_marginal_state(+1, -3.0)
     with pytest.raises(DomainError):
         waves.psi_marginal_state(+1, 10.0, xmax=9.0)
-    with pytest.raises(ValidationError):
-        waves.psi_marginal_state("x", 10.0)
+    for sign in ("x", "-", 0, 2):
+        with pytest.raises(ValidationError, match="sign must be"):
+            waves.psi_marginal_state(sign, 10.0)
 
 
 def test_two_gaussian_density_bimodal():
